@@ -19,7 +19,7 @@ from .mesh import (Mesh, area_and_gradients, build_hexagon_mesh,
                    build_rect_mesh)
 from .optimizer import (BncgResult, IterateRecord, OptimizerConfig,
                         bncg_minimize, run_monolithic, run_staggered)
-from .sensitivity import (Gradient, grad_design, grad_stimulus,
+from .sensitivity import (Evaluation, Gradient, grad_design, grad_stimulus,
                           reduced_gradient, reduced_objective)
 from .stimulus_update import (StimulusQuadratic, minimize_stimulus_field,
                               optimal_stimulus_pointwise)
@@ -28,7 +28,7 @@ from .verify import brute_force_stimulus, fd_gradient_check, profile_coefficient
 __version__ = "0.1.0"
 
 __all__ = [
-    "BncgResult", "ConfigError", "DesignField", "Gradient",
+    "BncgResult", "ConfigError", "DesignField", "Evaluation", "Gradient",
     "InvalidParameterError", "IterateRecord", "Material", "MatrixNotSPDError",
     "Mesh", "MorphoptError", "ObjectiveBreakdown", "OptimizerConfig",
     "PhaseSet", "RegularizationParams", "SolverFailureError", "StateSolution",

@@ -1,13 +1,10 @@
 """Command-line interface.
 
 Subcommands: run, check-gradient, profile-oracle, render, mesh-info.
-MORPHOPT_THREADS caps internal worker threads (0 = automatic); the current
-solvers are single-threaded, so any cap is honored trivially.
 """
 
 import argparse
 import contextlib
-import os
 import sys
 
 import numpy as np
@@ -20,18 +17,6 @@ from .functional import RegularizationParams
 from .materials import Material, PhaseSet
 from .mesh import Mesh, build_rect_mesh
 from .render import composite_export
-
-
-def max_threads():
-    """Worker-thread cap from MORPHOPT_THREADS (0 = automatic)."""
-    raw = os.environ.get("MORPHOPT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise MorphoptError(f"MORPHOPT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise MorphoptError(f"MORPHOPT_THREADS must be >= 0, got {value}")
-    return value
 
 
 @contextlib.contextmanager
@@ -61,7 +46,6 @@ def _cmd_run(args):
     from . import runner
 
     spec = _load_spec(args)
-    max_threads()
     if args.seed_free:
         with forbid_numpy_random():
             artifacts = runner.run(spec, out_dir=args.out)

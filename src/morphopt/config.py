@@ -9,6 +9,7 @@ The grammar is documented in the README: sections [domain], [mesh],
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 
@@ -86,22 +87,29 @@ class _Section:
             return cast(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
-                f"key {self.name}.{key}: cannot parse {raw!r}") from exc
+                f"key {self.name}.{key}: cannot parse {raw!r} ({exc})") from exc
 
     def leftovers(self):
         return [f"{self.name}.{k}" for k in self.items if k not in self.used]
+
+
+def _float(raw):
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
 
 
 def _vector2(raw):
     parts = raw.replace(",", " ").split()
     if len(parts) != 2:
         raise ValueError("expected two components")
-    return (float(parts[0]), float(parts[1]))
+    return (_float(parts[0]), _float(parts[1]))
 
 
 def _positive(name):
     def cast(raw):
-        v = float(raw)
+        v = _float(raw)
         if v <= 0:
             raise ValueError("must be positive")
         return v
@@ -173,7 +181,7 @@ def parse_config(path=None, text=None, overrides=()):
 
     tgt = sec("target")
     if domain_type == "rect":
-        box = tuple(tgt.get(k, float) for k in ("x0", "y0", "x1", "y1"))
+        box = tuple(tgt.get(k, _float) for k in ("x0", "y0", "x1", "y1"))
         if not (0 <= box[0] <= box[2] <= kwargs["lx"]
                 and 0 <= box[1] <= box[3] <= kwargs["ly"]):
             raise ConfigError("target box must sit inside the domain")
@@ -191,13 +199,13 @@ def parse_config(path=None, text=None, overrides=()):
     targets = tuple(disp.get(f"u{j + 1}", _vector2) for j in range(count))
 
     ph = sec("phases")
-    eta = ph.get("eta", float, required=False, default=1e-4)
+    eta = ph.get("eta", _float, required=False, default=1e-4)
 
     def material(section_name, default_beta):
         s = sec(section_name)
-        young = s.get("young", float)
-        poisson = s.get("poisson", float)
-        beta = s.get("beta", float, required=False, default=default_beta)
+        young = s.get("young", _float)
+        poisson = s.get("poisson", _float)
+        beta = s.get("beta", _float, required=False, default=default_beta)
         if young < 0:
             raise ConfigError(f"{section_name}.young: must be >= 0, got {young}")
         if not -1.0 < poisson < 0.5:
@@ -217,16 +225,16 @@ def parse_config(path=None, text=None, overrides=()):
     params = RegularizationParams(
         epsilon=reg.get("epsilon", _positive("epsilon")),
         alpha=reg.get("alpha", _positive("alpha")),
-        nu2=reg.get("nu2", float),
-        nu3=reg.get("nu3", float),
-        q_weight=reg.get("q_weight", float, required=False, default=1.0),
+        nu2=reg.get("nu2", _float),
+        nu3=reg.get("nu3", _float),
+        q_weight=reg.get("q_weight", _float, required=False, default=1.0),
     )
 
     init = sec("initial")
     initial = dict(
-        initial_rho2=init.get("rho2", float, required=False, default=0.3),
-        initial_rho3=init.get("rho3", float, required=False, default=0.3),
-        initial_stimulus=init.get("stimulus", float, required=False, default=0.0),
+        initial_rho2=init.get("rho2", _float, required=False, default=0.3),
+        initial_rho3=init.get("rho3", _float, required=False, default=0.3),
+        initial_stimulus=init.get("stimulus", _float, required=False, default=0.0),
     )
     if not (0 <= initial["initial_rho2"] <= 1 and 0 <= initial["initial_rho3"] <= 1):
         raise ConfigError("initial.rho2/rho3 must lie in [0, 1]")
@@ -240,14 +248,14 @@ def parse_config(path=None, text=None, overrides=()):
                           f"got {scheme!r}")
     opt_kwargs = {}
     for key in _OPTIMIZER_FLOAT_KEYS:
-        v = opt.get(key, float, required=False)
+        v = opt.get(key, _float, required=False)
         if v is not None:
             opt_kwargs[key] = v
     for key in _OPTIMIZER_INT_KEYS:
         v = opt.get(key, int, required=False)
         if v is not None:
             opt_kwargs[key] = v
-    solver_tol = opt.get("solver_tol", float, required=False, default=1e-10)
+    solver_tol = opt.get("solver_tol", _float, required=False, default=1e-10)
     stimulus_mode = opt.get("stimulus_mode", required=False, default="nodal")
     if stimulus_mode not in ("nodal", "element"):
         raise ConfigError(f"optimizer.stimulus_mode: must be nodal or element, "

@@ -112,7 +112,7 @@ def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
     n = 2 * mesh.n_nodes
     if fixed_dofs is not None and len(fixed_dofs):
         rows, cols, vals = eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs)
-    return SparseOperator.from_triplets(n, rows, cols, vals, symmetric=True)
+    return SparseOperator.from_triplets(n, rows, cols, vals)
 
 
 def assemble_stimulus_load(mesh, design, phases, s_j):
@@ -175,28 +175,31 @@ def _resolve_fixed_dofs(mesh, fixed_dofs):
 
 
 def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
-                tol=1e-10, maxit=None):
-    """Solve the n state problems sharing one assembled stiffness."""
+                tol=1e-10, operator=None):
+    """Solve the n state problems sharing one stiffness ``operator``,
+    assembled here unless given (for this design and ``fixed_dofs``)."""
     fixed_dofs = _resolve_fixed_dofs(mesh, fixed_dofs)
-    K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
+    K = operator
+    if K is None:
+        K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
     us, loads = [], []
     for j in range(stimulus.n_cases):
         f = assemble_stimulus_load(mesh, design, phases, stimulus.s[j])
         f[fixed_dofs] = 0.0
-        x = solve_spd(K, f, tol=tol, maxit=maxit)
+        x = solve_spd(K, f, tol=tol)
         us.append(x.reshape(-1, 2))
         loads.append(f)
     return StateSolution(us, K, loads, fixed_dofs)
 
 
-def solve_adjoint(mesh, design, phases, state, targets, tol=1e-10, maxit=None):
+def solve_adjoint(mesh, design, phases, state, targets, tol=1e-10):
     """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j)."""
     lams = []
     for j, u_j in enumerate(state.u):
         ubar = target_values(targets, j, mesh.n_nodes)
         rhs = target_mass_apply(mesh, ubar - u_j).ravel()
         rhs[state.fixed_dofs] = 0.0
-        lam = solve_spd(state.operator, rhs, tol=tol, maxit=maxit)
+        lam = solve_spd(state.operator, rhs, tol=tol)
         lams.append(lam.reshape(-1, 2))
     return lams
 

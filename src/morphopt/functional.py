@@ -20,8 +20,9 @@ Quadrature choices (all exact for their integrands):
   link term       f_j . v_j with exact loads and the degree-4 rule in K_link
 """
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,10 @@ class RegularizationParams:
     link_weight: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.epsilon <= 0:
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
         if self.alpha <= 0:
@@ -181,15 +186,18 @@ def stimulus_penalty(mesh, design, stimulus):
     return float(np.sum(((bq * s2) @ rule.weights) * mesh.areas))
 
 
-def link_energy(mesh, design, targets):
-    """Link compliance  sum_j f_j . v_j  of the virtual elastic body."""
-    vs, loads = solve_link(mesh, design, targets)
+def link_energy(mesh, design, targets, link=None):
+    """Link compliance  sum_j f_j . v_j  of the virtual elastic body
+    (``link``: solve_link's (v_j, f_j) at this design, solved if None)."""
+    vs, loads = solve_link(mesh, design, targets) if link is None else link
     return float(sum(np.dot(f, v) for f, v in zip(loads, vs)))
 
 
-def total(mesh, design, stimulus, state_u, targets, params):
-    """Full objective breakdown at given fields."""
-    link = link_energy(mesh, design, targets) if params.link_weight else 0.0
+def total(mesh, design, stimulus, state_u, targets, params, link=None):
+    """Full objective breakdown at given fields (``link`` as in
+    :func:`link_energy`)."""
+    energy = (link_energy(mesh, design, targets, link) if params.link_weight
+              else 0.0)
     return ObjectiveBreakdown.combine(
         tracking=tracking(mesh, state_u, targets),
         perimeter=perimeter_energy(mesh, design, params.epsilon),
@@ -197,6 +205,6 @@ def total(mesh, design, stimulus, state_u, targets, params):
         stimulus_penalty=stimulus_penalty(mesh, design, stimulus),
         alpha=params.alpha,
         q_weight=params.q_weight,
-        link=link,
+        link=energy,
         link_weight=params.link_weight,
     )

@@ -18,20 +18,18 @@ def _dot(a, b):
 
 
 class SparseOperator:
-    """Row-compressed sparse matrix with an explicit symmetry flag."""
+    """Square row-compressed sparse matrix."""
 
-    def __init__(self, matrix, symmetric=True):
+    def __init__(self, matrix):
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise InvalidParameterError("operator must be square")
         m.sum_duplicates()
         self.matrix = m
-        self.symmetric = symmetric
 
     @classmethod
-    def from_triplets(cls, n, rows, cols, vals, symmetric=True):
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(m, symmetric=symmetric)
+    def from_triplets(cls, n, rows, cols, vals):
+        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
 
     @property
     def n(self):
@@ -42,21 +40,6 @@ class SparseOperator:
 
     def diagonal(self):
         return self.matrix.diagonal()
-
-    def write_matrix_market(self, path):
-        """Dump in MatrixMarket coordinate format (1-based indices)."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate real "
-                     + ("symmetric\n" if self.symmetric else "general\n"))
-            if self.symmetric:
-                keep = coo.row >= coo.col
-                rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
-            else:
-                rows, cols, vals = coo.row, coo.col, coo.data
-            fh.write(f"{self.n} {self.n} {len(vals)}\n")
-            for r, c, v in zip(rows, cols, vals):
-                fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
 def eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs):
@@ -71,7 +54,7 @@ def eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs):
     return rows, cols, vals
 
 
-def solve_spd(A, b, tol=1e-10, maxit=None, x0=None, callback=None):
+def solve_spd(A, b, tol=1e-10, maxit=None, callback=None):
     """Jacobi-preconditioned conjugate gradients for an SPD operator.
 
     Guarantees ||A x - b|| <= tol * ||b|| on return.  Raises
@@ -87,16 +70,12 @@ def solve_spd(A, b, tol=1e-10, maxit=None, x0=None, callback=None):
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise MatrixNotSPDError("operator has a nonpositive diagonal entry")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
+    x = np.zeros(n)
     bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0 and x0 is None:
-        return x
-    r = b - A.matvec(x)
-    rnorm = np.sqrt(_dot(r, r))
     target = tol * bnorm
-    if rnorm <= target:
+    if bnorm <= target:
         return x
+    r = b.copy()
     z = r / diag
     p = z.copy()
     rz = _dot(r, z)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functional, sensitivity
-from .elasticity import solve_adjoint, solve_state
 from .fields import DesignField, StimulusField, project_design, project_stimulus
 from .stimulus_update import minimize_stimulus_field
 
@@ -56,6 +55,8 @@ class BncgResult:
     status: str  # converged-grad | converged-obj | maxiter | stalled
     iterations: int
     history: list = field(default_factory=list)
+    # the schemes' accepted sensitivity.Evaluation at x
+    evaluation: object = None
 
     @property
     def stalled(self):
@@ -67,25 +68,20 @@ def _norm(v):
 
 
 def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
-                  on_accept=None, post_accept=None, diag_scale=None):
+                  on_accept=None, post_accept=None):
     """Minimize over the box [lower, upper].
 
     ``value_fn(x) -> f`` is used for line-search trials, ``value_grad_fn(x)
-    -> (f, g)`` at accepted iterates.  ``on_accept(k, x, f, g, step)`` is
-    called after evaluating the gradient at every accepted point (and at
-    the initial point with step 0).  ``post_accept(x, f, g) -> (f, g) or
+    -> (f, g)`` at the initial point and at each accepted trial, right
+    after that trial's ``value_fn`` call.  ``on_accept(k, x, f, g, step)``
+    is called after evaluating the gradient at every accepted point (and
+    at the initial point with step 0).  ``post_accept(x, f, g) -> (f, g) or
     None`` may revise the objective/gradient at an accepted iterate (used
     by the staggered scheme's inner stimulus minimization); it must not
-    increase f.  ``diag_scale`` is an optional positive diagonal
-    preconditioner for the search direction; it defaults off and the
-    production schemes do not set it.
+    increase f.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if diag_scale is not None:
-        diag_scale = np.asarray(diag_scale, dtype=float)
-        if np.any(diag_scale <= 0.0):
-            raise ValueError("diag_scale entries must be positive")
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     f, g = value_grad_fn(x)
 
@@ -108,8 +104,7 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
         return BncgResult(x, f, "converged-grad", 0, history)
 
     def reduced(g, x):
-        out = g if diag_scale is None else g * diag_scale
-        out = out.copy() if out is g else out
+        out = g.copy()
         out[(x <= lower) & (g > 0)] = 0.0
         out[(x >= upper) & (g < 0)] = 0.0
         return out
@@ -177,17 +172,61 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     return BncgResult(x, f, "maxiter", cfg.max_outer_iters, history)
 
 
-def _record(iteration, mesh, design, breakdown, g2, g3, gs, step):
-    f2, f3 = functional.volume_fractions(mesh, design)
-    return IterateRecord(
-        iteration=iteration,
-        breakdown=breakdown,
-        grad_norm_design=_norm(np.concatenate([g2, g3])),
-        grad_norm_stimulus=_norm(gs.ravel()),
-        step=step,
-        vol_frac2=f2,
-        vol_frac3=f3,
-    )
+class _Evaluations:
+    """A scheme's accepted Evaluation and its latest line-search trial.
+
+    ``value`` serves the line search and ``value_grad`` the gradient
+    request that bncg_minimize makes right after the value of an accepted
+    trial, so that trial's Evaluation becomes the accepted one.  ``record``
+    is the on_accept callback: it logs the accepted Evaluation and hands it
+    to ``on_iterate(record, evaluation)``.  ``flat_grad(Gradient)`` is the
+    scheme's gradient vector.
+    """
+
+    def __init__(self, mesh, evaluate, flat_grad, on_iterate):
+        self.mesh, self.evaluate, self.flat_grad = mesh, evaluate, flat_grad
+        self.on_iterate = on_iterate
+        self.history = []
+        self.accepted = None
+        self.trial_x = self.trial = None
+
+    def value(self, x):
+        self.trial_x, self.trial = x, self.evaluate(x)
+        return self.trial.breakdown.total
+
+    def value_grad(self, x):
+        reuse = self.trial is not None and np.array_equal(self.trial_x, x)
+        ev = self.trial if reuse else self.evaluate(x)
+        self.trial_x = self.trial = None
+        return self.accept(ev)
+
+    def accept(self, ev):
+        """Make ``ev`` the accepted point; returns its (f, g)."""
+        self.accepted = ev
+        return ev.breakdown.total, self.flat_grad(ev.gradient)
+
+    def record(self, k, x, f, g, step):
+        ev, grad = self.accepted, self.accepted.gradient
+        f2, f3 = functional.volume_fractions(self.mesh, ev.design)
+        rec = IterateRecord(
+            iteration=k,
+            breakdown=ev.breakdown,
+            grad_norm_design=_norm(np.concatenate([grad.g_rho2, grad.g_rho3])),
+            grad_norm_stimulus=_norm(grad.g_s.ravel()),
+            step=step,
+            vol_frac2=f2,
+            vol_frac3=f3,
+        )
+        self.history.append(rec)
+        if self.on_iterate is not None:
+            self.on_iterate(rec, ev)
+
+    def minimize(self, x0, lower, upper, cfg, post_accept=None):
+        result = bncg_minimize(self.value, self.value_grad, x0, lower, upper,
+                               cfg, on_accept=self.record,
+                               post_accept=post_accept)
+        result.evaluation = self.accepted
+        return result
 
 
 def run_monolithic(mesh, phases, params, targets, cfg,
@@ -199,45 +238,20 @@ def run_monolithic(mesh, phases, params, targets, cfg,
     design0 = design0 or DesignField.constant(nn, 0.3, 0.3)
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
-    def unpack(z):
+    def evaluate(z):
         design = DesignField(z[:nn].copy(), z[nn:2 * nn].copy())
         stim = StimulusField(z[2 * nn:].reshape(n_cases, nn).copy())
-        return design, stim
+        return sensitivity.Evaluation(mesh, design, stim, phases, params,
+                                      targets, fixed_dofs, solver_tol)
 
-    cache = {}
-
-    def value_fn(z):
-        design, stim = unpack(z)
-        state = solve_state(mesh, design, phases, stim,
-                            fixed_dofs=fixed_dofs, tol=solver_tol)
-        return functional.total(mesh, design, stim, state.u, targets, params).total
-
-    def value_grad_fn(z):
-        design, stim = unpack(z)
-        breakdown, grad, state, lambdas = sensitivity.reduced_gradient(
-            mesh, design, stim, phases, params, targets,
-            fixed_dofs=fixed_dofs, tol=solver_tol)
-        cache["aux"] = (design, stim, breakdown, grad)
-        g = np.concatenate([grad.g_rho2, grad.g_rho3, grad.g_s.ravel()])
-        return breakdown.total, g
-
-    history = []
-
-    def on_accept(k, z, f, g, step):
-        design, stim, breakdown, grad = cache["aux"]
-        rec = _record(k, mesh, design, breakdown,
-                      grad.g_rho2, grad.g_rho3, grad.g_s, step)
-        history.append(rec)
-        if on_iterate is not None:
-            on_iterate(rec, design, stim)
-
+    evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
+        [grad.g_rho2, grad.g_rho3, grad.g_s.ravel()]), on_iterate)
     z0 = np.concatenate([design0.rho2, design0.rho3, stimulus0.s.ravel()])
     lower = np.concatenate([np.zeros(2 * nn), -np.ones(n_cases * nn)])
     upper = np.ones(2 * nn + n_cases * nn)
-    result = bncg_minimize(value_fn, value_grad_fn, z0, lower, upper, cfg,
-                           on_accept=on_accept)
-    design, stim = unpack(result.x)
-    return project_design(design), project_stimulus(stim), history, result
+    result = evals.minimize(z0, lower, upper, cfg)
+    return (project_design(evals.accepted.design),
+            project_stimulus(evals.accepted.stimulus), evals.history, result)
 
 
 def run_staggered(mesh, phases, params, targets, cfg,
@@ -246,72 +260,34 @@ def run_staggered(mesh, phases, params, targets, cfg,
     """Outer BNCG over the densities with exact inner stimulus minimization.
 
     The stimulus is frozen during each line search.  At every accepted
-    design the state and adjoint are refreshed, the closed-form update is
-    applied, and the candidate stimulus is committed only if it lowers the
-    true objective; the returned gradient is then evaluated at the
-    committed stimulus.
+    design the closed-form update is computed from its adjoints, solved on
+    its stiffness, and committed only if it lowers the true objective; the
+    returned gradient is then evaluated at the committed stimulus.
     """
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
     design0 = design0 or DesignField.constant(nn, 0.3, 0.3)
-    current = {"stim": stimulus0 or StimulusField.zeros(n_cases, nn)}
-    cache = {}
+    stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
-    def unpack(z):
-        return DesignField(z[:nn].copy(), z[nn:].copy())
+    def evaluate(z):
+        stim = evals.accepted.stimulus if evals.accepted else stimulus0
+        design = DesignField(z[:nn].copy(), z[nn:].copy())
+        return sensitivity.Evaluation(mesh, design, stim, phases, params,
+                                      targets, fixed_dofs, solver_tol)
 
-    def evaluate(design, stim):
-        state = solve_state(mesh, design, phases, stim,
-                            fixed_dofs=fixed_dofs, tol=solver_tol)
-        breakdown = functional.total(mesh, design, stim, state.u, targets, params)
-        return state, breakdown
-
-    def value_fn(z):
-        _, breakdown = evaluate(unpack(z), current["stim"])
-        return breakdown.total
-
-    def grad_at(design, stim, state):
-        lambdas = solve_adjoint(mesh, design, phases, state, targets,
-                                tol=solver_tol)
-        g2, g3 = sensitivity.grad_design(mesh, design, stim, state, lambdas,
-                                         phases, params, targets)
-        gs = sensitivity.grad_stimulus(mesh, design, stim, lambdas, phases, params)
-        return lambdas, g2, g3, gs
-
-    def value_grad_fn(z):
-        design = unpack(z)
-        stim = current["stim"]
-        state, breakdown = evaluate(design, stim)
-        lambdas, g2, g3, gs = grad_at(design, stim, state)
-        cache["aux"] = (design, stim, breakdown, g2, g3, gs, state, lambdas)
-        return breakdown.total, np.concatenate([g2, g3])
+    evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
+        [grad.g_rho2, grad.g_rho3]), on_iterate)
 
     def post_accept(z, f, g):
-        design, stim, breakdown, g2, g3, gs, state, lambdas = cache["aux"]
-        candidate = minimize_stimulus_field(mesh, design, lambdas, phases,
-                                            mode=stimulus_mode)
-        new_state, new_breakdown = evaluate(design, candidate)
-        if new_breakdown.total <= breakdown.total:
-            current["stim"] = candidate
-            lambdas, g2, g3, gs = grad_at(design, candidate, new_state)
-            cache["aux"] = (design, candidate, new_breakdown, g2, g3, gs,
-                            new_state, lambdas)
-            return new_breakdown.total, np.concatenate([g2, g3])
+        ev = evals.accepted
+        candidate = ev.at_stimulus(minimize_stimulus_field(
+            mesh, ev.design, ev.lambdas, phases, mode=stimulus_mode))
+        if candidate.breakdown.total <= ev.breakdown.total:
+            return evals.accept(candidate)
         return None
 
-    history = []
-
-    def on_accept(k, z, f, g, step):
-        design, stim, breakdown, g2, g3, gs, _, _ = cache["aux"]
-        rec = _record(k, mesh, design, breakdown, g2, g3, gs, step)
-        history.append(rec)
-        if on_iterate is not None:
-            on_iterate(rec, design, stim)
-
     z0 = np.concatenate([design0.rho2, design0.rho3])
-    lower = np.zeros(2 * nn)
-    upper = np.ones(2 * nn)
-    result = bncg_minimize(value_fn, value_grad_fn, z0, lower, upper, cfg,
-                           on_accept=on_accept, post_accept=post_accept)
-    design = unpack(result.x)
-    return project_design(design), current["stim"].copy(), history, result
+    result = evals.minimize(z0, np.zeros(2 * nn), np.ones(2 * nn), cfg,
+                            post_accept)
+    return (project_design(evals.accepted.design),
+            evals.accepted.stimulus.copy(), evals.history, result)

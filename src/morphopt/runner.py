@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import echo_config
-from .elasticity import solve_adjoint, solve_state
 from .errors import MorphoptError
 from .fields import DesignField, StimulusField
 from .optimizer import run_monolithic, run_staggered
@@ -58,19 +57,15 @@ def write_history_csv(path, history):
     return path
 
 
-def _export_snapshot(path, mesh, spec, design, stim):
-    """VTK snapshot with the state and adjoint recomputed at this iterate."""
-    state = solve_state(mesh, design, spec.phases, stim, tol=spec.solver_tol)
-    lambdas = solve_adjoint(mesh, design, spec.phases, state,
-                            spec.target_array(), tol=spec.solver_tol)
-    scalars = {"rho2": design.rho2, "rho3": design.rho3}
+def _export_snapshot(path, mesh, ev):
+    """VTK snapshot of an Evaluation: fields, states and adjoints."""
+    scalars = {"rho2": ev.design.rho2, "rho3": ev.design.rho3}
     vectors = {}
-    for j in range(stim.n_cases):
-        scalars[f"s{j + 1}"] = stim.s[j]
-        vectors[f"u{j + 1}"] = state.u[j]
-        vectors[f"lambda{j + 1}"] = lambdas[j]
+    for j in range(ev.stimulus.n_cases):
+        scalars[f"s{j + 1}"] = ev.stimulus.s[j]
+        vectors[f"u{j + 1}"] = ev.state.u[j]
+        vectors[f"lambda{j + 1}"] = ev.lambdas[j]
     write_vtk(path, mesh, scalars, vectors)
-    return state
 
 
 def run(spec, out_dir=None):
@@ -89,11 +84,11 @@ def run(spec, out_dir=None):
     snapshots = []
     records = []
 
-    def on_iterate(rec, design, stim):
+    def on_iterate(rec, ev):
         records.append(rec)
         if rec.iteration % spec.export_every == 0:
             path = os.path.join(out_dir, f"snapshot_{rec.iteration:06d}.vtk")
-            _export_snapshot(path, mesh, spec, design, stim)
+            _export_snapshot(path, mesh, ev)
             snapshots.append(path)
 
     runner = run_staggered if spec.scheme == "staggered" else run_monolithic
@@ -111,10 +106,12 @@ def run(spec, out_dir=None):
             fh.write(f"{type(exc).__name__}: {exc}\n")
         raise
 
+    # the accepted point the scheme returned, after any stimulus update
+    final_ev = result.evaluation
     last_iter = history[-1].iteration
     if last_iter % spec.export_every != 0:
         path = os.path.join(out_dir, f"snapshot_{last_iter:06d}.vtk")
-        _export_snapshot(path, mesh, spec, design, stim)
+        _export_snapshot(path, mesh, final_ev)
         snapshots.append(path)
 
     history_path = write_history_csv(os.path.join(out_dir, "history.csv"),
@@ -123,20 +120,17 @@ def run(spec, out_dir=None):
     with open(config_path, "w") as fh:
         fh.write(echo_config(spec))
 
-    state = solve_state(mesh, design, spec.phases, stim, tol=spec.solver_tol)
-    lambdas = solve_adjoint(mesh, design, spec.phases, state, targets,
-                            tol=spec.solver_tol)
     fields_path = os.path.join(out_dir, "final_fields.npz")
     np.savez(fields_path, nodes=mesh.nodes, triangles=mesh.triangles,
              dirichlet_nodes=mesh.dirichlet_nodes,
              target_elements=mesh.target_elements, cell_size=mesh.cell_size,
              rho2=design.rho2, rho3=design.rho3, s=stim.s,
-             u=np.stack(state.u), lam=np.stack(lambdas))
+             u=np.stack(final_ev.state.u), lam=np.stack(final_ev.lambdas))
 
     composites = []
     for j in range(stim.n_cases):
         path = os.path.join(out_dir, f"composite_case{j + 1}.ppm")
-        composite_export(mesh, design, stim.s[j], state.u[j], scale=1.0,
+        composite_export(mesh, design, stim.s[j], final_ev.state.u[j], scale=1.0,
                          path=path)
         composites.append(path)
 

@@ -4,7 +4,10 @@ The gradients returned here are the exact derivatives of the discretized
 objective with respect to the nodal coefficients (discretize-then-
 differentiate): every quadrature rule used by the assembly is
 differentiated consistently, so central finite differences on
-:func:`reduced_objective` agree to the float rounding floor.
+:func:`reduced_objective` agree to the float rounding floor.  An
+:class:`Evaluation` does the work of one point (design, stimulus) once:
+one stiffness, one state solve per case, one adjoint solve per case, and
+one link solve when the link energy is on.
 
 Design sensitivity (direction phi restricted to nodal hat functions,
 with the void chain rule phi1 = -phi2 - phi3):
@@ -26,6 +29,7 @@ unchanged.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,14 +139,15 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases):
     return g2, g3
 
 
-def link_design_grad(mesh, design, targets):
-    """Gradient of the link energy; it is the same for rho2 and rho3."""
+def link_design_grad(mesh, design, targets, link=None):
+    """Gradient of the link energy; it is the same for rho2 and rho3
+    (``link``: solve_link's (v_j, f_j) at this design, solved if None)."""
     rule = quadrature.TRI_DEG4
     mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
                                          mesh.triangles, rule)
     dk = ((link_stiffness_derivative(mq) * rule.weights) @ rule.points)
     g = np.zeros(mesh.n_nodes)
-    vs, _ = solve_link(mesh, design, targets)
+    vs, _ = solve_link(mesh, design, targets) if link is None else link
     for v in vs:
         e = element_strains(mesh, v.reshape(-1, 2))
         tr = e[:, 0, 0] + e[:, 1, 1]
@@ -152,8 +157,10 @@ def link_design_grad(mesh, design, targets):
     return g
 
 
-def grad_design(mesh, design, stimulus, state, lambdas, phases, params, targets):
-    """Full design gradient (g_rho2, g_rho3) of the reduced objective."""
+def grad_design(mesh, design, stimulus, state, lambdas, phases, params, targets,
+                link=None):
+    """Full design gradient (g_rho2, g_rho3) of the reduced objective
+    (``link`` as in :func:`link_design_grad`)."""
     check_nodal(mesh, design.rho2, "rho2")
     p2, p3 = perimeter_design_grad(mesh, design, params.epsilon)
     q2, q3 = q_design_grad(mesh, design, stimulus)
@@ -162,9 +169,10 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params, targets)
     g2 = params.alpha * p2 + params.nu2 * lumped + params.q_weight * q2 + e2
     g3 = params.alpha * p3 + params.nu3 * lumped + params.q_weight * q3 + e3
     if params.link_weight:
-        link = params.link_weight * link_design_grad(mesh, design, targets)
-        g2 = g2 + link
-        g3 = g3 + link
+        g_link = params.link_weight * link_design_grad(mesh, design, targets,
+                                                       link)
+        g2 = g2 + g_link
+        g3 = g3 + g_link
     return g2, g3
 
 
@@ -199,12 +207,54 @@ def grad_stimulus(mesh, design, stimulus, lambdas, phases, params=None):
     return out
 
 
+class Evaluation:
+    """The reduced objective at one point (design, stimulus).
+
+    K is assembled and the states are solved once, and the link problem
+    once when the link energy is on; the adjoints and the gradient are
+    computed the first time they are asked for.  ``at_stimulus`` evaluates
+    a new stimulus on the same design, reusing K and the link solution.
+    """
+
+    def __init__(self, mesh, design, stimulus, phases, params, targets,
+                 fixed_dofs=None, tol=1e-10, operator=None, link=None):
+        self.mesh, self.design, self.stimulus = mesh, design, stimulus
+        self.phases, self.params, self.targets = phases, params, targets
+        self.tol = tol
+        self.state = solve_state(mesh, design, phases, stimulus,
+                                 fixed_dofs=fixed_dofs, tol=tol,
+                                 operator=operator)
+        if link is None and params.link_weight:
+            link = solve_link(mesh, design, targets)
+        self.link = link
+        self.breakdown = total(mesh, design, stimulus, self.state.u, targets,
+                               params, link)
+
+    def at_stimulus(self, stimulus):
+        return Evaluation(self.mesh, self.design, stimulus, self.phases,
+                          self.params, self.targets, self.state.fixed_dofs,
+                          self.tol, self.state.operator, self.link)
+
+    @cached_property
+    def lambdas(self):
+        return solve_adjoint(self.mesh, self.design, self.phases, self.state,
+                             self.targets, tol=self.tol)
+
+    @cached_property
+    def gradient(self):
+        g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
+                             self.lambdas, self.phases, self.params,
+                             self.targets, self.link)
+        gs = grad_stimulus(self.mesh, self.design, self.stimulus, self.lambdas,
+                           self.phases, self.params)
+        return Gradient(g2, g3, gs)
+
+
 def reduced_objective(mesh, design, stimulus, phases, params, targets,
                       fixed_dofs=None, tol=1e-10):
     """J(design, stimulus): solve the states and evaluate the objective."""
-    state = solve_state(mesh, design, phases, stimulus,
-                        fixed_dofs=fixed_dofs, tol=tol)
-    return total(mesh, design, stimulus, state.u, targets, params).total
+    return Evaluation(mesh, design, stimulus, phases, params, targets,
+                      fixed_dofs, tol).breakdown.total
 
 
 def reduced_gradient(mesh, design, stimulus, phases, params, targets,
@@ -213,11 +263,6 @@ def reduced_gradient(mesh, design, stimulus, phases, params, targets,
 
     Returns (breakdown, Gradient, state, lambdas).
     """
-    state = solve_state(mesh, design, phases, stimulus,
-                        fixed_dofs=fixed_dofs, tol=tol)
-    lambdas = solve_adjoint(mesh, design, phases, state, targets, tol=tol)
-    breakdown = total(mesh, design, stimulus, state.u, targets, params)
-    g2, g3 = grad_design(mesh, design, stimulus, state, lambdas, phases,
-                         params, targets)
-    gs = grad_stimulus(mesh, design, stimulus, lambdas, phases, params)
-    return breakdown, Gradient(g2, g3, gs), state, lambdas
+    ev = Evaluation(mesh, design, stimulus, phases, params, targets,
+                    fixed_dofs, tol)
+    return ev.breakdown, ev.gradient, ev.state, ev.lambdas

@@ -50,8 +50,9 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     for _ in range(trials):
         design = DesignField(rng.uniform(0.1, 0.9, nn), rng.uniform(0.1, 0.9, nn))
         stim = StimulusField(rng.uniform(-0.9, 0.9, (n_cases, nn)))
-        _, grad, _, _ = sensitivity.reduced_gradient(
-            mesh, design, stim, phases, params, targets, fixed_dofs=fixed_dofs)
+        ev = sensitivity.Evaluation(mesh, design, stim, phases, params,
+                                    targets, fixed_dofs)
+        grad = ev.gradient
 
         phi2 = rng.uniform(-1.0, 1.0, nn)
         phi3 = rng.uniform(-1.0, 1.0, nn)
@@ -61,7 +62,7 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
         analytic = float(np.sum(contrib))
         if corrupt == "link":
             link = params.link_weight * sensitivity.link_design_grad(
-                mesh, design, targets)
+                mesh, design, targets, ev.link)
             analytic += 0.01 * float(np.dot(link, phi2 + phi3))
         dp = DesignField(design.rho2 + delta * phi2, design.rho3 + delta * phi3)
         dm = DesignField(design.rho2 - delta * phi2, design.rho3 - delta * phi3)

@@ -6,6 +6,7 @@ import pytest
 from morphopt import cli, runner
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
                              shipped_config_names)
+from morphopt.elasticity import solve_adjoint, solve_state
 from morphopt.errors import ConfigError, MorphoptError
 from morphopt.fields import DesignField
 from morphopt.mesh import build_rect_mesh
@@ -101,6 +102,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="phases.responsive.poisson"):
             parse_config(text=bad)
 
+    @pytest.mark.parametrize("override", [
+        "regularization.alpha=nan", "regularization.epsilon=inf",
+        "regularization.nu2=nan", "regularization.q_weight=-inf",
+        "mesh.h=inf", "phases.eta=nan", "phases.passive.young=inf",
+        "displacements.u1=nan 1.0", "target.x0=nan", "initial.rho2=nan",
+        "optimizer.armijo_c=nan", "optimizer.solver_tol=inf"])
+    def test_non_finite_number_names_key(self, tiny_cfg, override, capsys):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text=TINY_CFG, overrides=[override])
+        code = cli.main(["run", "--config", str(tiny_cfg), "--override",
+                         override, "--out", str(tiny_cfg.parent / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tiny_cfg.parent / "out").exists()
+
     def test_unknown_key_rejected(self):
         bad = TINY_CFG.replace("h = 0.1", "h = 0.1\nhh = 2")
         with pytest.raises(ConfigError, match="mesh.hh"):
@@ -179,6 +196,29 @@ class TestRunner:
         assert float(row["total"]) == art.summary["total"]
         assert float(row["tracking"]) == art.summary["tracking"]
         assert float(row["vol_frac2"]) == art.summary["vol_frac2"]
+
+    @pytest.mark.parametrize("overrides, status", [
+        ((), "maxiter"),
+        # the stimulus update at iterate 0 is committed after its record
+        (("optimizer.max_outer_iters=0",), "maxiter"),
+        # the last evaluation made is a rejected line-search trial
+        (("optimizer.max_ls_trials=1", "optimizer.initial_step=1e6"),
+         "stalled")])
+    def test_final_fields_are_fresh_solves(self, tiny_cfg, tmp_path,
+                                           overrides, status):
+        spec = parse_config(tiny_cfg, overrides=overrides)
+        art = runner.run(spec, out_dir=str(tmp_path / "run"))
+        assert art.status == status
+        assert np.any(art.stimulus.s != spec.initial_stimulus)
+        mesh = spec.build_mesh()
+        state = solve_state(mesh, art.design, spec.phases, art.stimulus,
+                            tol=spec.solver_tol)
+        lams = solve_adjoint(mesh, art.design, spec.phases, state,
+                             spec.target_array(), tol=spec.solver_tol)
+        data = np.load(art.fields_path)
+        np.testing.assert_array_equal(data["s"], art.stimulus.s)
+        np.testing.assert_array_equal(data["u"], np.stack(state.u))
+        np.testing.assert_array_equal(data["lam"], np.stack(lams))
 
     def test_hexagon_multicase_run(self, tmp_path):
         from morphopt.config import load_shipped_config
@@ -328,16 +368,6 @@ class TestCli:
         code = cli.main(["mesh-info", "--config", str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_threads_env_validation(self, monkeypatch):
-        monkeypatch.setenv("MORPHOPT_THREADS", "4")
-        assert cli.max_threads() == 4
-        monkeypatch.setenv("MORPHOPT_THREADS", "lots")
-        with pytest.raises(MorphoptError):
-            cli.max_threads()
-        monkeypatch.setenv("MORPHOPT_THREADS", "-2")
-        with pytest.raises(MorphoptError):
-            cli.max_threads()
 
     def test_seed_free_context_blocks_rng(self):
         with pytest.raises(MorphoptError):

@@ -285,6 +285,13 @@ class TestInvariances:
             RegularizationParams(0.1, 0.0, 0.1, 0.1)
         with pytest.raises(InvalidParameterError):
             RegularizationParams(0.1, 1.0, -0.1, 0.1)
+        for i, name in enumerate(("epsilon", "alpha", "nu2", "nu3",
+                                  "q_weight", "link_weight")):
+            for bad in (np.nan, np.inf):
+                values = [0.1, 1.0, 0.1, 0.1, 1.0, 0.0]
+                values[i] = bad
+                with pytest.raises(InvalidParameterError, match=name):
+                    RegularizationParams(*values)
 
     def test_unresolved_interface_warns(self):
         params = RegularizationParams(0.01, 1.0, 0.1, 0.1)

@@ -113,16 +113,3 @@ class TestSparseOperator:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameterError):
             SparseOperator(sp.csr_matrix(np.ones((2, 3))))
-
-    def test_matrix_market_dump(self, tmp_path):
-        dense = np.array([[2.0, 1.0], [1.0, 3.0]])
-        A = SparseOperator(sp.csr_matrix(dense))
-        path = tmp_path / "k.mtx"
-        A.write_matrix_market(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("%%MatrixMarket matrix coordinate real")
-        n, m, nnz = (int(tok) for tok in lines[1].split())
-        assert (n, m) == (2, 2) and nnz == len(lines) - 2
-        from scipy.io import mmread
-        back = mmread(str(path)).toarray()
-        np.testing.assert_allclose(back, dense)

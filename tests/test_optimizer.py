@@ -98,29 +98,6 @@ class TestBncg:
         assert res.stalled
         assert res.value == pytest.approx(0.49)
 
-    def test_diag_scale_hook_defaults_off_and_works(self):
-        # badly scaled quadratic: the hook preconditioned direction still
-        # converges to the same minimizer
-        H = np.array([1.0, 1e4])
-        p = np.array([0.2, 0.4])
-
-        def f(x):
-            return float(np.sum(H * (x - p) ** 2))
-
-        def fg(x):
-            return f(x), 2.0 * H * (x - p)
-
-        cfg = OptimizerConfig(grad_atol=1e-10, grad_rtol=0.0,
-                              max_outer_iters=500, obj_rtol=1e-18)
-        plain = bncg_minimize(f, fg, np.zeros(2), np.zeros(2), np.ones(2), cfg)
-        scaled = bncg_minimize(f, fg, np.zeros(2), np.zeros(2), np.ones(2),
-                               cfg, diag_scale=1.0 / H)
-        np.testing.assert_allclose(scaled.x, p, atol=1e-7)
-        assert scaled.iterations <= plain.iterations
-        with pytest.raises(ValueError):
-            bncg_minimize(f, fg, np.zeros(2), np.zeros(2), np.ones(2), cfg,
-                          diag_scale=np.array([1.0, 0.0]))
-
     def test_objective_stall_termination(self):
         # flat function: relative decrease is zero, stall window triggers
         def f(x):
@@ -186,6 +163,31 @@ class TestSchemes:
             runs.append([(rec.breakdown.total, rec.step,
                           rec.grad_norm_design) for rec in history])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scheme", [run_staggered, run_monolithic])
+    def test_one_assembly_and_link_solve_per_design(self, scheme, monkeypatch):
+        # the line search, the gradient and the stimulus update share the
+        # stiffness and the link solution of each design
+        from morphopt import elasticity
+        seen = {"assemble_stiffness": [], "assemble_link_operator": []}
+
+        def counted(name):
+            inner = getattr(elasticity, name)
+
+            def wrapper(mesh, design, *args, **kwargs):
+                seen[name].append(design.rho2.tobytes() + design.rho3.tobytes())
+                return inner(mesh, design, *args, **kwargs)
+            monkeypatch.setattr(elasticity, name, wrapper)
+
+        for name in seen:
+            counted(name)
+        params = RegularizationParams(2 / 15, 6e-4, 0.1, 0.3, link_weight=0.1)
+        _, _, history, result = scheme(self.mesh, PHASES, params, self.targets,
+                                       OptimizerConfig(max_outer_iters=6))
+        assert result.iterations == 6
+        for designs in seen.values():
+            assert len(designs) >= len(history)
+            assert len(set(designs)) == len(designs)
 
     def test_staggered_inner_update_degenerate_case(self):
         # without responsive material the inner minimizer returns s = 0
