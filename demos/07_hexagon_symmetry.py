@@ -34,7 +34,7 @@ lams0 = solve_adjoint(mesh, design, phases, state0, targets)
 stim = minimize_stimulus_field(mesh, design, lams0, phases)
 state = solve_state(mesh, design, phases, stim)
 lams = solve_adjoint(mesh, design, phases, state, targets)
-g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params, targets)
+g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
 
 scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))
 defect = max(np.max(np.abs(g2[perm] - g2)), np.max(np.abs(g3[perm] - g3)))

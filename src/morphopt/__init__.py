@@ -8,7 +8,7 @@ of a 2D domain deforms toward prescribed displacements.
 from .elasticity import (StateSolution, assemble_stiffness,
                          assemble_stimulus_load, solve_adjoint, solve_state)
 from .errors import (ConfigError, InvalidParameterError, MatrixNotSPDError,
-                     MorphoptError, SolverFailureError)
+                     MorphoptError, NonFiniteValueError, SolverFailureError)
 from .fields import (DesignField, StimulusField, nodal_average_from_elements,
                      project_design, project_stimulus)
 from .functional import (ObjectiveBreakdown, RegularizationParams, multiwell,
@@ -19,8 +19,7 @@ from .mesh import (Mesh, area_and_gradients, build_hexagon_mesh,
                    build_rect_mesh)
 from .optimizer import (BncgResult, IterateRecord, OptimizerConfig,
                         bncg_minimize, run_monolithic, run_staggered)
-from .sensitivity import (Evaluation, Gradient, grad_design, grad_stimulus,
-                          reduced_gradient, reduced_objective)
+from .sensitivity import Evaluation, Gradient, grad_design, grad_stimulus
 from .stimulus_update import (StimulusQuadratic, minimize_stimulus_field,
                               optimal_stimulus_pointwise)
 from .verify import brute_force_stimulus, fd_gradient_check, profile_coefficient
@@ -30,17 +29,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BncgResult", "ConfigError", "DesignField", "Evaluation", "Gradient",
     "InvalidParameterError", "IterateRecord", "Material", "MatrixNotSPDError",
-    "Mesh", "MorphoptError", "ObjectiveBreakdown", "OptimizerConfig",
-    "PhaseSet", "RegularizationParams", "SolverFailureError", "StateSolution",
-    "StimulusField", "StimulusQuadratic", "area_and_gradients",
-    "assemble_stiffness", "assemble_stimulus_load", "bncg_minimize",
-    "brute_force_stimulus", "build_hexagon_mesh", "build_rect_mesh",
-    "fd_gradient_check", "grad_design", "grad_stimulus", "interp",
-    "interp_derivative", "minimize_stimulus_field",
-    "nodal_average_from_elements", "multiwell", "optimal_stimulus_pointwise",
-    "perimeter_energy", "profile_coefficient", "project_design",
-    "project_stimulus", "reduced_gradient", "reduced_objective",
-    "run_monolithic", "run_staggered", "solve_adjoint", "solve_state",
-    "stimulus_penalty", "stress", "total", "tracking", "volume_fractions",
-    "volume_penalty",
+    "Mesh", "MorphoptError", "NonFiniteValueError", "ObjectiveBreakdown",
+    "OptimizerConfig", "PhaseSet", "RegularizationParams",
+    "SolverFailureError", "StateSolution", "StimulusField",
+    "StimulusQuadratic", "area_and_gradients", "assemble_stiffness",
+    "assemble_stimulus_load", "bncg_minimize", "brute_force_stimulus",
+    "build_hexagon_mesh", "build_rect_mesh", "fd_gradient_check",
+    "grad_design", "grad_stimulus", "interp", "interp_derivative",
+    "minimize_stimulus_field", "nodal_average_from_elements", "multiwell",
+    "optimal_stimulus_pointwise", "perimeter_energy", "profile_coefficient",
+    "project_design", "project_stimulus", "run_monolithic", "run_staggered",
+    "solve_adjoint", "solve_state", "stimulus_penalty", "stress", "total",
+    "tracking", "volume_fractions", "volume_penalty",
 ]

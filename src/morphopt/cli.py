@@ -46,10 +46,7 @@ def _cmd_run(args):
     from . import runner
 
     spec = _load_spec(args)
-    if args.seed_free:
-        with forbid_numpy_random():
-            artifacts = runner.run(spec, out_dir=args.out)
-    else:
+    with forbid_numpy_random() if args.seed_free else contextlib.nullcontext():
         artifacts = runner.run(spec, out_dir=args.out)
     print(f"status,{artifacts.status}")
     print(f"iterations,{artifacts.summary['iterations']}")

@@ -15,16 +15,11 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .functional import RegularizationParams
 from .materials import Material, PhaseSet
 from .mesh import build_hexagon_mesh, build_rect_mesh
 from .optimizer import OptimizerConfig
-
-_OPTIMIZER_FLOAT_KEYS = ("grad_rtol", "grad_atol", "obj_rtol", "armijo_c",
-                         "backtrack_factor", "initial_step", "step_growth")
-_OPTIMIZER_INT_KEYS = ("max_outer_iters", "max_ls_trials", "restart_period",
-                       "obj_stall_window")
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,6 @@ class ProblemSpec:
     initial_stimulus: float = 0.0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     solver_tol: float = 1e-10
-    stimulus_mode: str = "nodal"
     output_dir: str = "out"
     export_every: int = 50
 
@@ -107,13 +101,20 @@ def _vector2(raw):
     return (_float(parts[0]), _float(parts[1]))
 
 
-def _positive(name):
-    def cast(raw):
-        v = _float(raw)
-        if v <= 0:
-            raise ValueError("must be positive")
-        return v
-    return cast
+def _positive(raw):
+    v = _float(raw)
+    if v <= 0:
+        raise ValueError("must be positive")
+    return v
+
+
+def _validated(section, cls, **kwargs):
+    """``cls(**kwargs)``; an InvalidParameterError, whose message starts
+    with the field name, becomes a ConfigError naming ``section.field``."""
+    try:
+        return cls(**kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def parse_config(path=None, text=None, overrides=()):
@@ -161,14 +162,14 @@ def parse_config(path=None, text=None, overrides=()):
     domain_type = dom.get("type")
     kwargs = {}
     if domain_type == "rect":
-        kwargs["lx"] = dom.get("lx", _positive("lx"))
-        kwargs["ly"] = dom.get("ly", _positive("ly"))
+        kwargs["lx"] = dom.get("lx", _positive)
+        kwargs["ly"] = dom.get("ly", _positive)
         side = dom.get("dirichlet_side", required=False, default="left")
         if side not in ("left", "right", "bottom", "top"):
             raise ConfigError(f"domain.dirichlet_side: invalid value {side!r}")
         kwargs["dirichlet_side"] = side
     elif domain_type == "hexagon":
-        kwargs["edge"] = dom.get("edge", _positive("edge"))
+        kwargs["edge"] = dom.get("edge", _positive)
         orient = dom.get("clamp_orientation", required=False, default="odd")
         if orient not in ("odd", "even"):
             raise ConfigError(
@@ -177,7 +178,7 @@ def parse_config(path=None, text=None, overrides=()):
     else:
         raise ConfigError(f"domain.type: must be rect or hexagon, got {domain_type!r}")
 
-    h = sec("mesh").get("h", _positive("h"))
+    h = sec("mesh").get("h", _positive)
 
     tgt = sec("target")
     if domain_type == "rect":
@@ -187,7 +188,7 @@ def parse_config(path=None, text=None, overrides=()):
             raise ConfigError("target box must sit inside the domain")
         kwargs["target_box"] = box
     else:
-        te = tgt.get("edge", _positive("target edge"))
+        te = tgt.get("edge", _positive)
         if te >= kwargs["edge"]:
             raise ConfigError("target.edge must be smaller than domain.edge")
         kwargs["target_edge"] = te
@@ -222,9 +223,10 @@ def parse_config(path=None, text=None, overrides=()):
     phase_set = PhaseSet.build(passive, responsive, eta)
 
     reg = sec("regularization")
-    params = RegularizationParams(
-        epsilon=reg.get("epsilon", _positive("epsilon")),
-        alpha=reg.get("alpha", _positive("alpha")),
+    params = _validated(
+        "regularization", RegularizationParams,
+        epsilon=reg.get("epsilon", _positive),
+        alpha=reg.get("alpha", _positive),
         nu2=reg.get("nu2", _float),
         nu3=reg.get("nu3", _float),
         q_weight=reg.get("q_weight", _float, required=False, default=1.0),
@@ -247,19 +249,12 @@ def parse_config(path=None, text=None, overrides=()):
         raise ConfigError(f"optimizer.scheme: must be staggered or monolithic, "
                           f"got {scheme!r}")
     opt_kwargs = {}
-    for key in _OPTIMIZER_FLOAT_KEYS:
-        v = opt.get(key, _float, required=False)
+    for f in dc_fields(OptimizerConfig):     # one key per field, as echoed
+        v = opt.get(f.name, int if f.type is int else _float, required=False)
         if v is not None:
-            opt_kwargs[key] = v
-    for key in _OPTIMIZER_INT_KEYS:
-        v = opt.get(key, int, required=False)
-        if v is not None:
-            opt_kwargs[key] = v
-    solver_tol = opt.get("solver_tol", _float, required=False, default=1e-10)
-    stimulus_mode = opt.get("stimulus_mode", required=False, default="nodal")
-    if stimulus_mode not in ("nodal", "element"):
-        raise ConfigError(f"optimizer.stimulus_mode: must be nodal or element, "
-                          f"got {stimulus_mode!r}")
+            opt_kwargs[f.name] = v
+    optimizer = _validated("optimizer", OptimizerConfig, **opt_kwargs)
+    solver_tol = opt.get("solver_tol", _positive, required=False, default=1e-10)
 
     out = sec("output")
     output_dir = out.get("directory", required=False, default="out")
@@ -274,8 +269,7 @@ def parse_config(path=None, text=None, overrides=()):
     return ProblemSpec(
         domain_type=domain_type, h=h, targets=targets, phases=phase_set,
         params=params, scheme=scheme, **kwargs, **initial,
-        optimizer=OptimizerConfig(**opt_kwargs), solver_tol=solver_tol,
-        stimulus_mode=stimulus_mode, output_dir=output_dir,
+        optimizer=optimizer, solver_tol=solver_tol, output_dir=output_dir,
         export_every=export_every,
     )
 
@@ -313,8 +307,7 @@ def echo_config(spec):
     cp["initial"] = {"rho2": repr(spec.initial_rho2),
                      "rho3": repr(spec.initial_rho3),
                      "stimulus": repr(spec.initial_stimulus)}
-    opt = {"scheme": spec.scheme, "solver_tol": repr(spec.solver_tol),
-           "stimulus_mode": spec.stimulus_mode}
+    opt = {"scheme": spec.scheme, "solver_tol": repr(spec.solver_tol)}
     for f in dc_fields(OptimizerConfig):
         v = getattr(spec.optimizer, f.name)
         opt[f.name] = repr(v) if isinstance(v, float) else str(v)

@@ -25,11 +25,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import quadrature
 from .errors import InvalidParameterError
 from .fields import check_nodal, target_values
-from .linsolve import SparseOperator, eliminate_dirichlet_triplets, solve_spd
+from .linsolve import eliminate_dirichlet_triplets, solve_spd
 from .materials import Material, interp
 
 NEAR_SINGULAR_FLOOR = 1e-14
@@ -95,7 +96,7 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
 
 
 def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
-    """Operator with the per-element integrated Lame weights (wmu, wlam)."""
+    """CSR operator with the per-element integrated Lame weights (wmu, wlam)."""
     G = mesh.grads
     gg = np.einsum("mad,mbd->mab", G, G)                             # (M, 3, 3)
     eye = np.eye(2)
@@ -112,7 +113,7 @@ def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
     n = 2 * mesh.n_nodes
     if fixed_dofs is not None and len(fixed_dofs):
         rows, cols, vals = eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs)
-    return SparseOperator.from_triplets(n, rows, cols, vals)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_stimulus_load(mesh, design, phases, s_j):
@@ -160,8 +161,7 @@ class StateSolution:
     """Equilibrium displacements plus the operator they satisfy."""
 
     u: list
-    operator: SparseOperator
-    loads: list
+    operator: sp.csr_matrix
     fixed_dofs: np.ndarray
 
 
@@ -182,14 +182,13 @@ def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
     K = operator
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
-    us, loads = [], []
+    us = []
     for j in range(stimulus.n_cases):
         f = assemble_stimulus_load(mesh, design, phases, stimulus.s[j])
         f[fixed_dofs] = 0.0
         x = solve_spd(K, f, tol=tol)
         us.append(x.reshape(-1, 2))
-        loads.append(f)
-    return StateSolution(us, K, loads, fixed_dofs)
+    return StateSolution(us, K, fixed_dofs)
 
 
 def solve_adjoint(mesh, design, phases, state, targets, tol=1e-10):

@@ -24,3 +24,7 @@ class SolverFailureError(MorphoptError, RuntimeError):
 
 class MatrixNotSPDError(MorphoptError, RuntimeError):
     """Operator produced nonpositive curvature inside conjugate gradients."""
+
+
+class NonFiniteValueError(MorphoptError, ArithmeticError):
+    """An objective value or gradient is NaN or infinite."""

@@ -33,9 +33,6 @@ class DesignField:
         """Implicit void density 1 - rho2 - rho3 (may dip into [-1, 0))."""
         return 1.0 - self.rho2 - self.rho3
 
-    def copy(self):
-        return DesignField(self.rho2.copy(), self.rho3.copy())
-
     @classmethod
     def constant(cls, n_nodes, rho2, rho3):
         return cls(np.full(n_nodes, float(rho2)), np.full(n_nodes, float(rho3)))

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import quadrature
-from .elasticity import solve_link
 from .errors import InvalidParameterError
 from .fields import check_nodal, target_values
 
@@ -52,12 +51,10 @@ class RegularizationParams:
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
         if self.alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.nu2 < 0 or self.nu3 < 0:
-            raise InvalidParameterError("volume penalty factors must be >= 0")
-        if self.q_weight < 0:
-            raise InvalidParameterError("q_weight must be >= 0")
-        if self.link_weight < 0:
-            raise InvalidParameterError("link_weight must be >= 0")
+        for name in ("nu2", "nu3", "q_weight", "link_weight"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
     def warn_if_unresolved(self, cell_size):
         if self.epsilon < cell_size:
@@ -186,18 +183,17 @@ def stimulus_penalty(mesh, design, stimulus):
     return float(np.sum(((bq * s2) @ rule.weights) * mesh.areas))
 
 
-def link_energy(mesh, design, targets, link=None):
+def link_energy(link):
     """Link compliance  sum_j f_j . v_j  of the virtual elastic body
-    (``link``: solve_link's (v_j, f_j) at this design, solved if None)."""
-    vs, loads = solve_link(mesh, design, targets) if link is None else link
+    (``link``: the (v_j, f_j) that elasticity.solve_link returns)."""
+    vs, loads = link
     return float(sum(np.dot(f, v) for f, v in zip(loads, vs)))
 
 
 def total(mesh, design, stimulus, state_u, targets, params, link=None):
     """Full objective breakdown at given fields (``link`` as in
-    :func:`link_energy`)."""
-    energy = (link_energy(mesh, design, targets, link) if params.link_weight
-              else 0.0)
+    :func:`link_energy`, needed when link_weight > 0)."""
+    energy = link_energy(link) if params.link_weight else 0.0
     return ObjectiveBreakdown.combine(
         tracking=tracking(mesh, state_u, targets),
         perimeter=perimeter_energy(mesh, design, params.epsilon),

@@ -1,4 +1,5 @@
-"""Sparse SPD linear algebra: operator container and Jacobi-PCG solver.
+"""Sparse SPD linear algebra: Jacobi-PCG on scipy CSR matrices and
+Dirichlet elimination.
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order, no threading) and so indefiniteness
@@ -7,7 +8,6 @@ non-convergence.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidParameterError, MatrixNotSPDError, SolverFailureError
 
@@ -15,31 +15,6 @@ from .errors import InvalidParameterError, MatrixNotSPDError, SolverFailureError
 def _dot(a, b):
     # pairwise numpy reduction: deterministic, not delegated to threaded BLAS
     return float(np.sum(a * b))
-
-
-class SparseOperator:
-    """Square row-compressed sparse matrix."""
-
-    def __init__(self, matrix):
-        m = sp.csr_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise InvalidParameterError("operator must be square")
-        m.sum_duplicates()
-        self.matrix = m
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    def matvec(self, x):
-        return self.matrix @ x
-
-    def diagonal(self):
-        return self.matrix.diagonal()
 
 
 def eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs):
@@ -55,7 +30,7 @@ def eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs):
 
 
 def solve_spd(A, b, tol=1e-10, maxit=None, callback=None):
-    """Jacobi-preconditioned conjugate gradients for an SPD operator.
+    """Jacobi-preconditioned conjugate gradients for an SPD sparse matrix.
 
     Guarantees ||A x - b|| <= tol * ||b|| on return.  Raises
     MatrixNotSPDError on nonpositive curvature or a nonpositive diagonal,
@@ -64,7 +39,9 @@ def solve_spd(A, b, tol=1e-10, maxit=None, callback=None):
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise InvalidParameterError("right-hand side contains non-finite entries")
-    n = A.n
+    n, m = A.shape
+    if n != m:
+        raise InvalidParameterError("operator must be square")
     if maxit is None:
         maxit = 10 * n
     diag = A.diagonal()
@@ -80,7 +57,7 @@ def solve_spd(A, b, tol=1e-10, maxit=None, callback=None):
     p = z.copy()
     rz = _dot(r, z)
     for it in range(maxit):
-        q = A.matvec(p)
+        q = A @ p
         curvature = _dot(p, q)
         if curvature <= 0.0:
             raise MatrixNotSPDError(

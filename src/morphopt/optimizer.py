@@ -3,7 +3,9 @@
 The minimizer is projected Polak-Ribiere+ CG with Armijo backtracking;
 every trial point is projected onto the box, accepted iterates never
 increase the objective, and a failed line search returns the best iterate
-with a stalled flag instead of raising.
+with a stalled flag instead of raising.  A NaN or infinite value or
+gradient raises NonFiniteValueError: it can never pass for a stall or a
+convergence.
 
 run_monolithic optimizes (rho2, rho3, s_1..s_n) jointly; run_staggered
 optimizes the densities only and re-minimizes the stimulus in closed form
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functional, sensitivity
+from .errors import InvalidParameterError, NonFiniteValueError
 from .fields import DesignField, StimulusField, project_design, project_stimulus
 from .stimulus_update import minimize_stimulus_field
 
@@ -33,6 +36,23 @@ class OptimizerConfig:
     obj_stall_window: int = 5
     initial_step: float = 1.0
     step_growth: float = 2.0
+
+    def __post_init__(self):
+        # NaN fails every test; each message starts with the field name,
+        # which config.py prefixes with the section
+        for rule, ok, names in (
+                ("must be >= 0", lambda v: v >= 0,
+                 ("grad_rtol", "grad_atol", "obj_rtol", "max_outer_iters")),
+                ("must be >= 1", lambda v: v >= 1,
+                 ("max_ls_trials", "restart_period", "obj_stall_window")),
+                ("must lie in (0, 1)", lambda v: 0 < v < 1,
+                 ("armijo_c", "backtrack_factor")),
+                ("must be positive", lambda v: v > 0,
+                 ("initial_step", "step_growth"))):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise InvalidParameterError(
+                        f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -58,13 +78,17 @@ class BncgResult:
     # the schemes' accepted sensitivity.Evaluation at x
     evaluation: object = None
 
-    @property
-    def stalled(self):
-        return self.status == "stalled"
-
 
 def _norm(v):
     return float(np.sqrt(np.sum(v * v)))
+
+
+def _finite(source, f, g=None):
+    """``(f, g)`` unchanged; NonFiniteValueError if f or g is NaN or inf."""
+    if not (np.isfinite(f) and (g is None or np.all(np.isfinite(g)))):
+        raise NonFiniteValueError(
+            f"{source} returned a non-finite value ({f!r}) or gradient")
+    return f, g
 
 
 def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
@@ -78,25 +102,27 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     at the initial point with step 0).  ``post_accept(x, f, g) -> (f, g) or
     None`` may revise the objective/gradient at an accepted iterate (used
     by the staggered scheme's inner stimulus minimization); it must not
-    increase f.
+    increase f.  A non-finite f or g from any of the three raises
+    NonFiniteValueError.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    f, g = value_grad_fn(x)
+    f, g = _finite("value_grad_fn", *value_grad_fn(x))
 
     def projected_grad_norm(x, g):
         return _norm(x - np.clip(x - g, lower, upper))
+
+    def revise(x, f, g):
+        revised = None if post_accept is None else post_accept(x, f, g)
+        return (f, g) if revised is None else _finite("post_accept", *revised)
 
     # record the pristine initial point before any inner minimization
     history = [dict(iteration=0, value=f, pg_norm=projected_grad_norm(x, g),
                     step=0.0)]
     if on_accept is not None:
         on_accept(0, x, f, g, 0.0)
-    if post_accept is not None:
-        revised = post_accept(x, f, g)
-        if revised is not None:
-            f, g = revised
+    f, g = revise(x, f, g)
 
     pg0 = projected_grad_norm(x, g)
     grad_target = max(cfg.grad_atol, cfg.grad_rtol * pg0)
@@ -129,7 +155,7 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
                 x_t = np.clip(x + alpha * d, lower, upper)
                 delta = float(np.dot(g, x_t - x))
                 if delta < 0.0:
-                    f_t = value_fn(x_t)
+                    f_t, _ = _finite("value_fn", value_fn(x_t))
                     if f_t <= f + cfg.armijo_c * delta:
                         accepted = True
                         break
@@ -141,11 +167,7 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
 
         x = x_t
         f_prev = f
-        f, g = value_grad_fn(x)
-        if post_accept is not None:
-            revised = post_accept(x, f, g)
-            if revised is not None:
-                f, g = revised
+        f, g = revise(x, *_finite("value_grad_fn", *value_grad_fn(x)))
         pg = projected_grad_norm(x, g)
         history.append(dict(iteration=k, value=f, pg_norm=pg, step=alpha))
         if on_accept is not None:
@@ -229,9 +251,8 @@ class _Evaluations:
         return result
 
 
-def run_monolithic(mesh, phases, params, targets, cfg,
-                   design0=None, stimulus0=None, fixed_dofs=None,
-                   solver_tol=1e-10, on_iterate=None):
+def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
+                   stimulus0=None, solver_tol=1e-10, on_iterate=None):
     """Joint BNCG over the concatenated (rho2, rho3, s_1..s_n) variable."""
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
@@ -242,7 +263,7 @@ def run_monolithic(mesh, phases, params, targets, cfg,
         design = DesignField(z[:nn].copy(), z[nn:2 * nn].copy())
         stim = StimulusField(z[2 * nn:].reshape(n_cases, nn).copy())
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets, fixed_dofs, solver_tol)
+                                      targets, solver_tol)
 
     evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
         [grad.g_rho2, grad.g_rho3, grad.g_s.ravel()]), on_iterate)
@@ -254,9 +275,8 @@ def run_monolithic(mesh, phases, params, targets, cfg,
             project_stimulus(evals.accepted.stimulus), evals.history, result)
 
 
-def run_staggered(mesh, phases, params, targets, cfg,
-                  design0=None, stimulus0=None, fixed_dofs=None,
-                  solver_tol=1e-10, on_iterate=None, stimulus_mode="nodal"):
+def run_staggered(mesh, phases, params, targets, cfg, design0=None,
+                  stimulus0=None, solver_tol=1e-10, on_iterate=None):
     """Outer BNCG over the densities with exact inner stimulus minimization.
 
     The stimulus is frozen during each line search.  At every accepted
@@ -273,7 +293,7 @@ def run_staggered(mesh, phases, params, targets, cfg,
         stim = evals.accepted.stimulus if evals.accepted else stimulus0
         design = DesignField(z[:nn].copy(), z[nn:].copy())
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets, fixed_dofs, solver_tol)
+                                      targets, solver_tol)
 
     evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
         [grad.g_rho2, grad.g_rho3]), on_iterate)
@@ -281,7 +301,7 @@ def run_staggered(mesh, phases, params, targets, cfg,
     def post_accept(z, f, g):
         ev = evals.accepted
         candidate = ev.at_stimulus(minimize_stimulus_field(
-            mesh, ev.design, ev.lambdas, phases, mode=stimulus_mode))
+            mesh, ev.design, ev.lambdas, phases))
         if candidate.breakdown.total <= ev.breakdown.total:
             return evals.accept(candidate)
         return None

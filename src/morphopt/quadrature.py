@@ -19,10 +19,6 @@ class TriangleRule:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def npoints(self):
-        return len(self.weights)
-
 
 # Edge-midpoint rule, exact for polynomials of degree 2.
 TRI_DEG2 = TriangleRule(

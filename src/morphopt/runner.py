@@ -92,13 +92,11 @@ def run(spec, out_dir=None):
             snapshots.append(path)
 
     runner = run_staggered if spec.scheme == "staggered" else run_monolithic
-    kwargs = dict(design0=design0, stimulus0=stimulus0,
-                  solver_tol=spec.solver_tol, on_iterate=on_iterate)
-    if spec.scheme == "staggered":
-        kwargs["stimulus_mode"] = spec.stimulus_mode
     try:
         design, stim, history, result = runner(
-            mesh, spec.phases, spec.params, targets, spec.optimizer, **kwargs)
+            mesh, spec.phases, spec.params, targets, spec.optimizer,
+            design0=design0, stimulus0=stimulus0, solver_tol=spec.solver_tol,
+            on_iterate=on_iterate)
     except MorphoptError as exc:
         # keep the artifacts gathered so far plus an error report
         write_history_csv(os.path.join(out_dir, "history.csv"), records)

@@ -3,8 +3,8 @@
 The gradients returned here are the exact derivatives of the discretized
 objective with respect to the nodal coefficients (discretize-then-
 differentiate): every quadrature rule used by the assembly is
-differentiated consistently, so central finite differences on
-:func:`reduced_objective` agree to the float rounding floor.  An
+differentiated consistently, so central finite differences of
+``Evaluation(...).breakdown.total`` agree to the float rounding floor.  An
 :class:`Evaluation` does the work of one point (design, stimulus) once:
 one stiffness, one state solve per case, one adjoint solve per case, and
 one link solve when the link energy is on.
@@ -139,16 +139,15 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases):
     return g2, g3
 
 
-def link_design_grad(mesh, design, targets, link=None):
+def link_design_grad(mesh, design, link):
     """Gradient of the link energy; it is the same for rho2 and rho3
-    (``link``: solve_link's (v_j, f_j) at this design, solved if None)."""
+    (``link``: solve_link's (v_j, f_j) at this design)."""
     rule = quadrature.TRI_DEG4
     mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
                                          mesh.triangles, rule)
     dk = ((link_stiffness_derivative(mq) * rule.weights) @ rule.points)
     g = np.zeros(mesh.n_nodes)
-    vs, _ = solve_link(mesh, design, targets) if link is None else link
-    for v in vs:
+    for v in link[0]:
         e = element_strains(mesh, v.reshape(-1, 2))
         tr = e[:, 0, 0] + e[:, 1, 1]
         energy = (2.0 * LINK_MATERIAL.lame_mu * np.einsum("mxy,mxy->m", e, e)
@@ -157,10 +156,10 @@ def link_design_grad(mesh, design, targets, link=None):
     return g
 
 
-def grad_design(mesh, design, stimulus, state, lambdas, phases, params, targets,
+def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
                 link=None):
     """Full design gradient (g_rho2, g_rho3) of the reduced objective
-    (``link`` as in :func:`link_design_grad`)."""
+    (``link`` as in :func:`link_design_grad`, needed when link_weight > 0)."""
     check_nodal(mesh, design.rho2, "rho2")
     p2, p3 = perimeter_design_grad(mesh, design, params.epsilon)
     q2, q3 = q_design_grad(mesh, design, stimulus)
@@ -169,16 +168,14 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params, targets,
     g2 = params.alpha * p2 + params.nu2 * lumped + params.q_weight * q2 + e2
     g3 = params.alpha * p3 + params.nu3 * lumped + params.q_weight * q3 + e3
     if params.link_weight:
-        g_link = params.link_weight * link_design_grad(mesh, design, targets,
-                                                       link)
+        g_link = params.link_weight * link_design_grad(mesh, design, link)
         g2 = g2 + g_link
         g3 = g3 + g_link
     return g2, g3
 
 
-def grad_stimulus(mesh, design, stimulus, lambdas, phases, params=None):
+def grad_stimulus(mesh, design, stimulus, lambdas, phases, params):
     """Stimulus gradient, one nodal array per load case."""
-    q_weight = 1.0 if params is None else params.q_weight
     mats = phases.as_tuple()
     tri = mesh.triangles
     rule = quadrature.TRI_DEG4
@@ -203,7 +200,7 @@ def grad_stimulus(mesh, design, stimulus, lambdas, phases, params=None):
         sq = quadrature.at_quadrature_points(stimulus.s[j], tri, rule)
         qcontrib = ((2.0 * bq * sq * rule.weights) @ rule.points) \
             * mesh.areas[:, None]
-        _scatter(mesh, q_weight * qcontrib, g)
+        _scatter(mesh, params.q_weight * qcontrib, g)
     return out
 
 
@@ -217,12 +214,11 @@ class Evaluation:
     """
 
     def __init__(self, mesh, design, stimulus, phases, params, targets,
-                 fixed_dofs=None, tol=1e-10, operator=None, link=None):
+                 tol=1e-10, operator=None, link=None):
         self.mesh, self.design, self.stimulus = mesh, design, stimulus
         self.phases, self.params, self.targets = phases, params, targets
         self.tol = tol
-        self.state = solve_state(mesh, design, phases, stimulus,
-                                 fixed_dofs=fixed_dofs, tol=tol,
+        self.state = solve_state(mesh, design, phases, stimulus, tol=tol,
                                  operator=operator)
         if link is None and params.link_weight:
             link = solve_link(mesh, design, targets)
@@ -232,8 +228,8 @@ class Evaluation:
 
     def at_stimulus(self, stimulus):
         return Evaluation(self.mesh, self.design, stimulus, self.phases,
-                          self.params, self.targets, self.state.fixed_dofs,
-                          self.tol, self.state.operator, self.link)
+                          self.params, self.targets, self.tol,
+                          self.state.operator, self.link)
 
     @cached_property
     def lambdas(self):
@@ -243,26 +239,8 @@ class Evaluation:
     @cached_property
     def gradient(self):
         g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
-                             self.lambdas, self.phases, self.params,
-                             self.targets, self.link)
+                             self.lambdas, self.phases, self.params, self.link)
         gs = grad_stimulus(self.mesh, self.design, self.stimulus, self.lambdas,
                            self.phases, self.params)
         return Gradient(g2, g3, gs)
 
-
-def reduced_objective(mesh, design, stimulus, phases, params, targets,
-                      fixed_dofs=None, tol=1e-10):
-    """J(design, stimulus): solve the states and evaluate the objective."""
-    return Evaluation(mesh, design, stimulus, phases, params, targets,
-                      fixed_dofs, tol).breakdown.total
-
-
-def reduced_gradient(mesh, design, stimulus, phases, params, targets,
-                     fixed_dofs=None, tol=1e-10):
-    """Objective breakdown plus the full gradient at (design, stimulus).
-
-    Returns (breakdown, Gradient, state, lambdas).
-    """
-    ev = Evaluation(mesh, design, stimulus, phases, params, targets,
-                    fixed_dofs, tol)
-    return ev.breakdown, ev.gradient, ev.state, ev.lambdas

@@ -39,45 +39,30 @@ def optimal_stimulus_pointwise(quad):
     B = np.asarray(quad.B, dtype=float)
     if np.any(B < 0):
         raise InvalidParameterError("quadratic coefficient B must be >= 0")
-    scalar = c.ndim == 0
-    c, B = np.atleast_1d(c), np.atleast_1d(B)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(B > 0.0, np.clip(c / (2.0 * B), -1.0, 1.0), np.sign(c))
-    return float(s[0]) if scalar else s
+    return float(s) if s.ndim == 0 else s
 
 
-def stimulus_coefficients(mesh, design, lam_j, phases, mode="nodal"):
+def stimulus_coefficients(mesh, design, lam_j, phases):
     """Pointwise quadratic coefficients for one load case.
 
-    tr(e(lambda)) is piecewise constant for P1; ``mode='nodal'`` recovers
-    it at the nodes by area-weighted averaging (the default), while
-    ``mode='element'`` averages the fully assembled element coefficient
-    instead, for comparison.
+    tr(e(lambda)) is piecewise constant for P1; it is recovered at the
+    nodes by area-weighted averaging.
     """
-    if mode not in ("nodal", "element"):
-        raise InvalidParameterError(f"unknown stimulus update mode {mode!r}")
     resp = phases.responsive
     el = element_strains(mesh, lam_j)
     tr_elem = el[:, 0, 0] + el[:, 1, 1]
-    if mode == "nodal":
-        tr = nodal_average_from_elements(mesh, tr_elem)
-        c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr
-        B = design.rho1() ** 2 + design.rho2 ** 2
-    else:
-        cent = mesh.triangles
-        r2e = design.rho2[cent].mean(axis=1)
-        r3e = design.rho3[cent].mean(axis=1)
-        c_elem = interp(r3e) * resp.beta * 2.0 * resp.bulk * tr_elem
-        b_elem = (1.0 - r2e - r3e) ** 2 + r2e ** 2
-        c = nodal_average_from_elements(mesh, c_elem)
-        B = nodal_average_from_elements(mesh, b_elem)
+    tr = nodal_average_from_elements(mesh, tr_elem)
+    c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr
+    B = design.rho1() ** 2 + design.rho2 ** 2
     return StimulusQuadratic(c, B)
 
 
-def minimize_stimulus_field(mesh, design, lambdas, phases, mode="nodal"):
+def minimize_stimulus_field(mesh, design, lambdas, phases):
     """Closed-form stimulus minimizer, applied per load case and node."""
     s = np.empty((len(lambdas), mesh.n_nodes))
     for j, lam_j in enumerate(lambdas):
-        quad = stimulus_coefficients(mesh, design, lam_j, phases, mode=mode)
+        quad = stimulus_coefficients(mesh, design, lam_j, phases)
         s[j] = optimal_stimulus_pointwise(quad)
     return StimulusField(s)

@@ -32,7 +32,7 @@ def _rel_err(analytic, fd):
 
 
 def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
-                      seed=0, fixed_dofs=None, corrupt=None):
+                      seed=0, corrupt=None):
     """Central-difference check of both gradients at random interior iterates.
 
     Returns the max relative error over the trials for the design and the
@@ -42,6 +42,11 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     derivative by 1.01; a sound harness must detect either (error above
     1e-5).
     """
+
+    def objective(design, stim):
+        return sensitivity.Evaluation(mesh, design, stim, phases, params,
+                                      targets).breakdown.total
+
     rng = np.random.default_rng(seed)
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
@@ -50,8 +55,7 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     for _ in range(trials):
         design = DesignField(rng.uniform(0.1, 0.9, nn), rng.uniform(0.1, 0.9, nn))
         stim = StimulusField(rng.uniform(-0.9, 0.9, (n_cases, nn)))
-        ev = sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                    targets, fixed_dofs)
+        ev = sensitivity.Evaluation(mesh, design, stim, phases, params, targets)
         grad = ev.gradient
 
         phi2 = rng.uniform(-1.0, 1.0, nn)
@@ -62,15 +66,12 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
         analytic = float(np.sum(contrib))
         if corrupt == "link":
             link = params.link_weight * sensitivity.link_design_grad(
-                mesh, design, targets, ev.link)
+                mesh, design, ev.link)
             analytic += 0.01 * float(np.dot(link, phi2 + phi3))
         dp = DesignField(design.rho2 + delta * phi2, design.rho3 + delta * phi3)
         dm = DesignField(design.rho2 - delta * phi2, design.rho3 - delta * phi3)
-        jp = sensitivity.reduced_objective(mesh, dp, stim, phases, params,
-                                           targets, fixed_dofs=fixed_dofs)
-        jm = sensitivity.reduced_objective(mesh, dm, stim, phases, params,
-                                           targets, fixed_dofs=fixed_dofs)
-        err_d = max(err_d, _rel_err(analytic, (jp - jm) / (2.0 * delta)))
+        fd = (objective(dp, stim) - objective(dm, stim)) / (2.0 * delta)
+        err_d = max(err_d, _rel_err(analytic, fd))
 
         psi = rng.uniform(-1.0, 1.0, (n_cases, nn))
         contrib = (grad.g_s * psi).ravel()
@@ -79,11 +80,8 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
         analytic = float(np.sum(contrib))
         sp = StimulusField(stim.s + delta * psi)
         sm = StimulusField(stim.s - delta * psi)
-        jp = sensitivity.reduced_objective(mesh, design, sp, phases, params,
-                                           targets, fixed_dofs=fixed_dofs)
-        jm = sensitivity.reduced_objective(mesh, design, sm, phases, params,
-                                           targets, fixed_dofs=fixed_dofs)
-        err_s = max(err_s, _rel_err(analytic, (jp - jm) / (2.0 * delta)))
+        fd = (objective(design, sp) - objective(design, sm)) / (2.0 * delta)
+        err_s = max(err_s, _rel_err(analytic, fd))
     return FdCheckResult(err_d, err_s)
 
 

@@ -7,8 +7,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-def write_vtk(path, mesh, point_scalars=None, point_vectors=None,
-              title="morphopt fields"):
+def write_vtk(path, mesh, point_scalars=None, point_vectors=None):
     """Write the mesh plus nodal data as DATASET UNSTRUCTURED_GRID.
 
     ``point_scalars`` maps names to (n_nodes,) arrays, ``point_vectors``
@@ -20,7 +19,7 @@ def write_vtk(path, mesh, point_scalars=None, point_vectors=None,
     m = mesh.n_triangles
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "morphopt fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",

@@ -1,13 +1,14 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from morphopt import cli, runner
+from morphopt import cli, runner, sensitivity
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
                              shipped_config_names)
 from morphopt.elasticity import solve_adjoint, solve_state
-from morphopt.errors import ConfigError, MorphoptError
+from morphopt.errors import ConfigError, MorphoptError, NonFiniteValueError
 from morphopt.fields import DesignField
 from morphopt.mesh import build_rect_mesh
 from morphopt.render import composite_image, stimulus_color, write_ppm
@@ -118,6 +119,41 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tiny_cfg.parent / "out").exists()
 
+    @pytest.mark.parametrize("override", [
+        "optimizer.max_outer_iters=-3", "optimizer.restart_period=0",
+        "optimizer.max_ls_trials=0", "optimizer.obj_stall_window=0",
+        "optimizer.backtrack_factor=1", "optimizer.armijo_c=0",
+        "optimizer.initial_step=0", "optimizer.step_growth=-2",
+        "optimizer.grad_rtol=-1e-6", "optimizer.grad_atol=-1",
+        "optimizer.obj_rtol=-1e-9", "optimizer.solver_tol=-1",
+        "optimizer.solver_tol=0", "regularization.nu3=-0.1"])
+    def test_invalid_setting_names_key(self, tiny_cfg, override, capsys):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text=TINY_CFG, overrides=[override])
+        code = cli.main(["run", "--config", str(tiny_cfg), "--override",
+                         override, "--out", str(tiny_cfg.parent / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tiny_cfg.parent / "out").exists()
+
+    def test_zero_iterations_stay_valid(self):
+        spec = parse_config(text=TINY_CFG,
+                            overrides=["optimizer.max_outer_iters=0"])
+        assert spec.optimizer.max_outer_iters == 0
+
+    def test_stimulus_mode_is_an_unknown_key(self, tiny_cfg, capsys):
+        # the nodal closed form is the only stimulus update
+        with pytest.raises(ConfigError, match="unknown key.*stimulus_mode"):
+            parse_config(text=TINY_CFG,
+                         overrides=["optimizer.stimulus_mode=nodal"])
+        code = cli.main(["run", "--config", str(tiny_cfg), "--override",
+                         "optimizer.stimulus_mode=nodal",
+                         "--out", str(tiny_cfg.parent / "out")])
+        assert code == 2
+        assert "optimizer.stimulus_mode" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self):
         bad = TINY_CFG.replace("h = 0.1", "h = 0.1\nhh = 2")
         with pytest.raises(ConfigError, match="mesh.hh"):
@@ -219,6 +255,29 @@ class TestRunner:
         np.testing.assert_array_equal(data["s"], art.stimulus.s)
         np.testing.assert_array_equal(data["u"], np.stack(state.u))
         np.testing.assert_array_equal(data["lam"], np.stack(lams))
+
+    def test_non_finite_objective_fails_loudly(self, tiny_cfg, tmp_path,
+                                               monkeypatch, capsys):
+        # a NaN total from the third evaluation on (a line-search trial)
+        real, calls = sensitivity.total, []
+
+        def nan_total(*args, **kwargs):
+            calls.append(None)
+            b = real(*args, **kwargs)
+            return b if len(calls) < 3 else replace(b, total=float("nan"))
+        monkeypatch.setattr(sensitivity, "total", nan_total)
+        spec = parse_config(tiny_cfg)
+        with pytest.raises(NonFiniteValueError):
+            runner.run(spec, out_dir=str(tmp_path / "run"))
+        report = (tmp_path / "run" / "error_report.txt").read_text()
+        assert report.startswith("NonFiniteValueError")
+        assert (tmp_path / "run" / "history.csv").exists()
+        calls.clear()
+        code = cli.main(["run", "--config", str(tiny_cfg),
+                         "--out", str(tmp_path / "cli")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert (tmp_path / "cli" / "error_report.txt").exists()
 
     def test_hexagon_multicase_run(self, tmp_path):
         from morphopt.config import load_shipped_config

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morphopt.errors import InvalidParameterError, NonFiniteValueError
 from morphopt.fields import DesignField, StimulusField
 from morphopt.functional import RegularizationParams
 from morphopt.materials import Material, PhaseSet
@@ -8,7 +9,7 @@ from morphopt.mesh import build_hexagon_mesh, build_rect_mesh, \
     hexagon_rotation_permutation
 from morphopt.optimizer import (OptimizerConfig, bncg_minimize,
                                 run_monolithic, run_staggered)
-from morphopt.sensitivity import reduced_objective
+from morphopt.sensitivity import Evaluation
 
 PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 BOX = (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30)
@@ -95,7 +96,6 @@ class TestBncg:
         res = bncg_minimize(f, fg, np.array([0.7]), np.array([-1.0]),
                             np.array([1.0]), OptimizerConfig())
         assert res.status == "stalled"
-        assert res.stalled
         assert res.value == pytest.approx(0.49)
 
     def test_objective_stall_termination(self):
@@ -110,6 +110,47 @@ class TestBncg:
                             np.array([1.0]),
                             OptimizerConfig(grad_atol=1e-12, grad_rtol=0.0))
         assert res.status in ("converged-obj", "stalled")
+
+    def test_nan_region_raises_instead_of_converging(self):
+        # NaN wherever x0 >= 0.5: a NaN trial used to count as an Armijo
+        # failure, and the run reported converged-obj at the NaN border
+        f0, fg0 = quadratic(np.full(3, 0.7))
+
+        def f(x):
+            return float("nan") if x[0] >= 0.5 else f0(x)
+
+        def fg(x):
+            return f(x), fg0(x)[1]
+
+        with pytest.raises(NonFiniteValueError, match="value_fn"):
+            bncg_minimize(f, fg, np.zeros(3), np.zeros(3), np.ones(3),
+                          OptimizerConfig())
+
+    def test_nan_trials_raise_instead_of_stalling(self):
+        _, fg = quadratic(np.full(3, 0.7))
+        with pytest.raises(NonFiniteValueError, match="value_fn"):
+            bncg_minimize(lambda x: float("nan"), fg, np.zeros(3),
+                          np.zeros(3), np.ones(3), OptimizerConfig())
+
+    @pytest.mark.parametrize("source", ["value_grad_fn", "post_accept"])
+    def test_non_finite_gradient_raises(self, source):
+        def fg(x):
+            return 1.0, np.full_like(x, np.inf if source == "value_grad_fn"
+                                     else 1.0)
+
+        with pytest.raises(NonFiniteValueError, match=source):
+            bncg_minimize(lambda x: 1.0, fg, np.zeros(2), np.zeros(2),
+                          np.ones(2), OptimizerConfig(),
+                          post_accept=lambda x, f, g: (np.inf, g))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer_iters", -1), ("restart_period", 0), ("max_ls_trials", 0),
+        ("obj_stall_window", 0), ("armijo_c", 1.0), ("backtrack_factor", 0.0),
+        ("initial_step", 0.0), ("step_growth", -1.0), ("grad_rtol", -1e-9),
+        ("grad_atol", float("nan")), ("obj_rtol", -1.0)])
+    def test_invalid_config_names_field(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} "):
+            OptimizerConfig(**{field: value})
 
 
 class TestSchemes:
@@ -131,8 +172,8 @@ class TestSchemes:
     def test_staggered_final_value_is_reduced_objective(self):
         design, stim, history, result = run_staggered(
             self.mesh, PHASES, self.params, self.targets, self.cfg)
-        j = reduced_objective(self.mesh, design, stim, PHASES, self.params,
-                              self.targets)
+        j = Evaluation(self.mesh, design, stim, PHASES, self.params,
+                       self.targets).breakdown.total
         assert j == pytest.approx(history[-1].breakdown.total, rel=1e-12)
 
     def test_initial_record_is_pristine(self):
@@ -221,8 +262,7 @@ class TestEquivariance:
         stim = minimize_stimulus_field(mesh, design, lams0, phases)
         state = solve_state(mesh, design, phases, stim, tol=1e-12)
         lams = solve_adjoint(mesh, design, phases, state, targets, tol=1e-12)
-        g2, g3 = grad_design(mesh, design, stim, state, lams, phases,
-                             params, targets)
+        g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
         scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))
         assert np.max(np.abs(g2[perm] - g2)) <= 1e-10 * scale
         assert np.max(np.abs(g3[perm] - g3)) <= 1e-10 * scale

@@ -1,0 +1,95 @@
+"""Property tests: config parsing, the closed-form stimulus and the box
+projections over generated inputs (hypothesis, derandomized so every run
+draws the same examples)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from morphopt.config import echo_config, parse_config
+from morphopt.errors import ConfigError
+from morphopt.fields import (DesignField, StimulusField, project_design,
+                             project_stimulus)
+from morphopt.materials import Material, PhaseSet
+from morphopt.mesh import build_rect_mesh
+from morphopt.stimulus_update import minimize_stimulus_field
+from morphopt.verify import brute_force_stimulus
+
+from test_driver import TINY_CFG
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+KEYS = (["optimizer." + k for k in (
+    "scheme", "solver_tol", "grad_rtol", "grad_atol", "obj_rtol",
+    "max_outer_iters", "armijo_c", "backtrack_factor", "max_ls_trials",
+    "restart_period", "obj_stall_window", "initial_step", "step_growth",
+    "stimulus_mode")]
+        + ["regularization." + k for k in (
+            "epsilon", "alpha", "nu2", "nu3", "q_weight", "link_weight")])
+VALUES = st.one_of(
+    st.integers(-3, 10 ** 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "0.5", "1e-12", "-0.0", "nodal", "staggered",
+                     "monolithic", ""]),
+    st.text(max_size=6))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(KEYS), VALUES), min_size=1,
+                max_size=4))
+def test_parse_config_returns_a_spec_or_raises_config_error(overrides):
+    try:
+        spec = parse_config(text=TINY_CFG,
+                            overrides=[f"{k}={v}" for k, v in overrides])
+    except ConfigError:
+        return
+    assert parse_config(text=echo_config(spec)) == spec
+
+
+PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+COARSE = build_rect_mesh(1.0, 1 / 3, 1 / 9, "left", (0.8, 0.1, 1.0, 0.23))
+RESOLUTION = 4000
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cases=st.integers(1, 2),
+       snap=st.booleans(), scale=st.floats(1e-3, 1e3))
+def test_closed_form_stimulus_matches_brute_force(seed, n_cases, snap, scale):
+    # snapping to {0, 1/2, 1} reaches pure phases, where B = 0 at rho3 = 1
+    rng = np.random.default_rng(seed)
+    n = COARSE.n_nodes
+    rho = rng.uniform(0.0, 1.0, (2, n))
+    if snap:
+        rho = np.round(2.0 * rho) / 2.0
+    design = DesignField(rho[0], rho[1])
+    lambdas = [scale * rng.normal(size=(n, 2)) for _ in range(n_cases)]
+    closed = minimize_stimulus_field(COARSE, design, lambdas, PHASES)
+    grid = brute_force_stimulus(COARSE, design, lambdas, PHASES,
+                                resolution=RESOLUTION)
+    assert np.max(np.abs(closed.s - grid.s)) <= 2.0 / RESOLUTION
+
+
+FIELD = arrays(np.float64, st.integers(1, 40),
+               elements=st.floats(allow_nan=False, allow_infinity=True))
+
+
+@PROPERTY
+@given(st.data())
+def test_projections_are_idempotent(data):
+    rho2 = data.draw(FIELD)
+    rho3 = data.draw(arrays(np.float64, rho2.shape,
+                            elements=st.floats(allow_nan=False)))
+    once = project_design(DesignField(rho2, rho3))
+    twice = project_design(once)
+    np.testing.assert_array_equal(twice.rho2, once.rho2)
+    np.testing.assert_array_equal(twice.rho3, once.rho3)
+    assert np.all((once.rho2 >= 0) & (once.rho2 <= 1))
+    assert np.all((once.rho3 >= 0) & (once.rho3 <= 1))
+
+    shape = (data.draw(st.integers(1, 3)), len(rho2))
+    s = data.draw(arrays(np.float64, shape,
+                         elements=st.floats(allow_nan=False)))
+    once = project_stimulus(StimulusField(s))
+    np.testing.assert_array_equal(project_stimulus(once).s, once.s)
+    assert np.all(np.abs(once.s) <= 1)

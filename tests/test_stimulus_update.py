@@ -7,11 +7,10 @@ from morphopt.fields import DesignField, StimulusField, project_design
 from morphopt.functional import RegularizationParams
 from morphopt.materials import Material, PhaseSet
 from morphopt.mesh import build_rect_mesh
-from morphopt.sensitivity import reduced_objective
+from morphopt.sensitivity import Evaluation
 from morphopt.stimulus_update import (StimulusQuadratic,
                                       minimize_stimulus_field,
-                                      optimal_stimulus_pointwise,
-                                      stimulus_coefficients)
+                                      optimal_stimulus_pointwise)
 
 PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 
@@ -118,34 +117,16 @@ class TestFieldMinimization:
         state = solve_state(self.mesh, design, PHASES, s0)
         lams = solve_adjoint(self.mesh, design, PHASES, state, self.targets)
         s_star = minimize_stimulus_field(self.mesh, design, lams, PHASES)
-        j_star = reduced_objective(self.mesh, design, s_star, PHASES, params,
-                                   self.targets)
+        j_star = Evaluation(self.mesh, design, s_star, PHASES, params,
+                            self.targets).breakdown.total
         wins = 0
         trials = 200
         for _ in range(trials):
             s_rand = StimulusField(rng.uniform(-1, 1, (1, self.n)))
-            j_rand = reduced_objective(self.mesh, design, s_rand, PHASES,
-                                       params, self.targets)
+            j_rand = Evaluation(self.mesh, design, s_rand, PHASES, params,
+                                self.targets).breakdown.total
             wins += j_star <= j_rand
         assert wins >= 0.95 * trials
-
-    def test_element_mode_available_and_bounded(self):
-        rng = np.random.default_rng(3)
-        design = project_design(DesignField(rng.uniform(0, 1, self.n),
-                                            rng.uniform(0, 1, self.n)))
-        lam = rng.normal(size=(self.n, 2))
-        s_node = minimize_stimulus_field(self.mesh, design, [lam], PHASES,
-                                         mode="nodal")
-        s_elem = minimize_stimulus_field(self.mesh, design, [lam], PHASES,
-                                         mode="element")
-        assert np.all(np.abs(s_elem.s) <= 1.0)
-        assert not np.array_equal(s_node.s, s_elem.s)
-
-    def test_unknown_mode_rejected(self):
-        design = DesignField.constant(self.n, 0.3, 0.3)
-        with pytest.raises(InvalidParameterError):
-            stimulus_coefficients(self.mesh, design,
-                                  np.zeros((self.n, 2)), PHASES, mode="huh")
 
     def test_cases_independent(self):
         rng = np.random.default_rng(4)
