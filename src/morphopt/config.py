@@ -10,7 +10,7 @@ The grammar is documented in the README: sections [domain], [mesh],
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from importlib import resources
 
 import numpy as np
@@ -31,7 +31,14 @@ class ProblemSpec:
     targets: tuple                        # ((ux, uy), ...) one per load case
     phases: PhaseSet
     params: RegularizationParams
-    scheme: str = "staggered"             # "staggered" | "monolithic"
+    scheme: str                           # "staggered" | "monolithic"
+    initial_rho2: float
+    initial_rho3: float
+    initial_stimulus: float
+    optimizer: OptimizerConfig
+    solver_tol: float
+    output_dir: str
+    export_every: int
     lx: float = None
     ly: float = None
     dirichlet_side: str = "left"
@@ -39,13 +46,6 @@ class ProblemSpec:
     clamp_orientation: str = "odd"
     target_box: tuple = None              # rect: (x0, y0, x1, y1)
     target_edge: float = None             # hexagon
-    initial_rho2: float = 0.3
-    initial_rho3: float = 0.3
-    initial_stimulus: float = 0.0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    solver_tol: float = 1e-10
-    output_dir: str = "out"
-    export_every: int = 50
 
     @property
     def n_cases(self):
@@ -199,28 +199,17 @@ def parse_config(path=None, text=None, overrides=()):
         raise ConfigError("displacements.count must be >= 1")
     targets = tuple(disp.get(f"u{j + 1}", _vector2) for j in range(count))
 
-    ph = sec("phases")
-    eta = ph.get("eta", _float, required=False, default=1e-4)
-
-    def material(section_name, default_beta):
+    def material(section_name, beta=0.0):
         s = sec(section_name)
-        young = s.get("young", _float)
-        poisson = s.get("poisson", _float)
-        beta = s.get("beta", _float, required=False, default=default_beta)
-        if young < 0:
-            raise ConfigError(f"{section_name}.young: must be >= 0, got {young}")
-        if not -1.0 < poisson < 0.5:
-            raise ConfigError(
-                f"{section_name}.poisson: must lie in (-1, 0.5), got {poisson}")
-        if beta < 0:
-            raise ConfigError(f"{section_name}.beta: must be >= 0, got {beta}")
-        return Material(young, poisson, beta)
+        return _validated(section_name, Material, young=s.get("young", _float),
+                          poisson=s.get("poisson", _float), beta=beta)
 
-    passive = material("phases.passive", 0.0)
-    responsive = material("phases.responsive", 1.0)
-    if not 0.0 < eta <= 1e-2:
-        raise ConfigError(f"phases.eta: must lie in (0, 1e-2], got {eta}")
-    phase_set = PhaseSet.build(passive, responsive, eta)
+    beta = sec("phases.responsive").get("beta", _float, required=False,
+                                        default=1.0)
+    phase_set = _validated(
+        "phases", PhaseSet.build, passive=material("phases.passive"),
+        responsive=material("phases.responsive", beta),
+        eta=sec("phases").get("eta", _float, required=False, default=1e-4))
 
     reg = sec("regularization")
     params = _validated(
@@ -229,7 +218,6 @@ def parse_config(path=None, text=None, overrides=()):
         alpha=reg.get("alpha", _positive),
         nu2=reg.get("nu2", _float),
         nu3=reg.get("nu3", _float),
-        q_weight=reg.get("q_weight", _float, required=False, default=1.0),
     )
 
     init = sec("initial")
@@ -300,10 +288,10 @@ def echo_config(spec):
     for name, mat in (("passive", spec.phases.passive),
                       ("responsive", spec.phases.responsive)):
         cp[f"phases.{name}"] = {"young": repr(mat.young),
-                                "poisson": repr(mat.poisson),
-                                "beta": repr(mat.beta)}
+                                "poisson": repr(mat.poisson)}
+    cp["phases.responsive"]["beta"] = repr(spec.phases.responsive.beta)
     cp["regularization"] = {k: repr(getattr(spec.params, k))
-                            for k in ("epsilon", "alpha", "nu2", "nu3", "q_weight")}
+                            for k in ("epsilon", "alpha", "nu2", "nu3")}
     cp["initial"] = {"rho2": repr(spec.initial_rho2),
                      "rho3": repr(spec.initial_rho3),
                      "stimulus": repr(spec.initial_stimulus)}

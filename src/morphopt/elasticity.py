@@ -50,15 +50,6 @@ def phase_densities(design):
     return (design.rho1(), design.rho2, design.rho3)
 
 
-def phase_quad_weights(mesh, design, rule):
-    """a(rho_i) evaluated at the rule's points: shape (3, n_tri, nq)."""
-    rhos = phase_densities(design)
-    return np.stack([
-        interp(quadrature.at_quadrature_points(r, mesh.triangles, rule))
-        for r in rhos
-    ])
-
-
 def element_strains(mesh, u):
     """Constant strain tensor of every triangle for a nodal (n, 2) field."""
     u = check_nodal(mesh, u, "displacement")
@@ -83,8 +74,10 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
     SPD on the free subspace.
     """
     check_nodal(mesh, design.rho2, "rho2")
-    aw = phase_quad_weights(mesh, design, quadrature.TRI_DEG2)       # (3, M, nq)
-    abar = aw @ quadrature.TRI_DEG2.weights * mesh.areas             # (3, M)
+    rule = quadrature.TRI_DEG2
+    aw = np.stack([interp(quadrature.at_quadrature_points(r, mesh.triangles, rule))
+                   for r in phase_densities(design)])               # (3, M, nq)
+    abar = quadrature.element_integrals(aw, rule, mesh.areas)       # (3, M)
     if np.any(abar.max(axis=0) / mesh.areas < NEAR_SINGULAR_FLOOR):
         warnings.warn("element with all phase weights below 1e-14; "
                       "stiffness is near singular", RuntimeWarning)
@@ -117,22 +110,19 @@ def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
 
 
 def assemble_stimulus_load(mesh, design, phases, s_j):
-    """Load vector f(phi) = int sum_i a(rho_i) beta_i s_j C_i I : e(phi).
+    """Load vector f(phi) = int a(rho3) beta3 s_j C3 I : e(phi); the
+    responsive phase is the only one with beta != 0 (see PhaseSet).
 
-    For an isotropic phase C_i I : e(phi) = 2 kappa_i div(phi), constant
-    per element, so only int a(rho_i) s_j needs quadrature (degree 3).
+    For an isotropic phase C3 I : e(phi) = 2 kappa3 div(phi), constant
+    per element, so only int a(rho3) s_j needs quadrature (degree 3).
     """
     s_j = check_nodal(mesh, s_j, "stimulus")
     rule = quadrature.TRI_DEG4
-    aw = phase_quad_weights(mesh, design, rule)                      # (3, M, nq)
+    aw = interp(quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
     sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)  # (M, nq)
-    mats = phases.as_tuple()
-    coef = np.zeros(mesh.n_triangles)
-    for i in range(3):
-        if mats[i].beta == 0.0:
-            continue
-        coef += (mats[i].beta * 2.0 * mats[i].bulk
-                 * ((aw[i] * sq) @ rule.weights) * mesh.areas)
+    resp = phases.responsive
+    coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
+            * mesh.areas)
     f = np.zeros(2 * mesh.n_nodes)
     edof = _element_edofs(mesh)
     np.add.at(f, edof.ravel(),
@@ -219,7 +209,7 @@ def assemble_link_operator(mesh, design):
     rule = quadrature.TRI_DEG4
     mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
                                          mesh.triangles, rule)
-    kbar = (link_stiffness(mq) @ rule.weights) * mesh.areas
+    kbar = quadrature.element_integrals(link_stiffness(mq), rule, mesh.areas)
     return _assemble_isotropic(mesh, kbar * LINK_MATERIAL.lame_mu,
                                kbar * LINK_MATERIAL.lame_lambda,
                                mesh.dirichlet_dofs())

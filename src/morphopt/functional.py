@@ -1,6 +1,6 @@
 """Every term of the total objective and the multi-well perimeter energy.
 
-total = tracking + alpha * perimeter + volume_penalty + q_weight * stimulus_penalty
+total = tracking + alpha * perimeter + volume_penalty + stimulus_penalty
         [+ link_weight * link]
 
 The bracketed link energy is a switch, off by default (link_weight = 0):
@@ -39,7 +39,6 @@ class RegularizationParams:
     alpha: float
     nu2: float
     nu3: float
-    q_weight: float = 1.0
     link_weight: float = 0.0
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class RegularizationParams:
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
         if self.alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive, got {self.alpha}")
-        for name in ("nu2", "nu3", "q_weight", "link_weight"):
+        for name in ("nu2", "nu3", "link_weight"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
@@ -70,20 +69,18 @@ class ObjectiveBreakdown:
     volume_penalty: float
     stimulus_penalty: float
     alpha: float
-    q_weight: float
     total: float
     link: float = 0.0
     link_weight: float = 0.0
 
     @classmethod
     def combine(cls, tracking, perimeter, volume_penalty, stimulus_penalty,
-                alpha, q_weight, link=0.0, link_weight=0.0):
-        total = (tracking + alpha * perimeter + volume_penalty
-                 + q_weight * stimulus_penalty)
+                alpha, link=0.0, link_weight=0.0):
+        total = tracking + alpha * perimeter + volume_penalty + stimulus_penalty
         if link_weight:
             total += link_weight * link
         return cls(tracking, perimeter, volume_penalty, stimulus_penalty,
-                   alpha, q_weight, total, link, link_weight)
+                   alpha, total, link, link_weight)
 
 
 def tracking(mesh, state_u, targets):
@@ -124,6 +121,25 @@ def multiwell_derivative(rho):
     return 2.0 * r * (1.0 - r) * (1.0 - 2.0 * r)
 
 
+def density_samples(mesh, design):
+    """(rho2, rho3) at the degree-4 rule's points, (n_tri, nq) each."""
+    rule = quadrature.TRI_DEG4
+    return (quadrature.at_quadrature_points(design.rho2, mesh.triangles, rule),
+            quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
+
+
+def stimulus_squares(mesh, stimulus):
+    """sum_j s_j^2 at the degree-4 rule's points, (n_tri, nq)."""
+    return sum(sq * sq for sq in (
+        quadrature.at_quadrature_points(s_j, mesh.triangles, quadrature.TRI_DEG4)
+        for s_j in stimulus.s))
+
+
+def p1_gradient(mesh, nodal):
+    """Gradient of a nodal P1 field on every triangle, (n_tri, 2)."""
+    return np.einsum("ma,mad->md", nodal[mesh.triangles], mesh.grads)
+
+
 def perimeter_terms(mesh, design):
     """The two epsilon-free integrals of the perimeter energy.
 
@@ -131,14 +147,13 @@ def perimeter_terms(mesh, design):
     perimeter = well_integral / eps + eps * gradient_integral.
     """
     check_nodal(mesh, design.rho2, "rho2")
-    rule = quadrature.TRI_DEG4
-    r2q = quadrature.at_quadrature_points(design.rho2, mesh.triangles, rule)
-    r3q = quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule)
+    r2q, r3q = density_samples(mesh, design)
     wq = multiwell(1.0 - r2q - r3q, r2q, r3q)
-    well = float(np.sum((wq @ rule.weights) * mesh.areas))
+    well = float(np.sum(quadrature.element_integrals(
+        wq, quadrature.TRI_DEG4, mesh.areas)))
 
-    g2 = np.einsum("ma,mad->md", design.rho2[mesh.triangles], mesh.grads)
-    g3 = np.einsum("ma,mad->md", design.rho3[mesh.triangles], mesh.grads)
+    g2 = p1_gradient(mesh, design.rho2)
+    g3 = p1_gradient(mesh, design.rho3)
     g1 = -g2 - g3
     sq = np.einsum("md,md->m", g1, g1) + np.einsum("md,md->m", g2, g2) \
         + np.einsum("md,md->m", g3, g3)
@@ -172,15 +187,11 @@ def volume_fractions(mesh, design):
 def stimulus_penalty(mesh, design, stimulus):
     """int ((1 - rho2 - rho3)^2 + rho2^2) sum_j s_j^2."""
     check_nodal(mesh, stimulus.s.T, "stimulus")
-    rule = quadrature.TRI_DEG4
-    r2q = quadrature.at_quadrature_points(design.rho2, mesh.triangles, rule)
-    r3q = quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule)
+    r2q, r3q = density_samples(mesh, design)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
-    s2 = np.zeros_like(r2q)
-    for j in range(stimulus.n_cases):
-        sq = quadrature.at_quadrature_points(stimulus.s[j], mesh.triangles, rule)
-        s2 += sq * sq
-    return float(np.sum(((bq * s2) @ rule.weights) * mesh.areas))
+    return float(np.sum(quadrature.element_integrals(
+        bq * stimulus_squares(mesh, stimulus), quadrature.TRI_DEG4,
+        mesh.areas)))
 
 
 def link_energy(link):
@@ -200,7 +211,6 @@ def total(mesh, design, stimulus, state_u, targets, params, link=None):
         volume_penalty=volume_penalty(mesh, design, params.nu2, params.nu3),
         stimulus_penalty=stimulus_penalty(mesh, design, stimulus),
         alpha=params.alpha,
-        q_weight=params.q_weight,
         link=energy,
         link_weight=params.link_weight,
     )

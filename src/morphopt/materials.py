@@ -24,11 +24,13 @@ class Material:
     beta: float = 0.0
 
     def __post_init__(self):
+        # each message starts with the field name, which config.py
+        # prefixes with the section
         if self.young < 0:
-            raise InvalidParameterError(f"young modulus must be >= 0, got {self.young}")
+            raise InvalidParameterError(f"young must be >= 0, got {self.young}")
         if not -1.0 < self.poisson < 0.5:
             raise InvalidParameterError(
-                f"poisson ratio must lie in (-1, 0.5), got {self.poisson}")
+                f"poisson must lie in (-1, 0.5), got {self.poisson}")
         if self.beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
 
@@ -68,8 +70,9 @@ class PhaseSet:
 
     @classmethod
     def build(cls, passive, responsive, eta=1e-4):
-        """Derive the void phase from the passive one and assemble the set."""
-        void = Material(eta * passive.young, passive.poisson, 0.0)
+        """Derive the void phase from the passive one and assemble the set
+        (an eta out of range is reported as such, not as a void modulus)."""
+        void = Material(eta * passive.young, passive.poisson) if eta > 0 else passive
         return cls(void, passive, responsive, eta)
 
     def as_tuple(self):

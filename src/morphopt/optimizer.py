@@ -13,7 +13,7 @@ at every accepted design iterate (committing the update only if the true
 objective decreased, which keeps the history monotone).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,36 +23,34 @@ from .fields import DesignField, StimulusField, project_design, project_stimulus
 from .stimulus_update import minimize_stimulus_field
 
 
+# Armijo backtracking: sufficient-decrease constant, step factor per
+# trial, trials per search, first step and its growth after an accepted
+# one; the relative-decrease test stops after this many stalled iterates
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_LS_TRIALS = 40
+INITIAL_STEP = 1.0
+STEP_GROWTH = 2.0
+OBJ_STALL_WINDOW = 5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     grad_rtol: float = 1e-6
     grad_atol: float = 1e-6
     obj_rtol: float = 1e-6
     max_outer_iters: int = 500
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_ls_trials: int = 40
     restart_period: int = 50
-    obj_stall_window: int = 5
-    initial_step: float = 1.0
-    step_growth: float = 2.0
 
     def __post_init__(self):
         # NaN fails every test; each message starts with the field name,
         # which config.py prefixes with the section
-        for rule, ok, names in (
-                ("must be >= 0", lambda v: v >= 0,
-                 ("grad_rtol", "grad_atol", "obj_rtol", "max_outer_iters")),
-                ("must be >= 1", lambda v: v >= 1,
-                 ("max_ls_trials", "restart_period", "obj_stall_window")),
-                ("must lie in (0, 1)", lambda v: 0 < v < 1,
-                 ("armijo_c", "backtrack_factor")),
-                ("must be positive", lambda v: v > 0,
-                 ("initial_step", "step_growth"))):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise InvalidParameterError(
-                        f"{name} {rule}, got {getattr(self, name)!r}")
+        for name, low in (("grad_rtol", 0), ("grad_atol", 0), ("obj_rtol", 0),
+                          ("max_outer_iters", 0), ("restart_period", 1)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise InvalidParameterError(
+                    f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -74,7 +72,6 @@ class BncgResult:
     value: float
     status: str  # converged-grad | converged-obj | maxiter | stalled
     iterations: int
-    history: list = field(default_factory=list)
     # the schemes' accepted sensitivity.Evaluation at x
     evaluation: object = None
 
@@ -118,8 +115,6 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
         return (f, g) if revised is None else _finite("post_accept", *revised)
 
     # record the pristine initial point before any inner minimization
-    history = [dict(iteration=0, value=f, pg_norm=projected_grad_norm(x, g),
-                    step=0.0)]
     if on_accept is not None:
         on_accept(0, x, f, g, 0.0)
     f, g = revise(x, f, g)
@@ -127,7 +122,7 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     pg0 = projected_grad_norm(x, g)
     grad_target = max(cfg.grad_atol, cfg.grad_rtol * pg0)
     if pg0 <= grad_target:
-        return BncgResult(x, f, "converged-grad", 0, history)
+        return BncgResult(x, f, "converged-grad", 0)
 
     def reduced(g, x):
         out = g.copy()
@@ -138,7 +133,7 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     g_red = reduced(g, x)
     d = -g_red
     g_red_prev = g_red
-    alpha0 = cfg.initial_step
+    alpha0 = INITIAL_STEP
     stall_count = 0
 
     for k in range(1, cfg.max_outer_iters + 1):
@@ -151,34 +146,33 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
                     continue
                 break
             alpha = alpha0
-            for _ in range(cfg.max_ls_trials):
+            for _ in range(MAX_LS_TRIALS):
                 x_t = np.clip(x + alpha * d, lower, upper)
                 delta = float(np.dot(g, x_t - x))
                 if delta < 0.0:
                     f_t, _ = _finite("value_fn", value_fn(x_t))
-                    if f_t <= f + cfg.armijo_c * delta:
+                    if f_t <= f + ARMIJO_C * delta:
                         accepted = True
                         break
-                alpha *= cfg.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
             if accepted:
                 break
         if not accepted:
-            return BncgResult(x, f, "stalled", k - 1, history)
+            return BncgResult(x, f, "stalled", k - 1)
 
         x = x_t
         f_prev = f
         f, g = revise(x, *_finite("value_grad_fn", *value_grad_fn(x)))
         pg = projected_grad_norm(x, g)
-        history.append(dict(iteration=k, value=f, pg_norm=pg, step=alpha))
         if on_accept is not None:
             on_accept(k, x, f, g, alpha)
 
         if pg <= grad_target:
-            return BncgResult(x, f, "converged-grad", k, history)
+            return BncgResult(x, f, "converged-grad", k)
         rel_drop = (f_prev - f) / max(abs(f), 1e-300)
         stall_count = stall_count + 1 if rel_drop <= cfg.obj_rtol else 0
-        if stall_count >= cfg.obj_stall_window:
-            return BncgResult(x, f, "converged-obj", k, history)
+        if stall_count >= OBJ_STALL_WINDOW:
+            return BncgResult(x, f, "converged-obj", k)
 
         g_red = reduced(g, x)
         if k % cfg.restart_period == 0:
@@ -189,9 +183,9 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
                 0.0, float(np.dot(g_red, g_red - g_red_prev)) / denom)
         d = -g_red + beta * d
         g_red_prev = g_red
-        alpha0 = alpha * cfg.step_growth
+        alpha0 = alpha * STEP_GROWTH
 
-    return BncgResult(x, f, "maxiter", cfg.max_outer_iters, history)
+    return BncgResult(x, f, "maxiter", cfg.max_outer_iters)
 
 
 class _Evaluations:

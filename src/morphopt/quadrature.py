@@ -74,6 +74,22 @@ def at_quadrature_points(nodal, triangles, rule):
     return vals @ rule.points.T                  # (M, nq)
 
 
+def add_hat_integrals(out, triangles, values, rule, scale):
+    """Transpose of :func:`at_quadrature_points`: add to ``out`` at node a
+    of every triangle T  scale_T * sum_q w_q values_Tq phi_a(x_q).
+
+    With ``scale`` the triangle areas this is  int_T v phi_a  for the
+    (n_tri, nq) quadrature values v.
+    """
+    contrib = ((values * rule.weights) @ rule.points) * scale[:, None]
+    np.add.at(out, triangles.ravel(), contrib.ravel())
+
+
+def element_integrals(values, rule, areas):
+    """int_T v on every triangle from (..., n_tri, nq) quadrature values."""
+    return (values @ rule.weights) * areas
+
+
 # 1D Gauss-Legendre on [0, 1], 3 points: exact for degree 5.
 _G = np.sqrt(3.0 / 5.0)
 GL3_POINTS = np.array([0.5 * (1.0 - _G), 0.5, 0.5 * (1.0 + _G)])

@@ -38,7 +38,8 @@ from .elasticity import (LINK_MATERIAL, element_strains,
                          link_stiffness_derivative, phase_densities,
                          solve_adjoint, solve_link, solve_state)
 from .fields import check_nodal
-from .functional import multiwell_derivative, total
+from .functional import (density_samples, multiwell_derivative, p1_gradient,
+                         stimulus_squares, total)
 from .materials import interp, interp_derivative
 
 
@@ -49,67 +50,54 @@ class Gradient:
     g_s: np.ndarray  # (n_cases, n_nodes)
 
 
-def _scatter(mesh, contrib, out):
-    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-
-
 def perimeter_design_grad(mesh, design, epsilon):
     """Gradient of the perimeter energy (not yet weighted by alpha)."""
-    rule = quadrature.TRI_DEG4
     tri = mesh.triangles
-    r2q = quadrature.at_quadrature_points(design.rho2, tri, rule)
-    r3q = quadrature.at_quadrature_points(design.rho3, tri, rule)
+    r2q, r3q = density_samples(mesh, design)
     w1 = multiwell_derivative(1.0 - r2q - r3q)
     w2 = multiwell_derivative(r2q)
     w3 = multiwell_derivative(r3q)
-    aw = mesh.areas[:, None] / epsilon
+    scale = mesh.areas / epsilon
     g2 = np.zeros(mesh.n_nodes)
     g3 = np.zeros(mesh.n_nodes)
-    _scatter(mesh, (((w2 - w1) * rule.weights) @ rule.points) * aw, g2)
-    _scatter(mesh, (((w3 - w1) * rule.weights) @ rule.points) * aw, g3)
+    quadrature.add_hat_integrals(g2, tri, w2 - w1, quadrature.TRI_DEG4, scale)
+    quadrature.add_hat_integrals(g3, tri, w3 - w1, quadrature.TRI_DEG4, scale)
 
-    gr2 = np.einsum("ma,mad->md", design.rho2[tri], mesh.grads)
-    gr3 = np.einsum("ma,mad->md", design.rho3[tri], mesh.grads)
+    gr2 = p1_gradient(mesh, design.rho2)
+    gr3 = p1_gradient(mesh, design.rho3)
     gr1 = -gr2 - gr3
     c = 2.0 * epsilon * mesh.areas
-    _scatter(mesh, c[:, None] * np.einsum("md,mad->ma", gr2 - gr1, mesh.grads), g2)
-    _scatter(mesh, c[:, None] * np.einsum("md,mad->ma", gr3 - gr1, mesh.grads), g3)
+    for g, gr in ((g2, gr2), (g3, gr3)):
+        np.add.at(g, tri.ravel(), (c[:, None] * np.einsum(
+            "md,mad->ma", gr - gr1, mesh.grads)).ravel())
     return g2, g3
 
 
 def q_design_grad(mesh, design, stimulus):
     """Gradient of the stimulus penalty with respect to the densities."""
-    rule = quadrature.TRI_DEG4
-    tri = mesh.triangles
-    r2q = quadrature.at_quadrature_points(design.rho2, tri, rule)
-    r3q = quadrature.at_quadrature_points(design.rho3, tri, rule)
+    r2q, r3q = density_samples(mesh, design)
     r1q = 1.0 - r2q - r3q
-    s2 = np.zeros_like(r2q)
-    for j in range(stimulus.n_cases):
-        sq = quadrature.at_quadrature_points(stimulus.s[j], tri, rule)
-        s2 += sq * sq
-    aw = mesh.areas[:, None]
+    s2 = stimulus_squares(mesh, stimulus)
     g2 = np.zeros(mesh.n_nodes)
     g3 = np.zeros(mesh.n_nodes)
-    _scatter(mesh, ((2.0 * (r2q - r1q) * s2 * rule.weights) @ rule.points) * aw, g2)
-    _scatter(mesh, ((-2.0 * r1q * s2 * rule.weights) @ rule.points) * aw, g3)
+    quadrature.add_hat_integrals(g2, mesh.triangles, 2.0 * (r2q - r1q) * s2,
+                                 quadrature.TRI_DEG4, mesh.areas)
+    quadrature.add_hat_integrals(g3, mesh.triangles, -2.0 * r1q * s2,
+                                 quadrature.TRI_DEG4, mesh.areas)
     return g2, g3
 
 
 def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases):
     """sum_j sum_i a'(rho_i) C_i (e(u_j) - beta_i s_j I) : e(lambda_j) phi_i."""
-    mats = phases.as_tuple()
+    mats, resp = phases.as_tuple(), phases.responsive
     tri = mesh.triangles
-    rhos = phase_densities(design)
     r3 = quadrature.TRI_DEG2
     r6 = quadrature.TRI_DEG4
     da3 = [interp_derivative(quadrature.at_quadrature_points(r, tri, r3))
-           for r in rhos]
-    da6 = [interp_derivative(quadrature.at_quadrature_points(r, tri, r6))
-           for r in rhos]
+           for r in phase_densities(design)]
+    da6 = interp_derivative(quadrature.at_quadrature_points(design.rho3, tri, r6))
     # sign of phi_i in the chain rule phi1 = -phi2 - phi3
-    sign2 = (-1.0, 1.0, 0.0)
-    sign3 = (-1.0, 0.0, 1.0)
+    signs = ((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
 
     g2 = np.zeros(mesh.n_nodes)
     g3 = np.zeros(mesh.n_nodes)
@@ -122,20 +110,14 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases):
         sq6 = quadrature.at_quadrature_points(stimulus.s[j], tri, r6)
         for i, mat in enumerate(mats):
             cval = 2.0 * mat.lame_mu * inner + mat.lame_lambda * tru * trl
-            stiff = (((da3[i] * r3.weights) @ r3.points)
-                     * (mesh.areas * cval)[:, None])
-            if sign2[i]:
-                _scatter(mesh, sign2[i] * stiff, g2)
-            if sign3[i]:
-                _scatter(mesh, sign3[i] * stiff, g3)
-            if mat.beta != 0.0:
-                lval = mat.beta * 2.0 * mat.bulk * trl
-                load = (((da6[i] * sq6 * r6.weights) @ r6.points)
-                        * (mesh.areas * lval)[:, None])
-                if sign2[i]:
-                    _scatter(mesh, -sign2[i] * load, g2)
-                if sign3[i]:
-                    _scatter(mesh, -sign3[i] * load, g3)
+            for g, sign in zip((g2, g3), signs[i]):
+                if sign:
+                    quadrature.add_hat_integrals(g, tri, da3[i], r3,
+                                                 sign * (mesh.areas * cval))
+        # the stimulus load: beta_i = 0 except in the responsive phase
+        lval = resp.beta * 2.0 * resp.bulk * trl
+        quadrature.add_hat_integrals(g3, tri, da6 * sq6, r6,
+                                     -(mesh.areas * lval))
     return g2, g3
 
 
@@ -145,14 +127,15 @@ def link_design_grad(mesh, design, link):
     rule = quadrature.TRI_DEG4
     mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
                                          mesh.triangles, rule)
-    dk = ((link_stiffness_derivative(mq) * rule.weights) @ rule.points)
+    dk = link_stiffness_derivative(mq)
     g = np.zeros(mesh.n_nodes)
     for v in link[0]:
         e = element_strains(mesh, v.reshape(-1, 2))
         tr = e[:, 0, 0] + e[:, 1, 1]
         energy = (2.0 * LINK_MATERIAL.lame_mu * np.einsum("mxy,mxy->m", e, e)
                   + LINK_MATERIAL.lame_lambda * tr * tr)
-        _scatter(mesh, -dk * (mesh.areas * energy)[:, None], g)
+        quadrature.add_hat_integrals(g, mesh.triangles, dk, rule,
+                                     -(mesh.areas * energy))
     return g
 
 
@@ -165,8 +148,8 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
     q2, q3 = q_design_grad(mesh, design, stimulus)
     e2, e3 = elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases)
     lumped = mesh.lumped_node_areas()
-    g2 = params.alpha * p2 + params.nu2 * lumped + params.q_weight * q2 + e2
-    g3 = params.alpha * p3 + params.nu3 * lumped + params.q_weight * q3 + e3
+    g2 = params.alpha * p2 + params.nu2 * lumped + q2 + e2
+    g3 = params.alpha * p3 + params.nu3 * lumped + q3 + e3
     if params.link_weight:
         g_link = params.link_weight * link_design_grad(mesh, design, link)
         g2 = g2 + g_link
@@ -174,33 +157,24 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
     return g2, g3
 
 
-def grad_stimulus(mesh, design, stimulus, lambdas, phases, params):
+def grad_stimulus(mesh, design, stimulus, lambdas, phases):
     """Stimulus gradient, one nodal array per load case."""
-    mats = phases.as_tuple()
+    resp = phases.responsive
     tri = mesh.triangles
     rule = quadrature.TRI_DEG4
-    rhos = phase_densities(design)
-    a6 = [interp(quadrature.at_quadrature_points(r, tri, rule)) for r in rhos]
-    r2q = quadrature.at_quadrature_points(design.rho2, tri, rule)
-    r3q = quadrature.at_quadrature_points(design.rho3, tri, rule)
+    r2q, r3q = density_samples(mesh, design)
+    a3q = interp(r3q)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
 
     out = np.zeros((stimulus.n_cases, mesh.n_nodes))
     for j in range(stimulus.n_cases):
         el = element_strains(mesh, lambdas[j])
         trl = el[:, 0, 0] + el[:, 1, 1]
-        g = out[j]
-        for i, mat in enumerate(mats):
-            if mat.beta == 0.0:
-                continue
-            coef = mat.beta * 2.0 * mat.bulk * trl
-            contrib = ((a6[i] * rule.weights) @ rule.points) \
-                * (mesh.areas * coef)[:, None]
-            _scatter(mesh, -contrib, g)
+        coef = resp.beta * 2.0 * resp.bulk * trl
+        quadrature.add_hat_integrals(out[j], tri, a3q, rule, -(mesh.areas * coef))
         sq = quadrature.at_quadrature_points(stimulus.s[j], tri, rule)
-        qcontrib = ((2.0 * bq * sq * rule.weights) @ rule.points) \
-            * mesh.areas[:, None]
-        _scatter(mesh, params.q_weight * qcontrib, g)
+        quadrature.add_hat_integrals(out[j], tri, 2.0 * bq * sq, rule,
+                                     mesh.areas)
     return out
 
 
@@ -241,6 +215,6 @@ class Evaluation:
         g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
                              self.lambdas, self.phases, self.params, self.link)
         gs = grad_stimulus(self.mesh, self.design, self.stimulus, self.lambdas,
-                           self.phases, self.params)
+                           self.phases)
         return Gradient(g2, g3, gs)
 

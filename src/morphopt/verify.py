@@ -40,8 +40,14 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     largest-contribution gradient entry by 1.01 before comparing, and
     ``corrupt="link"`` scales the link energy's share of the design
     derivative by 1.01; a sound harness must detect either (error above
-    1e-5).
+    1e-5).  ``trials`` must be at least 1 and ``delta`` finite and positive,
+    so the check can never pass without comparing a difference quotient.
     """
+    if not trials >= 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise InvalidParameterError(
+            f"delta must be finite and positive, got {delta!r}")
 
     def objective(design, stim):
         return sensitivity.Evaluation(mesh, design, stim, phases, params,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morphopt import cli, runner, sensitivity
+from morphopt import cli, optimizer, runner, sensitivity
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
                              shipped_config_names)
 from morphopt.elasticity import solve_adjoint, solve_state
@@ -103,6 +103,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="phases.responsive.poisson"):
             parse_config(text=bad)
 
+    # q_weight and armijo_c are removed settings, rejected as unknown keys
     @pytest.mark.parametrize("override", [
         "regularization.alpha=nan", "regularization.epsilon=inf",
         "regularization.nu2=nan", "regularization.q_weight=-inf",
@@ -119,6 +120,8 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tiny_cfg.parent / "out").exists()
 
+    # the removed line-search settings stay listed: as unknown keys they
+    # must still exit 2 naming the key
     @pytest.mark.parametrize("override", [
         "optimizer.max_outer_iters=-3", "optimizer.restart_period=0",
         "optimizer.max_ls_trials=0", "optimizer.obj_stall_window=0",
@@ -126,7 +129,9 @@ class TestConfigParsing:
         "optimizer.initial_step=0", "optimizer.step_growth=-2",
         "optimizer.grad_rtol=-1e-6", "optimizer.grad_atol=-1",
         "optimizer.obj_rtol=-1e-9", "optimizer.solver_tol=-1",
-        "optimizer.solver_tol=0", "regularization.nu3=-0.1"])
+        "optimizer.solver_tol=0", "regularization.nu3=-0.1",
+        "phases.eta=-1", "phases.eta=0.5", "phases.passive.young=-1",
+        "phases.passive.poisson=0.5", "phases.responsive.beta=-1"])
     def test_invalid_setting_names_key(self, tiny_cfg, override, capsys):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=key):
@@ -137,6 +142,24 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tiny_cfg.parent / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        "optimizer.armijo_c=0.1", "optimizer.backtrack_factor=0.5",
+        "optimizer.max_ls_trials=40", "optimizer.obj_stall_window=5",
+        "optimizer.initial_step=1", "optimizer.step_growth=2",
+        "regularization.q_weight=1", "phases.passive.beta=0"])
+    def test_removed_setting_is_an_unknown_key(self, tiny_cfg, override,
+                                               capsys):
+        # line-search constants, the stimulus-penalty scale and the
+        # passive beta have one value on every path; no key sets them
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            parse_config(text=TINY_CFG, overrides=[override])
+        code = cli.main(["run", "--config", str(tiny_cfg), "--override",
+                         override, "--out", str(tiny_cfg.parent / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_zero_iterations_stay_valid(self):
         spec = parse_config(text=TINY_CFG,
@@ -237,11 +260,14 @@ class TestRunner:
         ((), "maxiter"),
         # the stimulus update at iterate 0 is committed after its record
         (("optimizer.max_outer_iters=0",), "maxiter"),
-        # the last evaluation made is a rejected line-search trial
-        (("optimizer.max_ls_trials=1", "optimizer.initial_step=1e6"),
-         "stalled")])
+        # the last evaluation made is a rejected line-search trial: one
+        # trial per search at a huge first step forces the stall
+        ((), "stalled")])
     def test_final_fields_are_fresh_solves(self, tiny_cfg, tmp_path,
-                                           overrides, status):
+                                           monkeypatch, overrides, status):
+        if status == "stalled":
+            monkeypatch.setattr(optimizer, "MAX_LS_TRIALS", 1)
+            monkeypatch.setattr(optimizer, "INITIAL_STEP", 1e6)
         spec = parse_config(tiny_cfg, overrides=overrides)
         art = runner.run(spec, out_dir=str(tmp_path / "run"))
         assert art.status == status
@@ -394,6 +420,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("block,max_relative_error")
         assert "design," in out and "stimulus," in out
+
+    @pytest.mark.parametrize("arg", [
+        "--trials=0", "--trials=-3", "--delta=0", "--delta=-1e-6",
+        "--delta=inf", "--delta=nan"])
+    def test_check_gradient_cannot_pass_vacuously(self, capsys, arg):
+        code = cli.main(["check-gradient", "--h", "0.1", arg])
+        assert code == 2
+        captured = capsys.readouterr()
+        name = arg[2:].split("=")[0]
+        assert name in captured.err and "Traceback" not in captured.err
+        assert "design," not in captured.out
 
     def test_profile_oracle_subcommand(self, capsys):
         code = cli.main(["profile-oracle", "--epsilons", "0.05",

@@ -225,7 +225,7 @@ class TestTotal:
         params = RegularizationParams(0.05, 6e-4, 0.1, 0.3)
         b = total(mesh, d, s, u, np.array([[0.0, 1.0]]), params)
         assert b.total == (b.tracking + b.alpha * b.perimeter
-                           + b.volume_penalty + b.q_weight * b.stimulus_penalty)
+                           + b.volume_penalty + b.stimulus_penalty)
 
     def test_zero_target_pure_design_volume_only(self):
         mesh = cantilever_mesh(1 / 20)
@@ -286,9 +286,9 @@ class TestInvariances:
         with pytest.raises(InvalidParameterError):
             RegularizationParams(0.1, 1.0, -0.1, 0.1)
         for i, name in enumerate(("epsilon", "alpha", "nu2", "nu3",
-                                  "q_weight", "link_weight")):
+                                  "link_weight")):
             for bad in (np.nan, np.inf):
-                values = [0.1, 1.0, 0.1, 0.1, 1.0, 0.0]
+                values = [0.1, 1.0, 0.1, 0.1, 0.0]
                 values[i] = bad
                 with pytest.raises(InvalidParameterError, match=name):
                     RegularizationParams(*values)

@@ -1,9 +1,9 @@
-"""Property tests: config parsing, the closed-form stimulus and the box
-projections over generated inputs (hypothesis, derandomized so every run
-draws the same examples)."""
+"""Property tests: config parsing, the closed-form stimulus, the box
+projections and the hexagon's rotation equivariance over generated inputs
+(hypothesis, derandomized so every run draws the same examples)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,8 +11,11 @@ from morphopt.config import echo_config, parse_config
 from morphopt.errors import ConfigError
 from morphopt.fields import (DesignField, StimulusField, project_design,
                              project_stimulus)
+from morphopt.functional import RegularizationParams
 from morphopt.materials import Material, PhaseSet
-from morphopt.mesh import build_rect_mesh
+from morphopt.mesh import (build_hexagon_mesh, build_rect_mesh,
+                           hexagon_rotation_permutation)
+from morphopt.sensitivity import Evaluation
 from morphopt.stimulus_update import minimize_stimulus_field
 from morphopt.verify import brute_force_stimulus
 
@@ -20,6 +23,8 @@ from test_driver import TINY_CFG
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
+# keys of removed settings (stimulus_mode, the line-search constants,
+# q_weight) stay in the draw: they must be rejected as unknown keys
 KEYS = (["optimizer." + k for k in (
     "scheme", "solver_tol", "grad_rtol", "grad_atol", "obj_rtol",
     "max_outer_iters", "armijo_c", "backtrack_factor", "max_ls_trials",
@@ -93,3 +98,35 @@ def test_projections_are_idempotent(data):
     once = project_stimulus(StimulusField(s))
     np.testing.assert_array_equal(project_stimulus(once).s, once.s)
     assert np.all(np.abs(once.s) <= 1)
+
+
+HEX_PHASES = PhaseSet.build(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
+S32 = np.sqrt(3.0) / 2.0
+HEX_TARGETS = np.array([[1.0, 0.0], [-0.5, S32], [-0.5, -S32]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(m=st.integers(3, 12), orientation=st.sampled_from(["odd", "even"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=12, orientation="odd", seed=1)
+@example(m=12, orientation="even", seed=2)
+def test_design_gradient_is_rotation_equivariant(m, orientation, seed):
+    # criterion 8 on a random design that the 2pi/3 rotation maps onto
+    # itself: closed-form stimulus step, then the design gradient
+    mesh = build_hexagon_mesh(0.35, 0.35 / m, 0.14, orientation)
+    perm = hexagon_rotation_permutation(mesh)
+    n = mesh.n_nodes
+    orbit = np.minimum(np.arange(n), np.minimum(perm, perm[perm]))
+    rho = np.random.default_rng(seed).uniform(0.05, 0.45, (2, n))[:, orbit]
+    design = DesignField(rho[0], rho[1])
+    np.testing.assert_array_equal(design.rho2[perm], design.rho2)
+    params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
+    ev0 = Evaluation(mesh, design, StimulusField.zeros(3, n), HEX_PHASES,
+                     params, HEX_TARGETS, tol=1e-12)
+    stim = minimize_stimulus_field(mesh, design, ev0.lambdas, HEX_PHASES)
+    assert np.any(stim.s != 0.0)
+    grad = ev0.at_stimulus(stim).gradient
+    scale = max(np.max(np.abs(grad.g_rho2)), np.max(np.abs(grad.g_rho3)))
+    defect = max(np.max(np.abs(grad.g_rho2[perm] - grad.g_rho2)),
+                 np.max(np.abs(grad.g_rho3[perm] - grad.g_rho3))) / scale
+    assert defect <= 1e-10

@@ -87,8 +87,7 @@ class TestTermStructure:
         design = DesignField.constant(n, 0.0, 1.0)
         stim = StimulusField.zeros(1, n)
         lams = [mesh.nodes - mesh.nodes.mean(axis=0)]
-        params = RegularizationParams(0.1, 6e-4, 0.1, 0.3)
-        gs = grad_stimulus(mesh, design, stim, lams, PHASES, params)
+        gs = grad_stimulus(mesh, design, stim, lams, PHASES)
         assert np.all(gs[0] < 0.0)
 
     def test_stimulus_gradient_zero_where_inactive(self):
@@ -99,8 +98,7 @@ class TestTermStructure:
         stim = StimulusField.zeros(1, n)
         rng = np.random.default_rng(1)
         lams = [rng.normal(size=(n, 2))]
-        params = RegularizationParams(0.1, 6e-4, 0.1, 0.3)
-        gs = grad_stimulus(mesh, design, stim, lams, PHASES, params)
+        gs = grad_stimulus(mesh, design, stim, lams, PHASES)
         assert np.max(np.abs(gs)) == 0.0
 
     def test_elasticity_term_is_tracking_gradient(self):
@@ -197,7 +195,7 @@ class TestReducedObjective:
         np.testing.assert_array_equal(ev.gradient.g_rho3, g3)
         np.testing.assert_array_equal(
             ev.gradient.g_s,
-            grad_stimulus(mesh, design, stim, lams, PHASES, params))
+            grad_stimulus(mesh, design, stim, lams, PHASES))
         assert ev.gradient.g_s.shape == (1, n)
 
 
@@ -229,8 +227,7 @@ class TestLinkSwitch:
         b_on, g_on = ev_on.breakdown, ev_on.gradient
         assert ev_off.link is None and b_off.link == 0.0
         assert b_off.total == (b_off.tracking + b_off.alpha * b_off.perimeter
-                               + b_off.volume_penalty
-                               + b_off.q_weight * b_off.stimulus_penalty)
+                               + b_off.volume_penalty + b_off.stimulus_penalty)
         assert b_on.total == b_off.total + LINK_WEIGHT * b_on.link
         link = LINK_WEIGHT * link_design_grad(
             mesh, design, solve_link(mesh, design, TARGETS))

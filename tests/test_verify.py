@@ -34,6 +34,18 @@ class TestFdCheck:
                                 trials=2, seed=1)
         assert res.max_error < 1e-5
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
+                              trials=trials)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-6, np.inf, np.nan])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(InvalidParameterError, match="delta"):
+            fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
+                              trials=1, delta=delta)
+
     def test_mutation_detected_in_design_block(self):
         res = fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
                                 trials=2, seed=2, corrupt="design")
