@@ -1,0 +1,82 @@
+"""Cost of one state solve on the full-resolution cantilever.
+
+    python3 scripts/probe_full_resolution.py [--src SRC] [--h 0.002]
+
+Builds the shipped ``cantilever_staggered`` mesh, takes the 0.3/0.3 initial
+design with a uniform stimulus of 1 (a nonzero load), and times the first
+stiffness assembly (which builds any per-mesh data), a second assembly and
+one ``solve_state``.  When the library has ``elasticity.factorize`` the
+factorization inside the solve is timed on its own.  Prints one JSON line
+with the times, the CG iterations, the relative residual and the peak
+resident memory.  ``--src`` selects the source tree, so two versions of the
+library can be probed with the same script; run with BLAS threads pinned
+to 1 for comparable numbers.
+"""
+
+import argparse
+import json
+import resource
+import sys
+import time
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--src", default="src")
+    ap.add_argument("--h", type=float, default=2e-3)
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from morphopt import config, elasticity
+    from morphopt.fields import DesignField, StimulusField
+
+    spec = config.load_shipped_config("cantilever_staggered",
+                                      overrides=[f"mesh.h={args.h!r}"])
+    mesh = spec.build_mesh()
+    design = DesignField.constant(mesh.n_nodes, 0.3, 0.3)
+    stim = StimulusField(np.ones((1, mesh.n_nodes)))
+    fixed = mesh.dirichlet_dofs()
+    out = {"h": args.h, "dofs": 2 * mesh.n_nodes}
+
+    t0 = time.perf_counter()
+    elasticity.assemble_stiffness(mesh, design, spec.phases, fixed)
+    t1 = time.perf_counter()
+    K = elasticity.assemble_stiffness(mesh, design, spec.phases, fixed)
+    t2 = time.perf_counter()
+    out.update(first_assembly_s=t1 - t0, assembly_s=t2 - t1, K_nnz=int(K.nnz))
+
+    iters = []
+    solve = elasticity.solve_spd
+
+    def counted(*a, **kw):
+        kw["callback"] = lambda it, r: iters.append(r)
+        return solve(*a, **kw)
+    elasticity.solve_spd = counted
+    factor_s = []
+    if hasattr(elasticity, "factorize"):
+        factorize = elasticity.factorize
+
+        def timed(*a, **kw):
+            t = time.perf_counter()
+            result = factorize(*a, **kw)
+            factor_s.append(time.perf_counter() - t)
+            return result
+        elasticity.factorize = timed
+    t3 = time.perf_counter()
+    state = elasticity.solve_state(mesh, design, spec.phases, stim,
+                                   operator=K)
+    t4 = time.perf_counter()
+    f = elasticity.assemble_stimulus_load(mesh, design, spec.phases, stim.s[0])
+    f[fixed] = 0.0
+    u = state.u[0].ravel()
+    out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
+               cg_iterations=len(iters),
+               relative_residual=float(np.linalg.norm(K @ u - f)
+                                       / np.linalg.norm(f)),
+               peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+               / 1024.0)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

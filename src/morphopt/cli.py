@@ -52,6 +52,8 @@ def _cmd_run(args):
     print(f"iterations,{artifacts.summary['iterations']}")
     print(f"total,{artifacts.summary['total']!r}")
     print(f"out_dir,{artifacts.out_dir}")
+    for j, scale in enumerate(artifacts.composite_scales):
+        print(f"composite_scale_case{j + 1},{scale!r}")
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .functional import RegularizationParams
+from .linsolve import SOLVER_TOL
 from .materials import Material, PhaseSet
 from .mesh import build_hexagon_mesh, build_rect_mesh
 from .optimizer import OptimizerConfig
@@ -242,7 +243,8 @@ def parse_config(path=None, text=None, overrides=()):
         if v is not None:
             opt_kwargs[f.name] = v
     optimizer = _validated("optimizer", OptimizerConfig, **opt_kwargs)
-    solver_tol = opt.get("solver_tol", _positive, required=False, default=1e-10)
+    solver_tol = opt.get("solver_tol", _positive, required=False,
+                         default=SOLVER_TOL)
 
     out = sec("output")
     output_dir = out.get("directory", required=False, default="out")

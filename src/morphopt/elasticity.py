@@ -30,7 +30,8 @@ import scipy.sparse as sp
 from . import quadrature
 from .errors import InvalidParameterError
 from .fields import check_nodal, target_values
-from .linsolve import eliminate_dirichlet_triplets, solve_spd
+from .linsolve import (SOLVER_TOL, BlockCholesky, LevelBlocks, level_structure,
+                       solve_spd)
 from .materials import Material, interp
 
 NEAR_SINGULAR_FLOOR = 1e-14
@@ -88,25 +89,113 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
     return _assemble_isotropic(mesh, wmu, wlam, fixed_dofs)
 
 
+class _OperatorMap:
+    """The stiffness pattern of one mesh and one set of fixed dofs.
+
+    K is linear in the per-element Lame weights:
+    ``K.data = S_mu @ wmu + S_lam @ wlam`` plus 1 on the fixed diagonal,
+    where column m of S_mu (S_lam) holds the unit-mu (unit-lambda) entries
+    of element m at their CSR slots.  Entries in a fixed row or column are
+    dropped, so the elimination is built into the pattern.  ``blocks``
+    place the pattern in the breadth-first level order of the mesh's node
+    graph, the same for every set of fixed dofs.
+    """
+
+    def __init__(self, mesh, fixed_dofs):
+        tri, nn, m = mesh.triangles, mesh.n_nodes, mesh.n_triangles
+        n = 2 * nn
+        # node pairs (a, b) of every element, numbered in CSR order
+        pairs, pair_of = np.unique(
+            (tri[:, :, None] * nn + tri[:, None, :]).reshape(m, 9),
+            return_inverse=True)
+        pair_of = pair_of.reshape(m, 9)
+        row_node, col_node = np.divmod(pairs, nn)
+        node_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row_node, minlength=nn))])
+
+        # dof entry (2I + x, 2J + y) of pair p = (I, J) without elimination
+        # sits at 4 start_I + 2 x deg_I + 2 (p - start_I) + y
+        start = node_ptr[row_node][:, None, None]
+        deg = np.diff(node_ptr)[row_node][:, None, None]
+        x = np.arange(2)[None, :, None]
+        y = np.arange(2)[None, None, :]
+        position = (2 * start + 2 * x * deg
+                    + 2 * np.arange(len(pairs))[:, None, None] + y).reshape(-1)
+        shape = (len(pairs), 2, 2)
+        rows = np.broadcast_to(2 * row_node[:, None, None] + x, shape).reshape(-1)
+        cols = np.broadcast_to(2 * col_node[:, None, None] + y, shape).reshape(-1)
+        fixed = np.zeros(n, dtype=bool)
+        if fixed_dofs is not None:
+            fixed[fixed_dofs] = True
+        keep = ~(fixed[rows] | fixed[cols]) | (rows == cols)
+        kept = np.zeros(len(keep), dtype=bool)
+        kept[position] = keep
+        sorted_cols = np.empty_like(cols)
+        sorted_cols[position] = cols
+        slot = np.where(keep, np.cumsum(kept)[position] - 1, -1)
+        self.shape = (n, n)
+        self.indices = sorted_cols[kept].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows[keep], minlength=n))]).astype(np.int32)
+        on_fixed_diagonal = (rows == cols) & fixed[rows]
+        self.fixed_slots = slot[on_fixed_diagonal]
+        slot[on_fixed_diagonal] = -1
+        slot = slot.reshape(-1, 2, 2)
+
+        # unit-weight element entries (a, x, b, y) and their slots; entries
+        # in a fixed row or column go to the spare slot nnz, dropped later
+        G = mesh.grads
+        nnz = len(self.indices)
+        slot[slot < 0] = nnz
+        emu = np.empty((m, 36))
+        elam = np.empty((m, 36))
+        eslot = np.empty((m, 36), dtype=np.int32)
+        for a in range(3):
+            for b in range(3):
+                gg = G[:, a, 0] * G[:, b, 0] + G[:, a, 1] * G[:, b, 1]
+                for xa in range(2):
+                    for yb in range(2):
+                        e = ((2 * a + xa) * 3 + b) * 2 + yb
+                        emu[:, e] = (G[:, a, yb] * G[:, b, xa]
+                                     + (gg if xa == yb else 0.0))
+                        elam[:, e] = G[:, a, xa] * G[:, b, yb]
+                        eslot[:, e] = slot[pair_of[:, 3 * a + b], xa, yb]
+        col_ptr = np.arange(0, 36 * m + 1, 36, dtype=np.int32)
+        self.S_mu, self.S_lam = (
+            sp.csc_matrix((vals.ravel(), eslot.ravel(), col_ptr),
+                          shape=(nnz + 1, m)) for vals in (emu, elam))
+
+        node_order, node_levels = level_structure(node_ptr, col_node)
+        self.blocks = LevelBlocks(
+            self.indptr, self.indices,
+            np.column_stack([2 * node_order, 2 * node_order + 1]).ravel(),
+            2 * node_levels)
+
+    def assemble(self, wmu, wlam):
+        data = (self.S_mu @ wmu + self.S_lam @ wlam)[:-1]
+        data[self.fixed_slots] = 1.0
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _operator_map(mesh, fixed_dofs):
+    """The mesh's _OperatorMap for ``fixed_dofs``, built on first use."""
+    if fixed_dofs is not None:
+        fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+    key = ("operator", None if fixed_dofs is None else fixed_dofs.tobytes())
+    if key not in mesh.cache:
+        mesh.cache[key] = _OperatorMap(mesh, fixed_dofs)
+    return mesh.cache[key]
+
+
 def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
     """CSR operator with the per-element integrated Lame weights (wmu, wlam)."""
-    G = mesh.grads
-    gg = np.einsum("mad,mbd->mab", G, G)                             # (M, 3, 3)
-    eye = np.eye(2)
-    k_mu = (np.einsum("mab,xy->maxby", gg, eye)
-            + np.einsum("may,mbx->maxby", G, G))                     # (M,3,2,3,2)
-    k_lam = np.einsum("max,mby->maxby", G, G)
-    ke = (wmu[:, None, None, None, None] * k_mu
-          + wlam[:, None, None, None, None] * k_lam).reshape(-1, 6, 6)
+    return _operator_map(mesh, fixed_dofs).assemble(wmu, wlam)
 
-    edof = _element_edofs(mesh)
-    rows = np.repeat(edof, 6, axis=1).ravel()
-    cols = np.tile(edof, (1, 6)).ravel()
-    vals = ke.ravel()
-    n = 2 * mesh.n_nodes
-    if fixed_dofs is not None and len(fixed_dofs):
-        rows, cols, vals = eliminate_dirichlet_triplets(rows, cols, vals, n, fixed_dofs)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+def factorize(mesh, K, fixed_dofs):
+    """Block Cholesky factor of an operator assembled on ``mesh`` with
+    ``fixed_dofs``, in the level order of the mesh's operator map."""
+    return BlockCholesky(K, _operator_map(mesh, fixed_dofs).blocks)
 
 
 def assemble_stimulus_load(mesh, design, phases, s_j):
@@ -148,11 +237,19 @@ def target_mass_apply(mesh, w):
 
 @dataclass
 class StateSolution:
-    """Equilibrium displacements plus the operator they satisfy."""
+    """Equilibrium displacements plus the operator they satisfy and its
+    block Cholesky factor (None once released; it is rebuilt on demand)."""
 
     u: list
     operator: sp.csr_matrix
     fixed_dofs: np.ndarray
+    factor: BlockCholesky = None
+
+    def solver(self, mesh):
+        """The operator's factor, refactored if it was released."""
+        if self.factor is None:
+            self.factor = factorize(mesh, self.operator, self.fixed_dofs)
+        return self.factor
 
 
 def _resolve_fixed_dofs(mesh, fixed_dofs):
@@ -165,30 +262,31 @@ def _resolve_fixed_dofs(mesh, fixed_dofs):
 
 
 def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
-                tol=1e-10, operator=None):
-    """Solve the n state problems sharing one stiffness ``operator``,
-    assembled here unless given (for this design and ``fixed_dofs``)."""
+                tol=SOLVER_TOL, operator=None, factor=None):
+    """Solve the n state problems sharing one stiffness ``operator`` and its
+    ``factor``, built here unless given (for this design and ``fixed_dofs``)."""
     fixed_dofs = _resolve_fixed_dofs(mesh, fixed_dofs)
     K = operator
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
-    us = []
+    state = StateSolution([], K, fixed_dofs, factor)
     for j in range(stimulus.n_cases):
         f = assemble_stimulus_load(mesh, design, phases, stimulus.s[j])
         f[fixed_dofs] = 0.0
-        x = solve_spd(K, f, tol=tol)
-        us.append(x.reshape(-1, 2))
-    return StateSolution(us, K, fixed_dofs)
+        x = solve_spd(K, f, tol=tol, factor=state.solver(mesh))
+        state.u.append(x.reshape(-1, 2))
+    return state
 
 
-def solve_adjoint(mesh, design, phases, state, targets, tol=1e-10):
+def solve_adjoint(mesh, design, phases, state, targets, tol=SOLVER_TOL):
     """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j)."""
     lams = []
     for j, u_j in enumerate(state.u):
         ubar = target_values(targets, j, mesh.n_nodes)
         rhs = target_mass_apply(mesh, ubar - u_j).ravel()
         rhs[state.fixed_dofs] = 0.0
-        lam = solve_spd(state.operator, rhs, tol=tol)
+        lam = solve_spd(state.operator, rhs, tol=tol,
+                        factor=state.solver(mesh))
         lams.append(lam.reshape(-1, 2))
     return lams
 
@@ -230,5 +328,6 @@ def link_loads(mesh, targets):
 def solve_link(mesh, design, targets):
     """Displacements v_j of the link problem with their loads f_j."""
     K = assemble_link_operator(mesh, design)
+    factor = factorize(mesh, K, mesh.dirichlet_dofs())
     loads = link_loads(mesh, targets)
-    return [solve_spd(K, f) for f in loads], loads
+    return [solve_spd(K, f, factor=factor) for f in loads], loads

@@ -46,6 +46,8 @@ class Mesh:
     dirichlet_nodes : sorted int array of clamped node indices
     target_elements : sorted int array of triangles covering the target region
     cell_size : characteristic edge length h
+    cache : per-mesh derived data, filled on first use (elasticity keeps
+        its operator maps there)
     """
 
     nodes: np.ndarray
@@ -55,6 +57,9 @@ class Mesh:
     cell_size: float
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    # geometry-only data other modules derive once per mesh on first use
+    cache: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         self.nodes = np.array(self.nodes, dtype=float)

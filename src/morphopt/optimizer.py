@@ -20,6 +20,7 @@ import numpy as np
 from . import functional, sensitivity
 from .errors import InvalidParameterError, NonFiniteValueError
 from .fields import DesignField, StimulusField, project_design, project_stimulus
+from .linsolve import SOLVER_TOL
 from .stimulus_update import minimize_stimulus_field
 
 
@@ -207,13 +208,18 @@ class _Evaluations:
         self.trial_x = self.trial = None
 
     def value(self, x):
+        # one factor alive at a time: the accepted point is done with its
+        # solves and the previous trial was rejected
+        if self.accepted is not None:
+            self.accepted.release()
+        self.trial_x = self.trial = None
         self.trial_x, self.trial = x, self.evaluate(x)
         return self.trial.breakdown.total
 
     def value_grad(self, x):
-        reuse = self.trial is not None and np.array_equal(self.trial_x, x)
-        ev = self.trial if reuse else self.evaluate(x)
-        self.trial_x = self.trial = None
+        if self.trial is None or not np.array_equal(self.trial_x, x):
+            self.value(x)
+        ev, self.trial_x, self.trial = self.trial, None, None
         return self.accept(ev)
 
     def accept(self, ev):
@@ -241,12 +247,13 @@ class _Evaluations:
         result = bncg_minimize(self.value, self.value_grad, x0, lower, upper,
                                cfg, on_accept=self.record,
                                post_accept=post_accept)
+        self.accepted.release()
         result.evaluation = self.accepted
         return result
 
 
 def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
-                   stimulus0=None, solver_tol=1e-10, on_iterate=None):
+                   stimulus0=None, solver_tol=SOLVER_TOL, on_iterate=None):
     """Joint BNCG over the concatenated (rho2, rho3, s_1..s_n) variable."""
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
@@ -270,7 +277,7 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
 
 
 def run_staggered(mesh, phases, params, targets, cfg, design0=None,
-                  stimulus0=None, solver_tol=1e-10, on_iterate=None):
+                  stimulus0=None, solver_tol=SOLVER_TOL, on_iterate=None):
     """Outer BNCG over the densities with exact inner stimulus minimization.
 
     The stimulus is frozen during each line search.  At every accepted

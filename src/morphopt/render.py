@@ -23,15 +23,50 @@ def stimulus_color(s):
     return np.stack([r, g, b], axis=-1)
 
 
+def _edges(points, triangles):
+    p = points[triangles]
+    return p, p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+
+
+def _cross(a, b):
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
+def fold_free_scale(mesh, displacement, limit=1.0):
+    """Largest scale <= ``limit`` at which every triangle deformed by
+    scale * displacement keeps a positive signed area.
+
+    A triangle's doubled area is quadratic in the scale s,
+    A0 + B s + C s^2 with A0 > 0; the scale stops short of the smallest
+    positive root over all triangles.
+    """
+    u = np.asarray(displacement, dtype=float)
+    _, d1, d2 = _edges(mesh.nodes, mesh.triangles)
+    _, e1, e2 = _edges(u, mesh.triangles)
+    a0 = _cross(d1, d2)
+    b = _cross(d1, e2) + _cross(e1, d2)
+    c = _cross(e1, e2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(b * b - 4.0 * a0 * c)
+        roots = np.concatenate([(-b - disc) / (2.0 * c), (-b + disc) / (2.0 * c),
+                                np.where(c == 0.0, -a0 / b, np.nan)])
+    roots = roots[np.isfinite(roots) & (roots > 0.0)]
+    scale = min(float(limit), float(roots.min()) if roots.size else np.inf)
+    # just below a root the rounded area may still read zero
+    while True:
+        _, d1, d2 = _edges(mesh.nodes + scale * u, mesh.triangles)
+        if np.all(_cross(d1, d2) > 0.0):
+            return scale
+        scale *= 1.0 - 1e-6
+
+
 def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
                     width=480):
     """Rasterize the deformed mesh; returns a (height, width, 3) uint8 image."""
     pts = mesh.nodes + scale * np.asarray(displacement, dtype=float)
     tri = mesh.triangles
-    p = pts[tri]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    p, d1, d2 = _edges(pts, tri)
+    signed = 0.5 * _cross(d1, d2)
     if np.any(signed <= 0.0):
         warnings.warn(f"{int(np.sum(signed <= 0.0))} deformed triangle(s) are "
                       "degenerate or inverted; rendering anyway", RuntimeWarning)
@@ -81,7 +116,9 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
         jj, ii = np.nonzero(inside)
         # image row 0 is the top of the domain
         img[height - 1 - (j0 + jj), i0 + ii] = cols[jj, ii] / wts[jj, ii]
-    return np.clip(np.round(img), 0, 255).astype(np.uint8)
+    np.round(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8)
 
 
 def write_ppm(path, image):

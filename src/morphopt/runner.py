@@ -2,8 +2,9 @@
 
 Artifacts: per-iteration history CSV, resolved-config echo, VTK snapshots
 at the export cadence (iterations 0, k, 2k, ..., final), final fields as
-VTK + npz, one composite PPM per load case, and a summary file whose
-totals equal the last CSV row.
+VTK + npz, one composite PPM per load case (deformed at the largest scale
+up to 1 that folds no triangle), and a summary file whose totals equal
+the last CSV row.
 """
 
 import csv
@@ -16,7 +17,7 @@ from .config import echo_config
 from .errors import MorphoptError
 from .fields import DesignField, StimulusField
 from .optimizer import run_monolithic, run_staggered
-from .render import composite_export
+from .render import composite_export, fold_free_scale
 from .vtk_io import write_vtk
 
 HISTORY_COLUMNS = ("iter", "total", "tracking", "perimeter", "volume_penalty",
@@ -32,6 +33,8 @@ class RunArtifacts:
     summary_path: str
     snapshot_paths: list
     composite_paths: list
+    # deformation scale of each composite: 1, or less where 1 folds triangles
+    composite_scales: list
     fields_path: str
     history: list
     status: str
@@ -125,10 +128,12 @@ def run(spec, out_dir=None):
              rho2=design.rho2, rho3=design.rho3, s=stim.s,
              u=np.stack(final_ev.state.u), lam=np.stack(final_ev.lambdas))
 
-    composites = []
+    composites, scales = [], []
     for j in range(stim.n_cases):
         path = os.path.join(out_dir, f"composite_case{j + 1}.ppm")
-        composite_export(mesh, design, stim.s[j], final_ev.state.u[j], scale=1.0,
+        u_j = final_ev.state.u[j]
+        scales.append(fold_free_scale(mesh, u_j))
+        composite_export(mesh, design, stim.s[j], u_j, scale=scales[-1],
                          path=path)
         composites.append(path)
 
@@ -154,6 +159,7 @@ def run(spec, out_dir=None):
     return RunArtifacts(
         out_dir=out_dir, history_path=history_path, config_path=config_path,
         summary_path=summary_path, snapshot_paths=snapshots,
-        composite_paths=composites, fields_path=fields_path, history=history,
+        composite_paths=composites, composite_scales=scales,
+        fields_path=fields_path, history=history,
         status=result.status, design=design, stimulus=stim, summary=summary,
     )

@@ -40,6 +40,7 @@ from .elasticity import (LINK_MATERIAL, element_strains,
 from .fields import check_nodal
 from .functional import (density_samples, multiwell_derivative, p1_gradient,
                          stimulus_squares, total)
+from .linsolve import SOLVER_TOL
 from .materials import interp, interp_derivative
 
 
@@ -181,29 +182,35 @@ def grad_stimulus(mesh, design, stimulus, lambdas, phases):
 class Evaluation:
     """The reduced objective at one point (design, stimulus).
 
-    K is assembled and the states are solved once, and the link problem
-    once when the link energy is on; the adjoints and the gradient are
-    computed the first time they are asked for.  ``at_stimulus`` evaluates
-    a new stimulus on the same design, reusing K and the link solution.
+    K is assembled and factored and the states are solved once, and the
+    link problem once when the link energy is on; the adjoints and the
+    gradient are computed the first time they are asked for.
+    ``at_stimulus`` evaluates a new stimulus on the same design, reusing K,
+    its factor and the link solution.  ``release`` drops the factor, the
+    largest thing an Evaluation holds; a later solve refactors K.
     """
 
     def __init__(self, mesh, design, stimulus, phases, params, targets,
-                 tol=1e-10, operator=None, link=None):
+                 tol=SOLVER_TOL, operator=None, factor=None, link=None):
         self.mesh, self.design, self.stimulus = mesh, design, stimulus
         self.phases, self.params, self.targets = phases, params, targets
         self.tol = tol
-        self.state = solve_state(mesh, design, phases, stimulus, tol=tol,
-                                 operator=operator)
+        # the link factor is gone before the state's is built
         if link is None and params.link_weight:
             link = solve_link(mesh, design, targets)
         self.link = link
+        self.state = solve_state(mesh, design, phases, stimulus, tol=tol,
+                                 operator=operator, factor=factor)
         self.breakdown = total(mesh, design, stimulus, self.state.u, targets,
                                params, link)
 
     def at_stimulus(self, stimulus):
         return Evaluation(self.mesh, self.design, stimulus, self.phases,
                           self.params, self.targets, self.tol,
-                          self.state.operator, self.link)
+                          self.state.operator, self.state.factor, self.link)
+
+    def release(self):
+        self.state.factor = None
 
     @cached_property
     def lambdas(self):

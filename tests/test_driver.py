@@ -1,4 +1,5 @@
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from morphopt.elasticity import solve_adjoint, solve_state
 from morphopt.errors import ConfigError, MorphoptError, NonFiniteValueError
 from morphopt.fields import DesignField
 from morphopt.mesh import build_rect_mesh
-from morphopt.render import composite_image, stimulus_color, write_ppm
+from morphopt.render import (composite_image, fold_free_scale,
+                             stimulus_color, write_ppm)
 from morphopt.vtk_io import write_vtk
 
 TINY_CFG = """[domain]
@@ -383,6 +385,18 @@ class TestRender:
             composite_image(self.mesh, DesignField.constant(self.n, 1, 0),
                             self.s, u, width=40)
 
+    def test_fold_free_scale(self):
+        u = self.u.copy()
+        u[:, 0] = -2.0 * self.mesh.nodes[:, 0]   # x (1 - 2 s): folds at 1/2
+        scale = fold_free_scale(self.mesh, u)
+        assert 0.5 * (1 - 1e-5) < scale < 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            composite_image(self.mesh, DesignField.constant(self.n, 1, 0),
+                            self.s, u, scale=scale, width=40)
+        assert fold_free_scale(self.mesh, 0.1 * u) == 1.0
+        assert fold_free_scale(self.mesh, self.u) == 1.0
+
     def test_ppm_format(self, tmp_path):
         img = composite_image(self.mesh, DesignField.constant(self.n, 1, 0),
                               self.s, self.u, width=30)
@@ -404,6 +418,8 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert "status," in captured
+        scale = float(captured.split("composite_scale_case1,")[1].split()[0])
+        assert 0.0 < scale <= 1.0
         assert (out / "history.csv").exists()
 
     def test_run_with_override(self, tiny_cfg, tmp_path, capsys):

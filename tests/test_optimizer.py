@@ -230,6 +230,31 @@ class TestSchemes:
             assert len(designs) >= len(history)
             assert len(set(designs)) == len(designs)
 
+    @pytest.mark.parametrize("scheme", [run_staggered, run_monolithic])
+    @pytest.mark.parametrize("link_weight", [0.0, 0.1])
+    def test_one_live_factor(self, scheme, link_weight, monkeypatch):
+        # a factor is built only once every earlier one is gone: the
+        # accepted point's after its solves, a rejected trial's before the
+        # next trial, the link operator's before the state's
+        import weakref
+        from morphopt import elasticity
+        inner = elasticity.BlockCholesky
+        built = []
+
+        def guarded(*args, **kwargs):
+            assert all(ref() is None for ref in built), "two live factors"
+            factor = inner(*args, **kwargs)
+            built.append(weakref.ref(factor))
+            return factor
+        monkeypatch.setattr(elasticity, "BlockCholesky", guarded)
+        params = RegularizationParams(2 / 15, 6e-4, 0.1, 0.3,
+                                      link_weight=link_weight)
+        _, _, history, result = scheme(self.mesh, PHASES, params, self.targets,
+                                       OptimizerConfig(max_outer_iters=6))
+        assert result.iterations == 6
+        assert len(built) >= len(history)
+        assert result.evaluation.state.factor is None
+
     def test_staggered_inner_update_degenerate_case(self):
         # without responsive material the inner minimizer returns s = 0
         from morphopt.stimulus_update import minimize_stimulus_field
