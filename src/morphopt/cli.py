@@ -16,7 +16,7 @@ from .fields import DesignField
 from .functional import RegularizationParams
 from .materials import Material, PhaseSet
 from .mesh import Mesh, build_rect_mesh
-from .render import composite_export
+from .render import composite_export, fold_free_scale
 
 
 @contextlib.contextmanager
@@ -104,8 +104,10 @@ def _cmd_render(args):
     u = data["u"]
     if not 0 <= j < s.shape[0]:
         raise MorphoptError(f"case {args.case} out of range (1..{s.shape[0]})")
-    composite_export(mesh, design, s[j], u[j], scale=args.scale,
-                     path=args.out, width=args.width)
+    # the scale rule of `morphopt run`, unless the user names one
+    scale = fold_free_scale(mesh, u[j]) if args.scale is None else args.scale
+    composite_export(mesh, design, s[j], u[j], scale=scale, path=args.out,
+                     width=args.width)
     print(f"written,{args.out}")
     return 0
 
@@ -166,7 +168,9 @@ def build_parser():
     p_rnd.add_argument("--artifacts", required=True,
                        help="final_fields.npz from a run")
     p_rnd.add_argument("--case", type=int, default=1)
-    p_rnd.add_argument("--scale", type=float, default=1.0)
+    p_rnd.add_argument("--scale", type=float, default=None,
+                       help="deformation scale (default: the largest scale "
+                            "up to 1 that folds no triangle, as in run)")
     p_rnd.add_argument("--width", type=int, default=480)
     p_rnd.add_argument("--out", required=True, help="output .ppm path")
     p_rnd.set_defaults(func=_cmd_render)

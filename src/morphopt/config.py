@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
+from .fields import INITIAL_RHO2, INITIAL_RHO3
 from .functional import RegularizationParams
 from .linsolve import SOLVER_TOL
 from .materials import Material, PhaseSet
@@ -223,8 +224,10 @@ def parse_config(path=None, text=None, overrides=()):
 
     init = sec("initial")
     initial = dict(
-        initial_rho2=init.get("rho2", _float, required=False, default=0.3),
-        initial_rho3=init.get("rho3", _float, required=False, default=0.3),
+        initial_rho2=init.get("rho2", _float, required=False,
+                              default=INITIAL_RHO2),
+        initial_rho3=init.get("rho3", _float, required=False,
+                              default=INITIAL_RHO3),
         initial_stimulus=init.get("stimulus", _float, required=False, default=0.0),
     )
     if not (0 <= initial["initial_rho2"] <= 1 and 0 <= initial["initial_rho3"] <= 1):

@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+# uniform start of both optimization schemes, and the [initial] default
+INITIAL_RHO2 = 0.3
+INITIAL_RHO3 = 0.3
+
 
 @dataclass
 class DesignField:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import functional, sensitivity
 from .errors import InvalidParameterError, NonFiniteValueError
-from .fields import DesignField, StimulusField, project_design, project_stimulus
+from .fields import (INITIAL_RHO2, INITIAL_RHO3, DesignField, StimulusField,
+                     project_design, project_stimulus)
 from .linsolve import SOLVER_TOL
 from .stimulus_update import minimize_stimulus_field
 
@@ -257,7 +258,7 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
     """Joint BNCG over the concatenated (rho2, rho3, s_1..s_n) variable."""
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
-    design0 = design0 or DesignField.constant(nn, 0.3, 0.3)
+    design0 = design0 or DesignField.constant(nn, INITIAL_RHO2, INITIAL_RHO3)
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
     def evaluate(z):
@@ -287,7 +288,7 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
     """
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
-    design0 = design0 or DesignField.constant(nn, 0.3, 0.3)
+    design0 = design0 or DesignField.constant(nn, INITIAL_RHO2, INITIAL_RHO3)
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
     def evaluate(z):

@@ -11,6 +11,27 @@ import numpy as np
 
 BACKGROUND = np.array([255.0, 255.0, 255.0])
 
+# (triangle, pixel) candidate pairs rasterized at once; bounds the
+# temporaries at a few MiB
+PAIR_BUDGET = 1 << 14
+
+# image rows formatted at once by write_ppm (about 1 MiB of temporaries at
+# the default width)
+PPM_BLOCK_ROWS = 32
+
+
+def _ppm_table(sep):
+    """Text of each byte value 0..255 and ``sep``, zero-padded to 4 bytes."""
+    table = np.zeros((256, 4), dtype=np.uint8)
+    for v in range(256):
+        text = f"{v}{sep}".encode()
+        table[v, :len(text)] = list(text)
+    return table
+
+
+_PPM_SPACE = _ppm_table(" ")
+_PPM_NEWLINE = _ppm_table("\n")
+
 
 def stimulus_color(s):
     """Diverging blue-white-red map on [-1, 1] for scalar or array s."""
@@ -60,15 +81,33 @@ def fold_free_scale(mesh, displacement, limit=1.0):
         scale *= 1.0 - 1e-6
 
 
+def _pair_blocks(count):
+    """Contiguous triangle ranges [a, b) with at most PAIR_BUDGET candidate
+    pairs each; a triangle with more pairs forms a range alone."""
+    ends = np.cumsum(count)
+    a = 0
+    while a < len(count):
+        b = max(a + 1, int(np.searchsorted(
+            ends, ends[a] - count[a] + PAIR_BUDGET, side="right")))
+        yield a, b
+        a = b
+
+
 def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
                     width=480):
-    """Rasterize the deformed mesh; returns a (height, width, 3) uint8 image."""
+    """Rasterize the deformed mesh; returns a (height, width, 3) uint8 image.
+
+    A pixel whose center lies in a triangle (all barycentric coordinates
+    >= -1e-9) takes the barycentric blend of the node colors divided by
+    the blended node weight (at least 1); where triangles overlap, the
+    highest-numbered one wins.
+    """
     pts = mesh.nodes + scale * np.asarray(displacement, dtype=float)
     tri = mesh.triangles
     p, d1, d2 = _edges(pts, tri)
-    signed = 0.5 * _cross(d1, d2)
-    if np.any(signed <= 0.0):
-        warnings.warn(f"{int(np.sum(signed <= 0.0))} deformed triangle(s) are "
+    det = _cross(d1, d2)
+    if np.any(det <= 0.0):
+        warnings.warn(f"{int(np.sum(det <= 0.0))} deformed triangle(s) are "
                       "degenerate or inverted; rendering anyway", RuntimeWarning)
 
     lo = pts.min(axis=0)
@@ -80,55 +119,81 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
     height = max(2, int(round(width * span[1] / span[0])))
     px = span[0] / width
 
-    img = np.tile(BACKGROUND, (height, width, 1))
-    r1 = np.asarray(design.rho1())
-    node_color = (np.clip(r1, 0.0, 1.0)[:, None] * BACKGROUND[None, :]
+    r1 = np.clip(np.asarray(design.rho1()), 0.0, 1.0)
+    node_color = (r1[:, None] * BACKGROUND[None, :]
                   + design.rho3[:, None] * stimulus_color(stimulus_j))
-    node_weight = np.clip(r1, 0.0, 1.0) + design.rho2 + design.rho3
+    node_weight = r1 + design.rho2 + design.rho3
 
-    for m in range(mesh.n_triangles):
-        tp = p[m]
-        i0 = max(0, int((tp[:, 0].min() - lo[0]) / px))
-        i1 = min(width - 1, int((tp[:, 0].max() - lo[0]) / px) + 1)
-        j0 = max(0, int((tp[:, 1].min() - lo[1]) / px))
-        j1 = min(height - 1, int((tp[:, 1].max() - lo[1]) / px) + 1)
-        if i1 < i0 or j1 < j0:
-            continue
-        xs = lo[0] + (np.arange(i0, i1 + 1) + 0.5) * px
-        ys = lo[1] + (np.arange(j0, j1 + 1) + 0.5) * px
-        gx, gy = np.meshgrid(xs, ys, indexing="xy")
-        # barycentric coordinates via the 2x2 edge matrix
-        det = d1[m, 0] * d2[m, 1] - d1[m, 1] * d2[m, 0]
-        if det == 0.0:
-            continue
-        rx = gx - tp[0, 0]
-        ry = gy - tp[0, 1]
-        l1 = (rx * d2[m, 1] - ry * d2[m, 0]) / det
-        l2 = (-rx * d1[m, 1] + ry * d1[m, 0]) / det
+    # each triangle's pixel bounding box, truncated and clipped to the image
+    lo_px = ((p.min(axis=1) - lo) / px).astype(np.int64)
+    hi_px = ((p.max(axis=1) - lo) / px).astype(np.int64) + 1
+    i0 = np.maximum(0, lo_px[:, 0])
+    j0 = np.maximum(0, lo_px[:, 1])
+    nx = np.maximum(np.minimum(width - 1, hi_px[:, 0]) - i0 + 1, 0)
+    ny = np.maximum(np.minimum(height - 1, hi_px[:, 1]) - j0 + 1, 0)
+    count = np.where(det == 0.0, 0, nx * ny)
+
+    img = np.full((height * width, 3), 255, dtype=np.uint8)
+    for a, b in _pair_blocks(count):
+        # the block's triangles by box width, so that each width's
+        # (triangle, pixel) candidate pairs form one run of box rows
+        tb = a + np.argsort(nx[a:b], kind="stable")
+        c = count[tb]
+        t = np.repeat(tb, c)
+        start = np.cumsum(c) - c
+        k = np.arange(t.size) - np.repeat(start, c)
+        w = nx[t]
+        ii = i0[t] + k % w
+        jj = j0[t] + k // w
+        rx = lo[0] + (ii + 0.5) * px - p[t, 0, 0]
+        ry = lo[1] + (jj + 0.5) * px - p[t, 0, 1]
+        l1 = (rx * d2[t, 1] - ry * d2[t, 0]) / det[t]
+        l2 = (-rx * d1[t, 1] + ry * d1[t, 0]) / det[t]
         l0 = 1.0 - l1 - l2
         inside = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9)
-        if not inside.any():
-            continue
         bary = np.stack([l0, l1, l2], axis=-1)
-        cols = bary @ node_color[tri[m]]          # (..., 3)
-        wts = bary @ node_weight[tri[m]]
-        wts = np.maximum(wts, 1.0)[..., None]
-        jj, ii = np.nonzero(inside)
+        # BLAS rounds a product by the shapes of its operands, so each box
+        # row is multiplied as one (width, 3) matrix: a pixel's color does
+        # not depend on the block its triangle falls in
+        cols = np.empty((t.size, 3))
+        wts = np.empty((t.size, 1))
+        bounds = np.unique(np.concatenate(
+            [[0, t.size], start[np.flatnonzero(np.diff(nx[tb])) + 1]]))
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            n = w[s]
+            rows = bary[s:e].reshape(-1, n, 3)
+            corners = tri[t[s:e:n]]
+            np.matmul(rows, node_color[corners],
+                      out=cols[s:e].reshape(-1, n, 3))
+            np.matmul(rows, node_weight[corners][:, :, None],
+                      out=wts[s:e].reshape(-1, n, 1))
+        keep = np.flatnonzero(inside)
+        if keep.size == 0:
+            continue
         # image row 0 is the top of the domain
-        img[height - 1 - (j0 + jj), i0 + ii] = cols[jj, ii] / wts[jj, ii]
-    np.round(img, out=img)
-    np.clip(img, 0, 255, out=img)
-    return img.astype(np.uint8)
+        pix = (height - 1 - jj[keep]) * width + ii[keep]
+        # the highest-numbered triangle wins a pixel it shares: sort by
+        # (pixel, triangle) and take the last entry of each pixel
+        order = np.argsort(pix * (b - a) + (t[keep] - a))
+        pix = pix[order]
+        last = np.append(pix[1:] != pix[:-1], True)
+        keep = keep[order[last]]
+        rgb = cols[keep] / np.maximum(wts[keep], 1.0)
+        img[pix[last]] = np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+    return img.reshape(height, width, 3)
 
 
 def write_ppm(path, image):
-    """Plain (ASCII, P3) portable pixel map."""
+    """Plain (ASCII, P3) portable pixel map: one "r g b" line per pixel."""
     h, w, _ = image.shape
-    with open(path, "w") as fh:
-        fh.write(f"P3\n{w} {h}\n255\n")
-        flat = image.reshape(-1, 3)
-        for row in flat:
-            fh.write(f"{row[0]} {row[1]} {row[2]}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P3\n{w} {h}\n255\n".encode())
+        for r in range(0, h, PPM_BLOCK_ROWS):
+            vals = image[r:r + PPM_BLOCK_ROWS].reshape(-1, 3)
+            text = np.empty((len(vals), 3, 4), dtype=np.uint8)
+            text[:, :2] = _PPM_SPACE[vals[:, :2]]
+            text[:, 2] = _PPM_NEWLINE[vals[:, 2]]
+            fh.write(text[text != 0].tobytes())
     return path
 
 

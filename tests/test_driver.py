@@ -1,19 +1,23 @@
 import os
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from morphopt import cli, optimizer, runner, sensitivity
+from morphopt import cli, optimizer, render, runner, sensitivity
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
                              shipped_config_names)
 from morphopt.elasticity import solve_adjoint, solve_state
 from morphopt.errors import ConfigError, MorphoptError, NonFiniteValueError
 from morphopt.fields import DesignField
-from morphopt.mesh import build_rect_mesh
-from morphopt.render import (composite_image, fold_free_scale,
-                             stimulus_color, write_ppm)
+from morphopt.mesh import build_hexagon_mesh, build_rect_mesh
+from morphopt.render import (BACKGROUND, PPM_BLOCK_ROWS, composite_image,
+                             fold_free_scale, stimulus_color, write_ppm)
 from morphopt.vtk_io import write_vtk
 
 TINY_CFG = """[domain]
@@ -410,6 +414,164 @@ class TestRender:
         assert len(lines) == 3 + w * h
 
 
+def reference_composite_image(mesh, design, stimulus_j, displacement,
+                              scale=1.0, width=480):
+    """The per-triangle rasterizer the vectorized one replaced: one numpy
+    pass over each triangle's pixel box, later triangles overwrite."""
+    pts = mesh.nodes + scale * np.asarray(displacement, dtype=float)
+    tri = mesh.triangles
+    p = pts[tri]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    pad = 0.02 * span.max()
+    lo, hi = lo - pad, hi + pad
+    span = hi - lo
+    height = max(2, int(round(width * span[1] / span[0])))
+    px = span[0] / width
+
+    img = np.tile(BACKGROUND, (height, width, 1))
+    r1 = np.asarray(design.rho1())
+    node_color = (np.clip(r1, 0.0, 1.0)[:, None] * BACKGROUND[None, :]
+                  + design.rho3[:, None] * stimulus_color(stimulus_j))
+    node_weight = np.clip(r1, 0.0, 1.0) + design.rho2 + design.rho3
+
+    for m in range(mesh.n_triangles):
+        tp = p[m]
+        i0 = max(0, int((tp[:, 0].min() - lo[0]) / px))
+        i1 = min(width - 1, int((tp[:, 0].max() - lo[0]) / px) + 1)
+        j0 = max(0, int((tp[:, 1].min() - lo[1]) / px))
+        j1 = min(height - 1, int((tp[:, 1].max() - lo[1]) / px) + 1)
+        if i1 < i0 or j1 < j0:
+            continue
+        xs = lo[0] + (np.arange(i0, i1 + 1) + 0.5) * px
+        ys = lo[1] + (np.arange(j0, j1 + 1) + 0.5) * px
+        gx, gy = np.meshgrid(xs, ys, indexing="xy")
+        det = d1[m, 0] * d2[m, 1] - d1[m, 1] * d2[m, 0]
+        if det == 0.0:
+            continue
+        rx = gx - tp[0, 0]
+        ry = gy - tp[0, 1]
+        l1 = (rx * d2[m, 1] - ry * d2[m, 0]) / det
+        l2 = (-rx * d1[m, 1] + ry * d1[m, 0]) / det
+        l0 = 1.0 - l1 - l2
+        inside = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9)
+        if not inside.any():
+            continue
+        bary = np.stack([l0, l1, l2], axis=-1)
+        cols = bary @ node_color[tri[m]]
+        wts = bary @ node_weight[tri[m]]
+        wts = np.maximum(wts, 1.0)[..., None]
+        jj, ii = np.nonzero(inside)
+        img[height - 1 - (j0 + jj), i0 + ii] = cols[jj, ii] / wts[jj, ii]
+    np.round(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    return img.astype(np.uint8)
+
+
+def reference_write_ppm(path, image):
+    """The P3 writer the blocked one replaced: one write per pixel."""
+    h, w, _ = image.shape
+    with open(path, "w") as fh:
+        fh.write(f"P3\n{w} {h}\n255\n")
+        for row in image.reshape(-1, 3):
+            fh.write(f"{row[0]} {row[1]} {row[2]}\n")
+
+
+def _right_box_clipped(pts, width):
+    """True if the pixel box of the rightmost vertex, computed as the
+    reference computes it, ends past the last column."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.02 * np.maximum(hi - lo, 1e-12).max()
+    px = (hi[0] - lo[0] + 2 * pad) / width
+    return int((hi[0] - lo[0] + pad) / px) + 1 > width - 1
+
+
+def render_case(kind, cells, seed, scale, fold, noise, collapse, width):
+    """A perturbed rect or hexagon mesh with random fields.
+
+    ``fold`` > 1 reflects the right half back over the left, so deformed
+    triangles overlap; ``collapse`` moves the three vertices of one triangle
+    onto x = 0, leaving it exactly zero-area; a width of 5 pixels clips the
+    box of the rightmost triangle at the image border.
+    """
+    if kind == "rect":
+        mesh = build_rect_mesh(1.0, 0.5, 1.0 / cells)
+    else:
+        mesh = build_hexagon_mesh(0.35, 0.35 / cells, 0.2)
+    rng = np.random.default_rng(seed)
+    n = mesh.n_nodes
+    design = DesignField(rng.random(n), rng.random(n))
+    stimulus = rng.uniform(-1.5, 1.5, n)
+    x = mesh.nodes[:, 0]
+    u = noise / cells * rng.standard_normal((n, 2))
+    u[:, 0] -= fold / scale * np.maximum(x - 0.5 * (x.min() + x.max()), 0.0)
+    collapsed = None
+    if collapse:
+        collapsed = int(rng.integers(mesh.n_triangles))
+        corners = mesh.triangles[collapsed]
+        u[corners, 0] = -x[corners] / scale
+    return mesh, design, stimulus, u, scale, width, fold, collapsed
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.builds(render_case, st.sampled_from(["rect", "hexagon"]),
+                 st.integers(2, 9), st.integers(0, 2 ** 16),
+                 st.sampled_from([0.5, 1.0, 2.0]),
+                 st.sampled_from([0.0, 0.5, 2.0, 3.0]),
+                 st.sampled_from([0.0, 0.02, 0.3]), st.booleans(),
+                 st.sampled_from([5, 9, 24, 61])),
+       st.sampled_from([render.PAIR_BUDGET, 64, 1]))
+@example(render_case("rect", 8, 0, 1.0, 2.0, 0.0, True, 5), 64)
+@example(render_case("hexagon", 6, 1, 2.0, 3.0, 0.02, False, 61), 1)
+def test_composite_image_equals_per_triangle_reference(case, budget):
+    # small pair budgets split these meshes into many blocks, so overlaps
+    # between blocks are resolved too
+    mesh, design, stimulus, u, scale, width, fold, collapsed = case
+    pts = mesh.nodes + scale * u
+    p = pts[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # a collapse may flatten a coarse mesh onto x = 0, so the fold and
+    # clip checks skip it
+    if collapsed is not None:
+        assert det[collapsed] == 0.0
+    else:
+        assert fold <= 1.0 or np.any(det < 0.0)   # overlapping halves
+        assert width > 5 or _right_box_clipped(pts, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = reference_composite_image(mesh, design, stimulus, u, scale,
+                                        width)
+        with mock.patch.object(render, "PAIR_BUDGET", budget):
+            img = composite_image(mesh, design, stimulus, u, scale, width)
+    assert img.dtype == np.uint8
+    assert np.array_equal(img, ref)
+
+
+PPM_VALUES = st.one_of(st.sampled_from([0, 9, 10, 99, 100, 255]),
+                       st.integers(0, 255))
+PPM_HEIGHTS = [1, PPM_BLOCK_ROWS, 2 * PPM_BLOCK_ROWS + 3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(PPM_HEIGHTS).flatmap(
+    lambda h: st.integers(1, 12).flatmap(
+        lambda w: arrays(np.uint8, (h, w, 3), elements=PPM_VALUES))))
+@example(np.array([0, 9, 10, 99, 100, 255], dtype=np.uint8).reshape(1, 2, 3))
+@example(np.tile(np.array([255, 100, 99, 10, 9, 0], dtype=np.uint8),
+                 PPM_BLOCK_ROWS).reshape(PPM_BLOCK_ROWS, 2, 3))
+@example(np.arange(3 * 7 * (2 * PPM_BLOCK_ROWS + 3), dtype=np.uint64)
+         .astype(np.uint8).reshape(2 * PPM_BLOCK_ROWS + 3, 7, 3))
+def test_write_ppm_equals_per_pixel_reference(tmp_path_factory, image):
+    out = tmp_path_factory.mktemp("ppm")
+    write_ppm(out / "new.ppm", image)
+    reference_write_ppm(out / "ref.ppm", image)
+    assert (out / "new.ppm").read_bytes() == (out / "ref.ppm").read_bytes()
+
+
 class TestCli:
     def test_run_subcommand_seed_free(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "cli_out"
@@ -466,6 +628,18 @@ class TestCli:
                          "--case", "1", "--out", str(img)])
         assert code == 0
         assert img.read_text().startswith("P3")
+
+    def test_render_reproduces_the_run_composite(self, tiny_cfg, tmp_path):
+        out = tmp_path / "cli_out4"
+        cli.main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+        img = tmp_path / "render.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # the fold-free scale folds none
+            code = cli.main(["render", "--artifacts",
+                             str(out / "final_fields.npz"), "--case", "1",
+                             "--out", str(img)])
+        assert code == 0
+        assert img.read_bytes() == (out / "composite_case1.ppm").read_bytes()
 
     def test_mesh_info_subcommand(self, capsys):
         code = cli.main(["mesh-info", "--config", "cantilever_desk_staggered"])
