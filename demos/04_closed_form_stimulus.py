@@ -27,7 +27,7 @@ stim = StimulusField(rng.uniform(-1, 1, (1, n)))
 targets = np.array([[0.0, 1.0]])
 
 state = solve_state(mesh, design, phases, stim)
-lams = solve_adjoint(mesh, design, phases, state, targets)
+lams = solve_adjoint(mesh, state, targets)
 
 closed = minimize_stimulus_field(mesh, design, lams, phases)
 grid = brute_force_stimulus(mesh, design, lams, phases, resolution=20000)

@@ -30,10 +30,10 @@ params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
 n = mesh.n_nodes
 design = DesignField.constant(n, 0.3, 0.3)
 state0 = solve_state(mesh, design, phases, StimulusField.zeros(3, n))
-lams0 = solve_adjoint(mesh, design, phases, state0, targets)
+lams0 = solve_adjoint(mesh, state0, targets)
 stim = minimize_stimulus_field(mesh, design, lams0, phases)
 state = solve_state(mesh, design, phases, stim)
-lams = solve_adjoint(mesh, design, phases, state, targets)
+lams = solve_adjoint(mesh, state, targets)
 g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
 
 scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))

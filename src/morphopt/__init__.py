@@ -15,8 +15,7 @@ from .functional import (ObjectiveBreakdown, RegularizationParams, multiwell,
                          perimeter_energy, stimulus_penalty, total, tracking,
                          volume_fractions, volume_penalty)
 from .materials import Material, PhaseSet, interp, interp_derivative, stress
-from .mesh import (Mesh, area_and_gradients, build_hexagon_mesh,
-                   build_rect_mesh)
+from .mesh import Mesh, build_hexagon_mesh, build_rect_mesh
 from .optimizer import (BncgResult, IterateRecord, OptimizerConfig,
                         bncg_minimize, run_monolithic, run_staggered)
 from .sensitivity import Evaluation, Gradient, grad_design, grad_stimulus
@@ -32,7 +31,7 @@ __all__ = [
     "Mesh", "MorphoptError", "NonFiniteValueError", "ObjectiveBreakdown",
     "OptimizerConfig", "PhaseSet", "RegularizationParams",
     "SolverFailureError", "StateSolution", "StimulusField",
-    "StimulusQuadratic", "area_and_gradients", "assemble_stiffness",
+    "StimulusQuadratic", "assemble_stiffness",
     "assemble_stimulus_load", "bncg_minimize", "brute_force_stimulus",
     "build_hexagon_mesh", "build_rect_mesh", "fd_gradient_check",
     "grad_design", "grad_stimulus", "interp", "interp_derivative",

@@ -13,9 +13,7 @@ from . import verify
 from .config import (load_shipped_config, parse_config, shipped_config_names)
 from .errors import MorphoptError
 from .fields import DesignField
-from .functional import RegularizationParams
-from .materials import Material, PhaseSet
-from .mesh import Mesh, build_rect_mesh
+from .mesh import Mesh
 from .render import composite_export, fold_free_scale
 
 
@@ -57,24 +55,16 @@ def _cmd_run(args):
     return 0
 
 
-def _default_check_problem(h):
-    mesh = build_rect_mesh(1.0, 1.0 / 3.0, h, "left",
-                           (1.0 - 1.0 / 15.0, 1.0 / 6.0 - 1.0 / 30.0,
-                            1.0, 1.0 / 6.0 + 1.0 / 30.0))
-    phases = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
-    params = RegularizationParams(epsilon=2.0 * h, alpha=6e-4, nu2=0.1, nu3=0.3)
-    targets = np.array([[0.0, 1.0]])
-    return mesh, phases, params, targets
-
-
 def _cmd_check_gradient(args):
     if args.config:
         spec = _load_spec(args)
-        mesh = spec.build_mesh()
-        phases, params, targets = spec.phases, spec.params, spec.target_array()
     else:
-        mesh, phases, params, targets = _default_check_problem(args.h)
-    result = verify.fd_gradient_check(mesh, phases, params, targets,
+        # the desk cantilever at cell size h, interface width 2h
+        h = args.h
+        spec = load_shipped_config("cantilever_desk_staggered", overrides=[
+            f"mesh.h={h!r}", f"regularization.epsilon={2 * h!r}"])
+    result = verify.fd_gradient_check(spec.build_mesh(), spec.phases,
+                                      spec.params, spec.target_array(),
                                       trials=args.trials, delta=args.delta,
                                       seed=args.seed)
     print("block,max_relative_error")

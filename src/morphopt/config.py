@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError
 from .fields import INITIAL_RHO2, INITIAL_RHO3
 from .functional import RegularizationParams
-from .linsolve import SOLVER_TOL
 from .materials import Material, PhaseSet
 from .mesh import build_hexagon_mesh, build_rect_mesh
 from .optimizer import OptimizerConfig
@@ -38,7 +37,6 @@ class ProblemSpec:
     initial_rho3: float
     initial_stimulus: float
     optimizer: OptimizerConfig
-    solver_tol: float
     output_dir: str
     export_every: int
     lx: float = None
@@ -246,8 +244,6 @@ def parse_config(path=None, text=None, overrides=()):
         if v is not None:
             opt_kwargs[f.name] = v
     optimizer = _validated("optimizer", OptimizerConfig, **opt_kwargs)
-    solver_tol = opt.get("solver_tol", _positive, required=False,
-                         default=SOLVER_TOL)
 
     out = sec("output")
     output_dir = out.get("directory", required=False, default="out")
@@ -262,7 +258,7 @@ def parse_config(path=None, text=None, overrides=()):
     return ProblemSpec(
         domain_type=domain_type, h=h, targets=targets, phases=phase_set,
         params=params, scheme=scheme, **kwargs, **initial,
-        optimizer=optimizer, solver_tol=solver_tol, output_dir=output_dir,
+        optimizer=optimizer, output_dir=output_dir,
         export_every=export_every,
     )
 
@@ -300,7 +296,7 @@ def echo_config(spec):
     cp["initial"] = {"rho2": repr(spec.initial_rho2),
                      "rho3": repr(spec.initial_rho3),
                      "stimulus": repr(spec.initial_stimulus)}
-    opt = {"scheme": spec.scheme, "solver_tol": repr(spec.solver_tol)}
+    opt = {"scheme": spec.scheme}
     for f in dc_fields(OptimizerConfig):
         v = getattr(spec.optimizer, f.name)
         opt[f.name] = repr(v) if isinstance(v, float) else str(v)

@@ -104,67 +104,53 @@ class _OperatorMap:
     def __init__(self, mesh, fixed_dofs):
         tri, nn, m = mesh.triangles, mesh.n_nodes, mesh.n_triangles
         n = 2 * nn
-        # node pairs (a, b) of every element, numbered in CSR order
-        pairs, pair_of = np.unique(
-            (tri[:, :, None] * nn + tri[:, None, :]).reshape(m, 9),
-            return_inverse=True)
-        pair_of = pair_of.reshape(m, 9)
-        row_node, col_node = np.divmod(pairs, nn)
-        node_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(row_node, minlength=nn))])
-
-        # dof entry (2I + x, 2J + y) of pair p = (I, J) without elimination
-        # sits at 4 start_I + 2 x deg_I + 2 (p - start_I) + y
-        start = node_ptr[row_node][:, None, None]
-        deg = np.diff(node_ptr)[row_node][:, None, None]
-        x = np.arange(2)[None, :, None]
-        y = np.arange(2)[None, None, :]
-        position = (2 * start + 2 * x * deg
-                    + 2 * np.arange(len(pairs))[:, None, None] + y).reshape(-1)
-        shape = (len(pairs), 2, 2)
-        rows = np.broadcast_to(2 * row_node[:, None, None] + x, shape).reshape(-1)
-        cols = np.broadcast_to(2 * col_node[:, None, None] + y, shape).reshape(-1)
         fixed = np.zeros(n, dtype=bool)
-        if fixed_dofs is not None:
-            fixed[fixed_dofs] = True
-        keep = ~(fixed[rows] | fixed[cols]) | (rows == cols)
-        kept = np.zeros(len(keep), dtype=bool)
-        kept[position] = keep
-        sorted_cols = np.empty_like(cols)
-        sorted_cols[position] = cols
-        slot = np.where(keep, np.cumsum(kept)[position] - 1, -1)
+        if fixed_dofs is None:
+            fixed_dofs = np.empty(0, dtype=np.int64)
+        fixed[fixed_dofs] = True
+        # element entry e = 6i + j = (2a + xa) * 6 + 2b + yb couples the
+        # dofs edof[i], edof[j]; its key row * n + col sorts in CSR order.
+        # Entries in a fixed row or column take the key n * n, which sorts
+        # last onto the spare slot nnz; the appended fixed-diagonal keys
+        # give fixed_slots
+        edof = _element_edofs(mesh)
+        keys = n * edof[:, :, None] + edof[:, None, :]
+        on_fixed = fixed[edof]
+        keys[on_fixed[:, :, None] | on_fixed[:, None, :]] = n * n
+        keys, slots = np.unique(
+            np.concatenate([keys.ravel(), fixed_dofs * (n + 1), [n * n]]),
+            return_inverse=True)
+        row, col = np.divmod(keys[:-1], n)
         self.shape = (n, n)
-        self.indices = sorted_cols[kept].astype(np.int32)
+        self.indices = col.astype(np.int32)
         self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(rows[keep], minlength=n))]).astype(np.int32)
-        on_fixed_diagonal = (rows == cols) & fixed[rows]
-        self.fixed_slots = slot[on_fixed_diagonal]
-        slot[on_fixed_diagonal] = -1
-        slot = slot.reshape(-1, 2, 2)
+            [[0], np.cumsum(np.bincount(row, minlength=n))]).astype(np.int32)
+        self.fixed_slots = slots[36 * m:-1].copy()
 
-        # unit-weight element entries (a, x, b, y) and their slots; entries
-        # in a fixed row or column go to the spare slot nnz, dropped later
+        # unit-weight element entries in the order e above
         G = mesh.grads
-        nnz = len(self.indices)
-        slot[slot < 0] = nnz
         emu = np.empty((m, 36))
         elam = np.empty((m, 36))
-        eslot = np.empty((m, 36), dtype=np.int32)
         for a in range(3):
             for b in range(3):
                 gg = G[:, a, 0] * G[:, b, 0] + G[:, a, 1] * G[:, b, 1]
                 for xa in range(2):
                     for yb in range(2):
-                        e = ((2 * a + xa) * 3 + b) * 2 + yb
+                        e = (2 * a + xa) * 6 + 2 * b + yb
                         emu[:, e] = (G[:, a, yb] * G[:, b, xa]
                                      + (gg if xa == yb else 0.0))
                         elam[:, e] = G[:, a, xa] * G[:, b, yb]
-                        eslot[:, e] = slot[pair_of[:, 3 * a + b], xa, yb]
+        eslot = slots[:36 * m].astype(np.int32)
         col_ptr = np.arange(0, 36 * m + 1, 36, dtype=np.int32)
         self.S_mu, self.S_lam = (
-            sp.csc_matrix((vals.ravel(), eslot.ravel(), col_ptr),
-                          shape=(nnz + 1, m)) for vals in (emu, elam))
+            sp.csc_matrix((vals.ravel(), eslot, col_ptr),
+                          shape=(len(keys), m)) for vals in (emu, elam))
 
+        # the node graph, the same for every set of fixed dofs
+        pairs = np.unique((tri[:, :, None] * nn + tri[:, None, :]).ravel())
+        row_node, col_node = np.divmod(pairs, nn)
+        node_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row_node, minlength=nn))])
         node_order, node_levels = level_structure(node_ptr, col_node)
         self.blocks = LevelBlocks(
             self.indptr, self.indices,
@@ -278,11 +264,11 @@ def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
     return state
 
 
-def solve_adjoint(mesh, design, phases, state, targets, tol=SOLVER_TOL):
+def solve_adjoint(mesh, state, targets, tol=SOLVER_TOL):
     """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j)."""
     lams = []
     for j, u_j in enumerate(state.u):
-        ubar = target_values(targets, j, mesh.n_nodes)
+        ubar = target_values(targets, j)
         rhs = target_mass_apply(mesh, ubar - u_j).ravel()
         rhs[state.fixed_dofs] = 0.0
         lam = solve_spd(state.operator, rhs, tol=tol,
@@ -318,7 +304,7 @@ def link_loads(mesh, targets):
     n = mesh.n_nodes
     loads = []
     for j in range(len(np.asarray(targets))):
-        ubar = np.broadcast_to(target_values(targets, j, n), (n, 2))
+        ubar = np.broadcast_to(target_values(targets, j), (n, 2))
         f = target_mass_apply(mesh, ubar).ravel()
         f[mesh.dirichlet_dofs()] = 0.0
         loads.append(f)

@@ -2,7 +2,7 @@
 
 Design and stimulus fields are nodal P1 coefficient arrays; displacements
 and adjoints are (n_nodes, 2) arrays.  Target displacements are one
-2-vector per load case (a per-node (n_nodes, 2) array is also accepted).
+2-vector per load case.
 """
 
 from dataclasses import dataclass
@@ -104,15 +104,9 @@ def nodal_average_from_elements(mesh, element_values):
     return num / den
 
 
-def target_values(targets, j, n_nodes):
-    """Target displacement of case ``j`` broadcast against nodal shape.
-
-    ``targets`` is an (n, 2) array of constants or an (n, n_nodes, 2)
-    nodal array; returns something subtractable from a (n_nodes, 2) field.
-    """
+def target_values(targets, j):
+    """Target displacement (2,) of case ``j`` from the (n, 2) ``targets``."""
     t = np.asarray(targets, dtype=float)
-    if t.ndim == 2 and t.shape[1] == 2:
-        return t[j]
-    if t.ndim == 3 and t.shape[1:] == (n_nodes, 2):
-        return t[j]
-    raise InvalidParameterError("targets must be (n, 2) or (n, n_nodes, 2)")
+    if t.ndim != 2 or t.shape[1] != 2:
+        raise InvalidParameterError("targets must be (n, 2)")
+    return t[j]

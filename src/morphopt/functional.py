@@ -97,7 +97,7 @@ def tracking(mesh, state_u, targets):
     value = 0.0
     for j, u_j in enumerate(state_u):
         u_j = check_nodal(mesh, u_j, "displacement")
-        w = u_j - target_values(targets, j, mesh.n_nodes)
+        w = u_j - target_values(targets, j)
         we = w[tri]
         dots = np.einsum("max,mbx->mab", we, we)
         diag = np.trace(dots, axis1=1, axis2=2)

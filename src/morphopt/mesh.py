@@ -126,14 +126,6 @@ class Mesh:
         return out
 
 
-def area_and_gradients(mesh, t):
-    """Area and the three P1 shape-function gradients of triangle ``t``."""
-    t = int(t)
-    if t < 0 or t >= mesh.n_triangles:
-        raise InvalidParameterError(f"triangle index {t} out of range")
-    return float(mesh.areas[t]), np.array(mesh.grads[t])
-
-
 def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
     """Structured mesh of the rectangle (0, lx) x (0, ly).
 

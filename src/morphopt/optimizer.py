@@ -21,7 +21,6 @@ from . import functional, sensitivity
 from .errors import InvalidParameterError, NonFiniteValueError
 from .fields import (INITIAL_RHO2, INITIAL_RHO3, DesignField, StimulusField,
                      project_design, project_stimulus)
-from .linsolve import SOLVER_TOL
 from .stimulus_update import minimize_stimulus_field
 
 
@@ -254,7 +253,7 @@ class _Evaluations:
 
 
 def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
-                   stimulus0=None, solver_tol=SOLVER_TOL, on_iterate=None):
+                   stimulus0=None, on_iterate=None):
     """Joint BNCG over the concatenated (rho2, rho3, s_1..s_n) variable."""
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
@@ -265,7 +264,7 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
         design = DesignField(z[:nn].copy(), z[nn:2 * nn].copy())
         stim = StimulusField(z[2 * nn:].reshape(n_cases, nn).copy())
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets, solver_tol)
+                                      targets)
 
     evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
         [grad.g_rho2, grad.g_rho3, grad.g_s.ravel()]), on_iterate)
@@ -278,7 +277,7 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
 
 
 def run_staggered(mesh, phases, params, targets, cfg, design0=None,
-                  stimulus0=None, solver_tol=SOLVER_TOL, on_iterate=None):
+                  stimulus0=None, on_iterate=None):
     """Outer BNCG over the densities with exact inner stimulus minimization.
 
     The stimulus is frozen during each line search.  At every accepted
@@ -295,7 +294,7 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
         stim = evals.accepted.stimulus if evals.accepted else stimulus0
         design = DesignField(z[:nn].copy(), z[nn:].copy())
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets, solver_tol)
+                                      targets)
 
     evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
         [grad.g_rho2, grad.g_rho3]), on_iterate)

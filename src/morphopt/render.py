@@ -53,8 +53,8 @@ def _cross(a, b):
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
-def fold_free_scale(mesh, displacement, limit=1.0):
-    """Largest scale <= ``limit`` at which every triangle deformed by
+def fold_free_scale(mesh, displacement):
+    """Largest scale <= 1 at which every triangle deformed by
     scale * displacement keeps a positive signed area.
 
     A triangle's doubled area is quadratic in the scale s,
@@ -72,7 +72,7 @@ def fold_free_scale(mesh, displacement, limit=1.0):
         roots = np.concatenate([(-b - disc) / (2.0 * c), (-b + disc) / (2.0 * c),
                                 np.where(c == 0.0, -a0 / b, np.nan)])
     roots = roots[np.isfinite(roots) & (roots > 0.0)]
-    scale = min(float(limit), float(roots.min()) if roots.size else np.inf)
+    scale = min(1.0, float(roots.min()) if roots.size else np.inf)
     # just below a root the rounded area may still read zero
     while True:
         _, d1, d2 = _edges(mesh.nodes + scale * u, mesh.triangles)

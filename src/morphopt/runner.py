@@ -98,8 +98,7 @@ def run(spec, out_dir=None):
     try:
         design, stim, history, result = runner(
             mesh, spec.phases, spec.params, targets, spec.optimizer,
-            design0=design0, stimulus0=stimulus0, solver_tol=spec.solver_tol,
-            on_iterate=on_iterate)
+            design0=design0, stimulus0=stimulus0, on_iterate=on_iterate)
     except MorphoptError as exc:
         # keep the artifacts gathered so far plus an error report
         write_history_csv(os.path.join(out_dir, "history.csv"), records)

@@ -214,8 +214,7 @@ class Evaluation:
 
     @cached_property
     def lambdas(self):
-        return solve_adjoint(self.mesh, self.design, self.phases, self.state,
-                             self.targets, tol=self.tol)
+        return solve_adjoint(self.mesh, self.state, self.targets, tol=self.tol)
 
     @cached_property
     def gradient(self):

@@ -101,7 +101,7 @@ def test_criterion_2_closed_form_stimulus():
                                         rng.uniform(0, 1, n)))
     stim = StimulusField(rng.uniform(-1, 1, (1, n)))
     state = solve_state(mesh, design, PHASES, stim)
-    lams = solve_adjoint(mesh, design, PHASES, state, TARGETS)
+    lams = solve_adjoint(mesh, state, TARGETS)
     closed = minimize_stimulus_field(mesh, design, lams, PHASES)
     grid = brute_force_stimulus(mesh, design, lams, PHASES, resolution=20000)
     gap = float(np.max(np.abs(closed.s - grid.s)))
@@ -287,10 +287,10 @@ def test_criterion_8_hexagon_equivariance():
     design = DesignField.constant(n, 0.3, 0.3)
     stim0 = StimulusField.zeros(3, n)
     state0 = solve_state(mesh, design, phases, stim0, tol=1e-12)
-    lams0 = solve_adjoint(mesh, design, phases, state0, targets, tol=1e-12)
+    lams0 = solve_adjoint(mesh, state0, targets, tol=1e-12)
     stim = minimize_stimulus_field(mesh, design, lams0, phases)
     state = solve_state(mesh, design, phases, stim, tol=1e-12)
-    lams = solve_adjoint(mesh, design, phases, state, targets, tol=1e-12)
+    lams = solve_adjoint(mesh, state, targets, tol=1e-12)
     g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
     scale = max(float(np.max(np.abs(g2))), float(np.max(np.abs(g3))))
     err = max(float(np.max(np.abs(g2[perm] - g2))),

@@ -109,7 +109,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="phases.responsive.poisson"):
             parse_config(text=bad)
 
-    # q_weight and armijo_c are removed settings, rejected as unknown keys
+    # q_weight, armijo_c and solver_tol are removed settings, rejected as
+    # unknown keys
     @pytest.mark.parametrize("override", [
         "regularization.alpha=nan", "regularization.epsilon=inf",
         "regularization.nu2=nan", "regularization.q_weight=-inf",
@@ -126,8 +127,8 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tiny_cfg.parent / "out").exists()
 
-    # the removed line-search settings stay listed: as unknown keys they
-    # must still exit 2 naming the key
+    # the removed line-search settings and solver_tol stay listed: as
+    # unknown keys they must still exit 2 naming the key
     @pytest.mark.parametrize("override", [
         "optimizer.max_outer_iters=-3", "optimizer.restart_period=0",
         "optimizer.max_ls_trials=0", "optimizer.obj_stall_window=0",
@@ -153,11 +154,13 @@ class TestConfigParsing:
         "optimizer.armijo_c=0.1", "optimizer.backtrack_factor=0.5",
         "optimizer.max_ls_trials=40", "optimizer.obj_stall_window=5",
         "optimizer.initial_step=1", "optimizer.step_growth=2",
-        "regularization.q_weight=1", "phases.passive.beta=0"])
+        "regularization.q_weight=1", "phases.passive.beta=0",
+        "optimizer.solver_tol=1e-12"])
     def test_removed_setting_is_an_unknown_key(self, tiny_cfg, override,
                                                capsys):
-        # line-search constants, the stimulus-penalty scale and the
-        # passive beta have one value on every path; no key sets them
+        # line-search constants, the stimulus-penalty scale, the passive
+        # beta and the solver tolerance have one value on every path; no
+        # key sets them
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
             parse_config(text=TINY_CFG, overrides=[override])
@@ -217,6 +220,16 @@ class TestConfigParsing:
     def test_bad_override_format(self):
         with pytest.raises(ConfigError, match="override"):
             parse_config(text=TINY_CFG, overrides=["nonsense"])
+
+    def test_readme_grammar_parses(self):
+        # the documented grammar lists no key the parser rejects
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        text = "\n".join(line.split(";", 1)[0].rstrip()
+                         for line in block.splitlines())
+        spec = parse_config(text=text)
+        assert spec.scheme == "staggered" and spec.export_every == 50
 
 
 class TestRunner:
@@ -279,10 +292,8 @@ class TestRunner:
         assert art.status == status
         assert np.any(art.stimulus.s != spec.initial_stimulus)
         mesh = spec.build_mesh()
-        state = solve_state(mesh, art.design, spec.phases, art.stimulus,
-                            tol=spec.solver_tol)
-        lams = solve_adjoint(mesh, art.design, spec.phases, state,
-                             spec.target_array(), tol=spec.solver_tol)
+        state = solve_state(mesh, art.design, spec.phases, art.stimulus)
+        lams = solve_adjoint(mesh, state, spec.target_array())
         data = np.load(art.fields_path)
         np.testing.assert_array_equal(data["s"], art.stimulus.s)
         np.testing.assert_array_equal(data["u"], np.stack(state.u))

@@ -272,7 +272,7 @@ class TestAdjoint:
         stim = StimulusField.zeros(1, self.n)
         state = solve_state(self.mesh, design, PHASES, stim)
         state.u[0] = np.tile(self.targets[0], (self.n, 1))  # u == ubar
-        lams = solve_adjoint(self.mesh, design, PHASES, state, self.targets)
+        lams = solve_adjoint(self.mesh, state, self.targets)
         assert np.max(np.abs(lams[0])) == 0.0
 
     def test_adjoint_load_supported_on_target(self):
@@ -305,8 +305,7 @@ class TestAdjoint:
         design = DesignField.constant(self.n, 0.4, 0.4)
         stim = StimulusField(np.full((1, self.n), 0.5))
         state = solve_state(self.mesh, design, PHASES, stim, tol=1e-12)
-        lams = solve_adjoint(self.mesh, design, PHASES, state, self.targets,
-                             tol=1e-12)
+        lams = solve_adjoint(self.mesh, state, self.targets, tol=1e-12)
         rhs = target_mass_apply(self.mesh, self.targets[0] - state.u[0]).ravel()
         rhs[state.fixed_dofs] = 0.0
         res = state.operator @ lams[0].ravel() - rhs

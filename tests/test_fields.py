@@ -99,11 +99,11 @@ class TestContainers:
 
     def test_target_values_shapes(self):
         t = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert target_values(t, 1, 10).shape == (2,)
-        tn = np.zeros((2, 10, 2))
-        assert target_values(tn, 0, 10).shape == (10, 2)
-        with pytest.raises(InvalidParameterError):
-            target_values(np.zeros((2, 3)), 0, 10)
+        assert target_values(t, 1).shape == (2,)
+        # one target per case only: a nodal (n, n_nodes, 2) array is rejected
+        for bad in (np.zeros((2, 10, 2)), np.zeros((2, 3))):
+            with pytest.raises(InvalidParameterError):
+                target_values(bad, 0)
 
     def test_constant_constructors(self):
         d = DesignField.constant(4, 0.3, 0.2)

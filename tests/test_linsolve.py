@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from morphopt import elasticity
 from morphopt.elasticity import (assemble_link_operator, assemble_stiffness,
-                                 factorize, solve_state)
+                                 factorize, point_constraint_dofs, solve_state)
 from morphopt.errors import (InvalidParameterError, MatrixNotSPDError,
                              SolverFailureError)
 from morphopt.fields import DesignField, StimulusField
 from morphopt.linsolve import (BlockCholesky, LevelBlocks, level_structure,
                                solve_spd)
 from morphopt.materials import Material, PhaseSet
-from morphopt.mesh import build_hexagon_mesh, build_rect_mesh
+from morphopt.mesh import Mesh, build_hexagon_mesh, build_rect_mesh
 
 PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 
@@ -31,6 +31,13 @@ def desk_mesh():
 
 def hexagon_mesh(orientation="odd", h=0.01):
     return build_hexagon_mesh(0.35, h, 0.035, orientation)
+
+
+def dilation_pins(mesh):
+    """The pin and the slider of the analytic dilation: single components."""
+    i00 = int(np.argmin(np.sum(np.abs(mesh.nodes), axis=1)))
+    i10 = int(np.argmin(np.sum(np.abs(mesh.nodes - [1.0, 0.0]), axis=1)))
+    return point_constraint_dofs([(i00, 0), (i00, 1), (i10, 1)])
 
 
 def random_design(n, seed):
@@ -178,7 +185,8 @@ def reference_operator(mesh, wmu, wlam, fixed_dofs):
     vals = ke.ravel()
     n = 2 * mesh.n_nodes
     fixed = np.zeros(n, dtype=bool)
-    fixed[fixed_dofs] = True
+    if fixed_dofs is not None:
+        fixed[fixed_dofs] = True
     keep = ~(fixed[rows] | fixed[cols])
     rows = np.concatenate([rows[keep], np.flatnonzero(fixed)])
     cols = np.concatenate([cols[keep], np.flatnonzero(fixed)])
@@ -203,8 +211,13 @@ class TestDirichletElimination:
         assert np.all(m[np.ix_(fixed, free)] == 0.0)
         assert np.all(m[np.ix_(free, fixed)] == 0.0)
 
-    @pytest.mark.parametrize("make_mesh", [desk_mesh, hexagon_mesh])
-    def test_operator_maps_match_reference_assembly(self, make_mesh,
+    @pytest.mark.parametrize("make_mesh, constrain", [
+        pytest.param(desk_mesh, Mesh.dirichlet_dofs, id="desk_mesh"),
+        pytest.param(hexagon_mesh, Mesh.dirichlet_dofs, id="hexagon_mesh"),
+        pytest.param(lambda: build_rect_mesh(1.0, 1.0, 0.1, "left", None),
+                     dilation_pins, id="dilation_pins"),
+        pytest.param(desk_mesh, lambda mesh: None, id="no_fixed_dofs")])
+    def test_operator_maps_match_reference_assembly(self, make_mesh, constrain,
                                                     monkeypatch):
         # stiffness and link operator both pass through _assemble_isotropic
         mesh = make_mesh()
@@ -218,10 +231,11 @@ class TestDirichletElimination:
             return K
         monkeypatch.setattr(elasticity, "_assemble_isotropic", recorded)
         design = random_design(mesh.n_nodes, 1)
-        assemble_stiffness(mesh, design, PHASES, mesh.dirichlet_dofs())
+        assemble_stiffness(mesh, design, PHASES, constrain(mesh))
         assemble_link_operator(mesh, design)
         assert len(calls) == 2
         for K, ref, fixed in calls:
+            fixed = np.asarray([] if fixed is None else fixed, dtype=np.int64)
             assert K.nnz == ref.nnz
             assert np.array_equal(K.indptr, ref.indptr)
             assert np.array_equal(K.indices, ref.indices)

@@ -3,9 +3,8 @@ import pytest
 
 from morphopt.elasticity import element_strains
 from morphopt.errors import InvalidParameterError
-from morphopt.mesh import (Mesh, area_and_gradients, build_hexagon_mesh,
-                           build_rect_mesh, hexagon_rotation_permutation,
-                           points_in_hexagon)
+from morphopt.mesh import (Mesh, build_hexagon_mesh, build_rect_mesh,
+                           hexagon_rotation_permutation, points_in_hexagon)
 
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
@@ -58,10 +57,9 @@ class TestRectMesh:
 class TestShapeGradients:
     def test_unit_right_triangle(self):
         mesh = single_triangle_mesh()
-        area, grads = area_and_gradients(mesh, 0)
-        assert area == pytest.approx(0.5, abs=1e-15)
+        assert mesh.areas[0] == pytest.approx(0.5, abs=1e-15)
         expected = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(grads, expected, atol=1e-14)
+        np.testing.assert_allclose(mesh.grads[0], expected, atol=1e-14)
 
     def test_partition_of_unity(self):
         mesh = build_hexagon_mesh(1.0, 0.2, 0.3)
@@ -82,11 +80,6 @@ class TestShapeGradients:
         strains = element_strains(mesh, u)
         sym = 0.5 * (A + A.T)
         assert np.max(np.abs(strains - sym)) <= 1e-13
-
-    def test_invalid_triangle_index(self):
-        mesh = single_triangle_mesh()
-        with pytest.raises(InvalidParameterError):
-            area_and_gradients(mesh, 5)
 
 
 class TestHexagonMesh:

@@ -114,8 +114,7 @@ class TestTermStructure:
                                  rng.uniform(0.2, 0.8, n))
             stim = StimulusField(rng.uniform(-0.5, 0.5, (1, n)))
             state = solve_state(mesh, design, PHASES, stim, tol=1e-12)
-            lams = solve_adjoint(mesh, design, PHASES, state, TARGETS,
-                                 tol=1e-12)
+            lams = solve_adjoint(mesh, state, TARGETS, tol=1e-12)
             e2, e3 = elasticity_design_grad(mesh, design, stim, state, lams,
                                             PHASES)
             phi2 = rng.uniform(-1, 1, n)
@@ -188,7 +187,7 @@ class TestReducedObjective:
         state = solve_state(mesh, design, PHASES, stim)
         assert ev.breakdown == total(mesh, design, stim, state.u, TARGETS,
                                      params)
-        lams = solve_adjoint(mesh, design, PHASES, state, TARGETS)
+        lams = solve_adjoint(mesh, state, TARGETS)
         np.testing.assert_array_equal(ev.lambdas[0], lams[0])
         g2, g3 = grad_design(mesh, design, stim, state, lams, PHASES, params)
         np.testing.assert_array_equal(ev.gradient.g_rho2, g2)

@@ -115,7 +115,7 @@ class TestFieldMinimization:
         params = RegularizationParams(0.2, 6e-4, 0.1, 0.3)
         s0 = StimulusField.zeros(1, self.n)
         state = solve_state(self.mesh, design, PHASES, s0)
-        lams = solve_adjoint(self.mesh, design, PHASES, state, self.targets)
+        lams = solve_adjoint(self.mesh, state, self.targets)
         s_star = minimize_stimulus_field(self.mesh, design, lams, PHASES)
         j_star = Evaluation(self.mesh, design, s_star, PHASES, params,
                             self.targets).breakdown.total

@@ -67,8 +67,7 @@ class TestBruteForceStimulus:
                                                  rng.uniform(0, 1, self.n)))
         stim = StimulusField(rng.uniform(-1, 1, (1, self.n)))
         state = solve_state(self.mesh, self.design, PHASES, stim)
-        self.lams = solve_adjoint(self.mesh, self.design, PHASES, state,
-                                  np.array([[0.0, 1.0]]))
+        self.lams = solve_adjoint(self.mesh, state, np.array([[0.0, 1.0]]))
 
     def test_agrees_with_closed_form(self):
         closed = minimize_stimulus_field(self.mesh, self.design, self.lams,
