@@ -3,14 +3,16 @@
     python3 scripts/probe_full_resolution.py [--src SRC] [--h 0.002]
 
 Builds the shipped ``cantilever_staggered`` mesh, takes the 0.3/0.3 initial
-design with a uniform stimulus of 1 (a nonzero load), and times the first
-stiffness assembly (which builds any per-mesh data), a second assembly and
-one ``solve_state``.  When the library has ``elasticity.factorize`` the
-factorization inside the solve is timed on its own.  Prints one JSON line
-with the times, the CG iterations, the relative residual and the peak
-resident memory.  ``--src`` selects the source tree, so two versions of the
-library can be probed with the same script; run with BLAS threads pinned
-to 1 for comparable numbers.
+design with a uniform stimulus of 1 (a nonzero load), and times the mesh
+build, the first stiffness assembly (which builds any per-mesh data), a
+second assembly and one ``solve_state``.  When the library has
+``elasticity.factorize`` the factorization inside the solve is timed on its
+own.  After the peak resident memory is read, the shipped
+``hexagon_contrast5`` mesh is built at the same h and timed.  Prints one
+JSON line with the times, the CG iterations, the relative residual and the
+peak resident memory.  ``--src`` selects the source tree, so two versions
+of the library can be probed with the same script; run with BLAS threads
+pinned to 1 for comparable numbers.
 """
 
 import argparse
@@ -32,11 +34,13 @@ def main():
 
     spec = config.load_shipped_config("cantilever_staggered",
                                       overrides=[f"mesh.h={args.h!r}"])
+    t = time.perf_counter()
     mesh = spec.build_mesh()
+    build_mesh_s = time.perf_counter() - t
     design = DesignField.constant(mesh.n_nodes, 0.3, 0.3)
     stim = StimulusField(np.ones((1, mesh.n_nodes)))
     fixed = mesh.dirichlet_dofs()
-    out = {"h": args.h, "dofs": 2 * mesh.n_nodes}
+    out = {"h": args.h, "dofs": 2 * mesh.n_nodes, "build_mesh_s": build_mesh_s}
 
     t0 = time.perf_counter()
     elasticity.assemble_stiffness(mesh, design, spec.phases, fixed)
@@ -75,6 +79,11 @@ def main():
                                        / np.linalg.norm(f)),
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                / 1024.0)
+    hexagon = config.load_shipped_config("hexagon_contrast5",
+                                         overrides=[f"mesh.h={args.h!r}"])
+    t = time.perf_counter()
+    hexagon.build_mesh()
+    out["hexagon_build_mesh_s"] = time.perf_counter() - t
     print(json.dumps(out))
 
 

@@ -59,10 +59,11 @@ def _cmd_check_gradient(args):
     if args.config:
         spec = _load_spec(args)
     else:
-        # the desk cantilever at cell size h, interface width 2h
+        # the desk cantilever at cell size h, interface width 2h, then --override
         h = args.h
         spec = load_shipped_config("cantilever_desk_staggered", overrides=[
-            f"mesh.h={h!r}", f"regularization.epsilon={2 * h!r}"])
+            f"mesh.h={h!r}", f"regularization.epsilon={2 * h!r}",
+            *(args.override or ())])
     result = verify.fd_gradient_check(spec.build_mesh(), spec.phases,
                                       spec.params, spec.target_array(),
                                       trials=args.trials, delta=args.delta,

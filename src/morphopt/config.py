@@ -1,16 +1,14 @@
 """Problem configuration: INI-style files, validation, echo, and the
 registry of shipped example problems.
 
-The grammar is documented in the README: sections [domain], [mesh],
-[target], [displacements], [phases], [phases.passive],
-[phases.responsive], [regularization] are required; [initial],
-[optimizer], [output] are optional.  Unknown sections or keys are errors.
+The grammar is documented in the README; ``SECTIONS`` lists its
+sections.  Unknown sections or keys are errors.
 """
 
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 
 import numpy as np
@@ -21,6 +19,13 @@ from .functional import RegularizationParams
 from .materials import Material, PhaseSet
 from .mesh import build_hexagon_mesh, build_rect_mesh
 from .optimizer import OptimizerConfig
+
+# (section, required) in the order of the grammar and of the echo
+SECTIONS = (("domain", True), ("mesh", True), ("target", True),
+            ("displacements", True), ("phases", True),
+            ("phases.passive", True), ("phases.responsive", True),
+            ("regularization", True), ("initial", False),
+            ("optimizer", False), ("output", False))
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,10 @@ class ProblemSpec:
     optimizer: OptimizerConfig
     output_dir: str
     export_every: int
+    # {section: {key: value}} of every value the parse resolved, defaults
+    # included, in the order of the grammar; what echo_config writes (a
+    # dataclasses.replace copy keeps the record of the spec it copies)
+    resolved: dict = field(compare=False, repr=False)
     lx: float = None
     ly: float = None
     dirichlet_side: str = "left"
@@ -63,28 +72,32 @@ class ProblemSpec:
 
 
 class _Section:
-    """Tracks key consumption so unknown keys fail fast with their path."""
+    """Tracks key consumption so unknown keys fail fast with their path, and
+    records every value it resolves, defaults included."""
 
     def __init__(self, name, items):
         self.name = name
         self.items = dict(items)
-        self.used = set()
+        self.resolved = {}
 
-    def get(self, key, cast=str, required=True, default=None):
-        if key not in self.items:
-            if required:
-                raise ConfigError(f"missing required key {self.name}.{key}")
-            return default
-        self.used.add(key)
-        raw = self.items[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"key {self.name}.{key}: cannot parse {raw!r} ({exc})") from exc
+    def get(self, key, cast=str, default=None):
+        """``cast`` of the value of ``key``; required unless a default is given."""
+        if key in self.items:
+            raw = self.items[key]
+            try:
+                value = cast(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"key {self.name}.{key}: cannot parse {raw!r} ({exc})") from exc
+        elif default is None:
+            raise ConfigError(f"missing required key {self.name}.{key}")
+        else:
+            value = default
+        self.resolved[key] = value
+        return value
 
     def leftovers(self):
-        return [f"{self.name}.{k}" for k in self.items if k not in self.used]
+        return [f"{self.name}.{k}" for k in self.items if k not in self.resolved]
 
 
 def _float(raw):
@@ -142,35 +155,27 @@ def parse_config(path=None, text=None, overrides=()):
         section, key = key_path.rsplit(".", 1)
         data.setdefault(section, {})[key] = value
 
-    known = {"domain", "mesh", "target", "displacements", "phases",
-             "phases.passive", "phases.responsive", "regularization",
-             "initial", "optimizer", "output"}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {name for name, _ in SECTIONS})
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
-    for req in ("domain", "mesh", "target", "displacements", "phases",
-                "phases.passive", "phases.responsive", "regularization"):
-        if req not in data:
-            raise ConfigError(f"missing required section [{req}]")
+    for name, required in SECTIONS:
+        if required and name not in data:
+            raise ConfigError(f"missing required section [{name}]")
+    secs = {name: _Section(name, data.get(name, {})) for name, _ in SECTIONS}
 
-    secs = {name: _Section(name, items) for name, items in data.items()}
-
-    def sec(name):
-        return secs.get(name) or _Section(name, {})
-
-    dom = sec("domain")
+    dom = secs["domain"]
     domain_type = dom.get("type")
     kwargs = {}
     if domain_type == "rect":
         kwargs["lx"] = dom.get("lx", _positive)
         kwargs["ly"] = dom.get("ly", _positive)
-        side = dom.get("dirichlet_side", required=False, default="left")
+        side = dom.get("dirichlet_side", default="left")
         if side not in ("left", "right", "bottom", "top"):
             raise ConfigError(f"domain.dirichlet_side: invalid value {side!r}")
         kwargs["dirichlet_side"] = side
     elif domain_type == "hexagon":
         kwargs["edge"] = dom.get("edge", _positive)
-        orient = dom.get("clamp_orientation", required=False, default="odd")
+        orient = dom.get("clamp_orientation", default="odd")
         if orient not in ("odd", "even"):
             raise ConfigError(
                 f"domain.clamp_orientation: must be odd or even, got {orient!r}")
@@ -178,9 +183,9 @@ def parse_config(path=None, text=None, overrides=()):
     else:
         raise ConfigError(f"domain.type: must be rect or hexagon, got {domain_type!r}")
 
-    h = sec("mesh").get("h", _positive)
+    h = secs["mesh"].get("h", _positive)
 
-    tgt = sec("target")
+    tgt = secs["target"]
     if domain_type == "rect":
         box = tuple(tgt.get(k, _float) for k in ("x0", "y0", "x1", "y1"))
         if not (0 <= box[0] <= box[2] <= kwargs["lx"]
@@ -193,25 +198,26 @@ def parse_config(path=None, text=None, overrides=()):
             raise ConfigError("target.edge must be smaller than domain.edge")
         kwargs["target_edge"] = te
 
-    disp = sec("displacements")
+    disp = secs["displacements"]
     count = disp.get("count", int)
     if count < 1:
         raise ConfigError("displacements.count must be >= 1")
     targets = tuple(disp.get(f"u{j + 1}", _vector2) for j in range(count))
 
-    def material(section_name, beta=0.0):
-        s = sec(section_name)
-        return _validated(section_name, Material, young=s.get("young", _float),
-                          poisson=s.get("poisson", _float), beta=beta)
+    def material(name, responsive=False):
+        s = secs[name]
+        young = s.get("young", _float)
+        poisson = s.get("poisson", _float)
+        beta = s.get("beta", _float, default=1.0) if responsive else 0.0
+        return _validated(name, Material, young=young, poisson=poisson,
+                          beta=beta)
 
-    beta = sec("phases.responsive").get("beta", _float, required=False,
-                                        default=1.0)
     phase_set = _validated(
         "phases", PhaseSet.build, passive=material("phases.passive"),
-        responsive=material("phases.responsive", beta),
-        eta=sec("phases").get("eta", _float, required=False, default=1e-4))
+        responsive=material("phases.responsive", responsive=True),
+        eta=secs["phases"].get("eta", _float, default=1e-4))
 
-    reg = sec("regularization")
+    reg = secs["regularization"]
     params = _validated(
         "regularization", RegularizationParams,
         epsilon=reg.get("epsilon", _positive),
@@ -220,34 +226,29 @@ def parse_config(path=None, text=None, overrides=()):
         nu3=reg.get("nu3", _float),
     )
 
-    init = sec("initial")
+    init = secs["initial"]
     initial = dict(
-        initial_rho2=init.get("rho2", _float, required=False,
-                              default=INITIAL_RHO2),
-        initial_rho3=init.get("rho3", _float, required=False,
-                              default=INITIAL_RHO3),
-        initial_stimulus=init.get("stimulus", _float, required=False, default=0.0),
+        initial_rho2=init.get("rho2", _float, default=INITIAL_RHO2),
+        initial_rho3=init.get("rho3", _float, default=INITIAL_RHO3),
+        initial_stimulus=init.get("stimulus", _float, default=0.0),
     )
     if not (0 <= initial["initial_rho2"] <= 1 and 0 <= initial["initial_rho3"] <= 1):
         raise ConfigError("initial.rho2/rho3 must lie in [0, 1]")
     if abs(initial["initial_stimulus"]) > 1:
         raise ConfigError("initial.stimulus must lie in [-1, 1]")
 
-    opt = sec("optimizer")
-    scheme = opt.get("scheme", required=False, default="staggered")
+    opt = secs["optimizer"]
+    scheme = opt.get("scheme", default="staggered")
     if scheme not in ("staggered", "monolithic"):
         raise ConfigError(f"optimizer.scheme: must be staggered or monolithic, "
                           f"got {scheme!r}")
-    opt_kwargs = {}
-    for f in dc_fields(OptimizerConfig):     # one key per field, as echoed
-        v = opt.get(f.name, int if f.type is int else _float, required=False)
-        if v is not None:
-            opt_kwargs[f.name] = v
-    optimizer = _validated("optimizer", OptimizerConfig, **opt_kwargs)
+    optimizer = _validated("optimizer", OptimizerConfig, **{   # one key per field
+        f.name: opt.get(f.name, int if f.type is int else _float, default=f.default)
+        for f in dc_fields(OptimizerConfig)})
 
-    out = sec("output")
-    output_dir = out.get("directory", required=False, default="out")
-    export_every = out.get("export_every", int, required=False, default=50)
+    out = secs["output"]
+    output_dir = out.get("directory", default="out")
+    export_every = out.get("export_every", int, default=50)
     if export_every < 1:
         raise ConfigError("output.export_every must be >= 1")
 
@@ -260,49 +261,18 @@ def parse_config(path=None, text=None, overrides=()):
         params=params, scheme=scheme, **kwargs, **initial,
         optimizer=optimizer, output_dir=output_dir,
         export_every=export_every,
+        resolved={name: s.resolved for name, s in secs.items()},
     )
 
 
 def echo_config(spec):
-    """Serialize a spec back to INI text; parse(echo(spec)) == spec."""
+    """Serialize a spec back to INI text, every value the parse resolved;
+    parse(echo(spec)) == spec."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    dom = {"type": spec.domain_type}
-    if spec.domain_type == "rect":
-        dom.update(lx=repr(spec.lx), ly=repr(spec.ly),
-                   dirichlet_side=spec.dirichlet_side)
-    else:
-        dom.update(edge=repr(spec.edge), clamp_orientation=spec.clamp_orientation)
-    cp["domain"] = dom
-    cp["mesh"] = {"h": repr(spec.h)}
-    if spec.domain_type == "rect":
-        x0, y0, x1, y1 = spec.target_box
-        cp["target"] = {"x0": repr(x0), "y0": repr(y0),
-                        "x1": repr(x1), "y1": repr(y1)}
-    else:
-        cp["target"] = {"edge": repr(spec.target_edge)}
-    disp = {"count": str(spec.n_cases)}
-    for j, (ux, uy) in enumerate(spec.targets):
-        disp[f"u{j + 1}"] = f"{ux!r} {uy!r}"
-    cp["displacements"] = disp
-    cp["phases"] = {"eta": repr(spec.phases.eta)}
-    for name, mat in (("passive", spec.phases.passive),
-                      ("responsive", spec.phases.responsive)):
-        cp[f"phases.{name}"] = {"young": repr(mat.young),
-                                "poisson": repr(mat.poisson)}
-    cp["phases.responsive"]["beta"] = repr(spec.phases.responsive.beta)
-    cp["regularization"] = {k: repr(getattr(spec.params, k))
-                            for k in ("epsilon", "alpha", "nu2", "nu3")}
-    cp["initial"] = {"rho2": repr(spec.initial_rho2),
-                     "rho3": repr(spec.initial_rho3),
-                     "stimulus": repr(spec.initial_stimulus)}
-    opt = {"scheme": spec.scheme}
-    for f in dc_fields(OptimizerConfig):
-        v = getattr(spec.optimizer, f.name)
-        opt[f.name] = repr(v) if isinstance(v, float) else str(v)
-    cp["optimizer"] = opt
-    cp["output"] = {"directory": spec.output_dir,
-                    "export_every": str(spec.export_every)}
+    for name, values in spec.resolved.items():
+        cp[name] = {k: " ".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+                    for k, v in values.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -23,15 +23,12 @@ _HEX_VERTS = np.array([
     [0.5, -_SQRT3_2],
 ])
 
-# Outward unit normals of the hexagon edges V_k -> V_{k+1}; edge k has its
-# normal at 30 + 60k degrees.
+# Outward unit normals of the hexagon edges V_k -> V_{k+1} for k = 0, 1, 2
+# (at 30 + 60k degrees); edge k + 3 has the opposite normal.
 _HEX_EDGE_NORMALS = np.array([
     [_SQRT3_2, 0.5],
     [0.0, 1.0],
     [-_SQRT3_2, 0.5],
-    [-_SQRT3_2, -0.5],
-    [0.0, -1.0],
-    [_SQRT3_2, -0.5],
 ])
 
 
@@ -46,8 +43,12 @@ class Mesh:
     dirichlet_nodes : sorted int array of clamped node indices
     target_elements : sorted int array of triangles covering the target region
     cell_size : characteristic edge length h
+    areas, grads : triangle areas and P1 shape-function gradients
+    area : total area
     cache : per-mesh derived data, filled on first use (elasticity keeps
         its operator maps there)
+
+    Every array is read-only.
     """
 
     nodes: np.ndarray
@@ -57,6 +58,9 @@ class Mesh:
     cell_size: float
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    area: float = field(init=False, repr=False)
+    _lumped_areas: np.ndarray = field(init=False, repr=False)
+    _dirichlet_dofs: np.ndarray = field(init=False, repr=False)
     # geometry-only data other modules derive once per mesh on first use
     cache: dict = field(init=False, repr=False, compare=False,
                         default_factory=dict)
@@ -86,8 +90,15 @@ class Mesh:
         self.grads = grads
         if not np.all(np.isin(self.dirichlet_nodes, self.boundary_nodes())):
             raise InvalidParameterError("dirichlet node off the mesh boundary")
+        self.area = float(np.sum(signed))
+        self._lumped_areas = np.zeros(self.n_nodes)
+        np.add.at(self._lumped_areas, self.triangles.ravel(),
+                  np.repeat(signed / 3.0, 3))
+        n = self.dirichlet_nodes
+        self._dirichlet_dofs = np.sort(np.concatenate([2 * n, 2 * n + 1]))
         for arr in (self.nodes, self.triangles, self.dirichlet_nodes,
-                    self.target_elements, self.areas, self.grads):
+                    self.target_elements, self.areas, self.grads,
+                    self._lumped_areas, self._dirichlet_dofs):
             arr.setflags(write=False)
 
     @property
@@ -98,32 +109,36 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    @property
-    def area(self):
-        return float(np.sum(self.areas))
-
     def centroids(self):
         return self.nodes[self.triangles].mean(axis=1)
 
     def boundary_nodes(self):
         """Nodes lying on edges that belong to exactly one triangle."""
         t = self.triangles
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        return np.unique(uniq[counts == 1])
+        a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+        n = self.n_nodes
+        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                 return_counts=True)
+        edges = keys[counts == 1]
+        return np.unique(np.concatenate([edges // n, edges % n]))
 
     def dirichlet_dofs(self):
         """Both displacement components of every clamped node."""
-        n = self.dirichlet_nodes
-        return np.sort(np.concatenate([2 * n, 2 * n + 1]))
+        return self._dirichlet_dofs
 
     def lumped_node_areas(self):
         """Row sums of the P1 mass matrix: sum of A/3 over incident triangles."""
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.triangles.ravel(),
-                  np.repeat(self.areas / 3.0, 3))
-        return out
+        return self._lumped_areas
+
+
+def _split_cells(n00, n10, n01, n11):
+    """Two counterclockwise triangles per grid cell, split along its
+    n00-n11 diagonal; cells in the C order of the corner arrays."""
+    n00, n10, n01, n11 = (c.ravel() for c in (n00, n10, n01, n11))
+    triangles = np.empty((2 * len(n00), 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([n00, n10, n11])
+    triangles[1::2] = np.column_stack([n00, n11, n01])
+    return triangles
 
 
 def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
@@ -143,20 +158,10 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
     xg, yg = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([xg.ravel(), yg.ravel()])  # node id = j*(nx+1) + i
-
-    i = np.arange(nx)
-    j = np.arange(ny)
-    ii, jj = np.meshgrid(i, j, indexing="xy")
-    n00 = (jj * (nx + 1) + ii).ravel()
-    n10 = n00 + 1
-    n01 = n00 + (nx + 1)
-    n11 = n01 + 1
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    nodes = np.column_stack([xg.ravel(), yg.ravel()])
+    ids = np.arange(len(nodes)).reshape(ny + 1, nx + 1)    # [j, i]
+    triangles = _split_cells(ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1],
+                             ids[1:, 1:])
 
     sides = {
         "left": nodes[:, 0] == 0.0,
@@ -185,7 +190,7 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
 def points_in_hexagon(points, edge):
     """Mask of points inside the centered regular hexagon with given edge."""
     apothem = edge * _SQRT3_2
-    proj = points @ _HEX_EDGE_NORMALS[:3].T
+    proj = points @ _HEX_EDGE_NORMALS.T
     return np.all(np.abs(proj) <= apothem, axis=1)
 
 
@@ -211,53 +216,29 @@ def build_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
     if m < 1:
         raise InvalidParameterError(f"cell size h={h} does not resolve the hexagon")
 
-    verts = edge * _HEX_VERTS
-    key_scale = 1e-9 * edge
-    node_ids = {}
-    coords = []
-
-    def node_id(p):
-        key = (round(p[0] / key_scale), round(p[1] / key_scale))
-        idx = node_ids.get(key)
-        if idx is None:
-            idx = len(coords)
-            node_ids[key] = idx
-            coords.append((p[0], p[1]))
-        return idx
-
-    tris = []
+    # Point (ix, iy) of rhombus r is frac[ix] V_2r + frac[iy] V_2r+2.  Row
+    # iy = 0 of rhombus r is column ix = 0 of rhombus r - 1, and column
+    # ix = 0 of rhombus 2 is row iy = 0 of rhombus 0; the other points are
+    # numbered in (r, iy, ix) order.
+    a = edge * _HEX_VERTS[0::2, None, None]                 # V0, V2, V4
+    b = np.roll(a, -1, axis=0)                              # V2, V4, V0
     frac = np.arange(m + 1) / m
-    for r in range(3):
-        a = verts[2 * r]
-        b = verts[(2 * r + 2) % 6]
-        grid = np.empty((m + 1, m + 1), dtype=np.int64)
-        for iy in range(m + 1):
-            for ix in range(m + 1):
-                grid[ix, iy] = node_id(frac[ix] * a + frac[iy] * b)
-        for ix in range(m):
-            for iy in range(m):
-                p00 = grid[ix, iy]
-                p10 = grid[ix + 1, iy]
-                p01 = grid[ix, iy + 1]
-                p11 = grid[ix + 1, iy + 1]
-                tris.append((p00, p10, p11))
-                tris.append((p00, p11, p01))
-
-    nodes = np.array(coords)
-    triangles = np.array(tris, dtype=np.int64)
-
-    clamped_edges = (1, 3, 5) if clamp_orientation == "odd" else (0, 2, 4)
-    tol = 1e-9 * edge
-    on_clamped = np.zeros(len(nodes), dtype=bool)
-    for k in clamped_edges:
-        va = verts[k]
-        vb = verts[(k + 1) % 6]
-        d = vb - va
-        rel = nodes - va
-        cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
-        t = (rel @ d) / (d @ d)
-        on_clamped |= (np.abs(cross) <= tol * edge) & (t >= -1e-12) & (t <= 1 + 1e-12)
-    dirichlet = np.nonzero(on_clamped)[0]
+    xy = frac[:, None] * a + frac[:, None, None] * b        # [r, iy, ix]
+    new = np.ones((3, m + 1, m + 1), dtype=bool)
+    new[1:, 0] = False
+    new[2, :, 0] = False
+    nodes = xy[new]
+    grid = np.empty(new.shape, dtype=np.int64)
+    grid[new] = np.arange(len(nodes))
+    grid[1, 0] = grid[0, :, 0]
+    grid[2, 0] = grid[1, :, 0]
+    grid[2, :, 0] = grid[0, 0]
+    cells = grid.transpose(0, 2, 1)                         # [r, ix, iy]
+    triangles = _split_cells(cells[:, :-1, :-1], cells[:, 1:, :-1],
+                             cells[:, :-1, 1:], cells[:, 1:, 1:])
+    # row iy = m covers edges 1, 3, 5 (outward normals at 90/210/330
+    # degrees), column ix = m edges 0, 2, 4
+    dirichlet = grid[:, m] if clamp_orientation == "odd" else grid[:, :, m]
 
     c = nodes[triangles].mean(axis=1)
     target = np.nonzero(points_in_hexagon(c, target_edge))[0]

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 BACKGROUND = np.array([255.0, 255.0, 255.0])
 
 # (triangle, pixel) candidate pairs rasterized at once; bounds the
@@ -53,6 +55,13 @@ def _cross(a, b):
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
+def _finite_displacement(displacement):
+    u = np.asarray(displacement, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise InvalidParameterError("displacement must be finite")
+    return u
+
+
 def fold_free_scale(mesh, displacement):
     """Largest scale <= 1 at which every triangle deformed by
     scale * displacement keeps a positive signed area.
@@ -61,7 +70,7 @@ def fold_free_scale(mesh, displacement):
     A0 + B s + C s^2 with A0 > 0; the scale stops short of the smallest
     positive root over all triangles.
     """
-    u = np.asarray(displacement, dtype=float)
+    u = _finite_displacement(displacement)
     _, d1, d2 = _edges(mesh.nodes, mesh.triangles)
     _, e1, e2 = _edges(u, mesh.triangles)
     a0 = _cross(d1, d2)
@@ -102,7 +111,11 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
     the blended node weight (at least 1); where triangles overlap, the
     highest-numbered one wins.
     """
-    pts = mesh.nodes + scale * np.asarray(displacement, dtype=float)
+    if not np.isfinite(scale):
+        raise InvalidParameterError(f"scale must be finite, got {scale!r}")
+    if width < 1:
+        raise InvalidParameterError(f"width must be >= 1, got {width!r}")
+    pts = mesh.nodes + scale * _finite_displacement(displacement)
     tri = mesh.triangles
     p, d1, d2 = _edges(pts, tri)
     det = _cross(d1, d2)

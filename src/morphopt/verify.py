@@ -16,6 +16,9 @@ from .errors import InvalidParameterError
 from .fields import DesignField, StimulusField
 from .optimizer import OptimizerConfig, bncg_minimize
 
+# outer iteration cap of the 1D profile minimization
+PROFILE_MAX_ITERS = 6000
+
 
 @dataclass
 class FdCheckResult:
@@ -189,7 +192,7 @@ def _profile_energy_and_grad(z, n_nodes, dx, eps, potential):
 
 
 def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
-                     potential="triple", max_iters=6000):
+                     potential="triple"):
     """Minimize the 1D interface functional between two pure phases.
 
     Returns (energy, profile_arrays): the converged functional value and
@@ -227,7 +230,7 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
         return _profile_energy_and_grad(z, n_nodes, dx, eps, potential)
 
     cfg = OptimizerConfig(grad_rtol=0.0, grad_atol=1e-9, obj_rtol=1e-13,
-                          max_outer_iters=max_iters, restart_period=200)
+                          max_outer_iters=PROFILE_MAX_ITERS, restart_period=200)
     result = bncg_minimize(lambda z: fg(z)[0], fg, z0, lower, upper, cfg)
     if potential == "triple":
         profile = (result.x[:n_nodes], result.x[n_nodes:])
@@ -237,7 +240,7 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
 
 
 def profile_coefficient(epsilons, n_intervals=4000, span_factor=40.0,
-                        potential="triple", max_iters=6000):
+                        potential="triple"):
     """Converged 1D interface energies for a decreasing list of epsilons.
 
     The limit approximates twice the geodesic distance between the two
@@ -250,6 +253,6 @@ def profile_coefficient(epsilons, n_intervals=4000, span_factor=40.0,
             raise InvalidParameterError("epsilon values must be positive")
         energy, _ = minimize_profile(eps, n_intervals=n_intervals,
                                      span_factor=span_factor,
-                                     potential=potential, max_iters=max_iters)
+                                     potential=potential)
         out.append((float(eps), float(energy)))
     return out

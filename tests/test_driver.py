@@ -1,6 +1,10 @@
+import configparser
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from morphopt import cli, optimizer, render, runner, sensitivity
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
-                             shipped_config_names)
+                             shipped_config_names, shipped_config_text)
 from morphopt.elasticity import solve_adjoint, solve_state
 from morphopt.errors import ConfigError, MorphoptError, NonFiniteValueError
 from morphopt.fields import DesignField
@@ -19,6 +23,8 @@ from morphopt.mesh import build_hexagon_mesh, build_rect_mesh
 from morphopt.render import (BACKGROUND, PPM_BLOCK_ROWS, composite_image,
                              fold_free_scale, stimulus_color, write_ppm)
 from morphopt.vtk_io import write_vtk
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_CFG = """[domain]
 type = rect
@@ -65,6 +71,13 @@ max_outer_iters = 6
 directory = out
 export_every = 2
 """
+
+
+def _ini(text):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    return cp
 
 
 @pytest.fixture
@@ -209,6 +222,20 @@ class TestConfigParsing:
     def test_every_shipped_config_round_trips(self, name):
         spec = load_shipped_config(name)
         assert parse_config(text=echo_config(spec)) == spec
+
+    @pytest.mark.parametrize("name", sorted(shipped_config_names()))
+    def test_echo_holds_every_shipped_key(self, name):
+        # each key of the file is echoed, and its echoed text parses to the
+        # value the file gives it
+        text = shipped_config_text(name)
+        spec = parse_config(text=text)
+        shipped, echoed = _ini(text), _ini(echo_config(spec))
+        for section in shipped.sections():
+            for key in shipped[section]:
+                assert key in echoed[section], f"{section}.{key}"
+                value = echoed[section][key]
+                assert parse_config(text=text, overrides=[
+                    f"{section}.{key}={value}"]) == spec, f"{section}.{key}"
 
     def test_overrides(self):
         spec = parse_config(text=TINY_CFG,
@@ -621,6 +648,21 @@ class TestCli:
         assert name in captured.err and "Traceback" not in captured.err
         assert "design," not in captured.out
 
+    @pytest.mark.parametrize("overrides,name", [
+        pytest.param(["mesh.h=junk", "nosuch.key=1"], "nosuch",
+                     id="unknown-section"),
+        pytest.param(["optimizer.nosuch=1"], "optimizer.nosuch",
+                     id="unknown-key"),
+        pytest.param(["mesh.h=junk"], "mesh.h", id="bad-value")])
+    def test_check_gradient_applies_overrides(self, capsys, overrides, name):
+        argv = ["check-gradient", "--h", "0.1", "--trials", "1"]
+        for ov in overrides:
+            argv += ["--override", ov]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert "design," not in captured.out
+
     def test_profile_oracle_subcommand(self, capsys):
         code = cli.main(["profile-oracle", "--epsilons", "0.05",
                          "--intervals", "400"])
@@ -651,6 +693,39 @@ class TestCli:
                              "--out", str(img)])
         assert code == 0
         assert img.read_bytes() == (out / "composite_case1.ppm").read_bytes()
+
+    @pytest.mark.parametrize("u_value,args,name", [
+        pytest.param(np.nan, [], "displacement", id="nan-displacement"),
+        pytest.param(np.inf, [], "displacement", id="inf-displacement"),
+        pytest.param(np.nan, ["--scale", "0.5"], "displacement",
+                     id="nan-displacement-given-scale"),
+        pytest.param(0.1, ["--scale", "nan"], "scale", id="nan-scale"),
+        pytest.param(0.1, ["--width", "-3"], "width", id="negative-width"),
+        pytest.param(0.1, ["--width", "0"], "width", id="zero-width")])
+    def test_render_rejects_bad_input(self, tmp_path, u_value, args, name):
+        # in a child process with a timeout: a rejection that turns into a
+        # hang fails here instead of stalling the suite
+        mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
+        n = mesh.n_nodes
+        u = np.zeros((1, n, 2))
+        u[0, -1, 1] = u_value
+        fields = tmp_path / "final_fields.npz"
+        np.savez(fields, nodes=mesh.nodes, triangles=mesh.triangles,
+                 dirichlet_nodes=mesh.dirichlet_nodes,
+                 target_elements=mesh.target_elements,
+                 cell_size=mesh.cell_size, rho2=np.full(n, 0.5),
+                 rho3=np.full(n, 0.5), s=np.zeros((1, n)), u=u)
+        img = tmp_path / "render.ppm"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphopt.cli", "render", "--artifacts",
+             str(fields), "--out", str(img), *args],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert name in lines[0]
+        assert not img.exists()
 
     def test_mesh_info_subcommand(self, capsys):
         code = cli.main(["mesh-info", "--config", "cantilever_desk_staggered"])

@@ -3,13 +3,136 @@ import pytest
 
 from morphopt.elasticity import element_strains
 from morphopt.errors import InvalidParameterError
-from morphopt.mesh import (Mesh, build_hexagon_mesh, build_rect_mesh,
-                           hexagon_rotation_permutation, points_in_hexagon)
+from morphopt.mesh import (_HEX_VERTS, Mesh, build_hexagon_mesh,
+                           build_rect_mesh, hexagon_rotation_permutation,
+                           points_in_hexagon)
 
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
     return Mesh(np.array([p0, p1, p2]), np.array([[0, 1, 2]]),
                 np.array([], dtype=int), np.array([], dtype=int), 1.0)
+
+
+def reference_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
+    """The hexagon mesh with its nodes numbered through a dict of rounded
+    coordinates, one call per grid point, and the clamped nodes found by a
+    geometric edge test: the oracle of build_hexagon_mesh."""
+    if edge <= 0 or h <= 0:
+        raise InvalidParameterError("edge and h must be positive")
+    if not 0 < target_edge < edge:
+        raise InvalidParameterError("target_edge must lie in (0, edge)")
+    if clamp_orientation not in ("odd", "even"):
+        raise InvalidParameterError(
+            f"clamp_orientation must be 'odd' or 'even', got {clamp_orientation!r}")
+    m = int(round(edge / h))
+    if m < 1:
+        raise InvalidParameterError(f"cell size h={h} does not resolve the hexagon")
+
+    verts = edge * _HEX_VERTS
+    key_scale = 1e-9 * edge
+    node_ids = {}
+    coords = []
+
+    def node_id(p):
+        key = (round(p[0] / key_scale), round(p[1] / key_scale))
+        idx = node_ids.get(key)
+        if idx is None:
+            idx = len(coords)
+            node_ids[key] = idx
+            coords.append((p[0], p[1]))
+        return idx
+
+    tris = []
+    frac = np.arange(m + 1) / m
+    for r in range(3):
+        a = verts[2 * r]
+        b = verts[(2 * r + 2) % 6]
+        grid = np.empty((m + 1, m + 1), dtype=np.int64)
+        for iy in range(m + 1):
+            for ix in range(m + 1):
+                grid[ix, iy] = node_id(frac[ix] * a + frac[iy] * b)
+        for ix in range(m):
+            for iy in range(m):
+                p00 = grid[ix, iy]
+                p10 = grid[ix + 1, iy]
+                p01 = grid[ix, iy + 1]
+                p11 = grid[ix + 1, iy + 1]
+                tris.append((p00, p10, p11))
+                tris.append((p00, p11, p01))
+
+    nodes = np.array(coords)
+    triangles = np.array(tris, dtype=np.int64)
+
+    clamped_edges = (1, 3, 5) if clamp_orientation == "odd" else (0, 2, 4)
+    tol = 1e-9 * edge
+    on_clamped = np.zeros(len(nodes), dtype=bool)
+    for k in clamped_edges:
+        va = verts[k]
+        vb = verts[(k + 1) % 6]
+        d = vb - va
+        rel = nodes - va
+        cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+        t = (rel @ d) / (d @ d)
+        on_clamped |= (np.abs(cross) <= tol * edge) & (t >= -1e-12) & (t <= 1 + 1e-12)
+    dirichlet = np.nonzero(on_clamped)[0]
+
+    c = nodes[triangles].mean(axis=1)
+    target = np.nonzero(points_in_hexagon(c, target_edge))[0]
+    if len(target) == 0:
+        raise InvalidParameterError(
+            f"cell size h={h} leaves the target hexagon (edge {target_edge}) unresolved")
+
+    return Mesh(nodes, triangles, dirichlet, target, cell_size=edge / m)
+
+
+def reference_boundary_nodes(mesh):
+    """Boundary nodes from the sorted 2-D edge rows: the oracle of
+    Mesh.boundary_nodes."""
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    edges = np.sort(edges, axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    return np.unique(uniq[counts == 1])
+
+
+def assert_same_arrays(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+HEXAGON_CASES = [
+    pytest.param((0.35, 0.35 / m, te, orient), id=f"m{m}-{orient}-{te}")
+    for m in range(1, 41) for orient in ("odd", "even") for te in (0.035, 0.1)
+] + [
+    pytest.param(args, id=f"invalid-{k}") for k, args in enumerate([
+        (0.0, 0.1, 0.05, "odd"), (0.35, -0.1, 0.05, "odd"),
+        (0.35, 0.1, 0.35, "odd"), (0.35, 0.1, 0.05, "north"),
+        (0.35, 1.0, 0.05, "even")])]
+
+
+@pytest.mark.parametrize("args", HEXAGON_CASES)
+def test_hexagon_mesh_equals_reference(args):
+    try:
+        ref = reference_hexagon_mesh(*args)
+    except InvalidParameterError as exc:
+        with pytest.raises(type(exc)) as info:
+            build_hexagon_mesh(*args)
+        assert str(info.value) == str(exc)
+        return
+    mesh = build_hexagon_mesh(*args)
+    for name in ("nodes", "triangles", "dirichlet_nodes", "target_elements",
+                 "areas", "grads"):
+        assert_same_arrays(getattr(mesh, name), getattr(ref, name))
+    assert mesh.cell_size == ref.cell_size
+    assert_same_arrays(mesh.boundary_nodes(), reference_boundary_nodes(ref))
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 1 / 3, 1 / 60, "left", (14 / 15, 2 / 15, 1.0, 0.2)),
+    (0.7, 0.4, 0.05, "top", None), (1.0, 0.5, 0.125, "right", None)])
+def test_rect_boundary_equals_reference(args):
+    mesh = build_rect_mesh(*args)
+    assert_same_arrays(mesh.boundary_nodes(), reference_boundary_nodes(mesh))
 
 
 class TestRectMesh:
@@ -164,6 +287,24 @@ class TestMeshValidation:
             mesh.nodes[0, 0] = 5.0
         with pytest.raises(ValueError):
             mesh.areas[0] = 2.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_rect_mesh(1.0, 1.0, 0.25, "left", (0.5, 0.5, 1.0, 1.0)),
+        lambda: build_hexagon_mesh(1.0, 0.25, 0.3, "even")],
+        ids=["rect", "hexagon"])
+    def test_stored_geometry_is_read_only(self, build):
+        mesh = build()
+        arrays = [mesh.nodes, mesh.triangles, mesh.dirichlet_nodes,
+                  mesh.target_elements, mesh.areas, mesh.grads,
+                  mesh.lumped_node_areas(), mesh.dirichlet_dofs()]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+        # stored once, not rebuilt per call
+        assert mesh.lumped_node_areas() is mesh.lumped_node_areas()
+        assert mesh.dirichlet_dofs() is mesh.dirichlet_dofs()
+        assert mesh.area == float(np.sum(mesh.areas))
 
     def test_dirichlet_dofs_are_both_components(self):
         mesh = build_rect_mesh(1.0, 1.0, 0.5, "left", None)
