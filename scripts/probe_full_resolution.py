@@ -7,7 +7,10 @@ design with a uniform stimulus of 1 (a nonzero load), and times the mesh
 build, the first stiffness assembly (which builds any per-mesh data), a
 second assembly and one ``solve_state``.  When the library has
 ``elasticity.factorize`` the factorization inside the solve is timed on its
-own.  After the peak resident memory is read, the shipped
+own.  After the peak resident memory is read, the gradient of one
+``sensitivity.Evaluation`` on the same design, operator and factor is
+timed (adjoint solve and both gradient kernels; ``gradient_error`` holds
+the message when the adjoint solve raises SolverFailureError), and the shipped
 ``hexagon_contrast5`` mesh is built at the same h and timed.  Prints one
 JSON line with the times, the CG iterations, the relative residual and the
 peak resident memory.  ``--src`` selects the source tree, so two versions
@@ -29,7 +32,8 @@ def main():
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from morphopt import config, elasticity
+    from morphopt import config, elasticity, sensitivity
+    from morphopt.errors import SolverFailureError
     from morphopt.fields import DesignField, StimulusField
 
     spec = config.load_shipped_config("cantilever_staggered",
@@ -79,6 +83,16 @@ def main():
                                        / np.linalg.norm(f)),
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                / 1024.0)
+    evaluation = sensitivity.Evaluation(
+        mesh, design, stim, spec.phases, spec.params, spec.target_array(),
+        operator=K, factor=state.factor)
+    t = time.perf_counter()
+    try:
+        evaluation.gradient
+        out["gradient_error"] = None
+    except SolverFailureError as exc:
+        out["gradient_error"] = str(exc)
+    out["gradient_s"] = time.perf_counter() - t
     hexagon = config.load_shipped_config("hexagon_contrast5",
                                          overrides=[f"mesh.h={args.h!r}"])
     t = time.perf_counter()

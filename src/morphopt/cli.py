@@ -85,8 +85,31 @@ def _cmd_profile_oracle(args):
     return 0
 
 
+# the final_fields.npz arrays render reads
+RENDER_KEYS = ("nodes", "triangles", "dirichlet_nodes", "target_elements",
+               "cell_size", "rho2", "rho3", "s", "u")
+
+
+def _load_artifacts(path):
+    """The arrays of a run's final_fields.npz that render reads."""
+    try:
+        archive = np.load(path)
+    except (OSError, ValueError) as exc:
+        raise MorphoptError(f"cannot read artifacts {path}: {exc}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise MorphoptError(f"artifacts {path} are not an .npz archive")
+    with archive:
+        found = {key: archive[key] for key in RENDER_KEYS
+                 if key in archive.files}
+    missing = [key for key in RENDER_KEYS if key not in found]
+    if missing:
+        raise MorphoptError(
+            f"artifacts {path} lack the key(s) {', '.join(missing)}")
+    return found
+
+
 def _cmd_render(args):
-    data = np.load(args.artifacts)
+    data = _load_artifacts(args.artifacts)
     mesh = Mesh(data["nodes"], data["triangles"], data["dirichlet_nodes"],
                 data["target_elements"], float(data["cell_size"]))
     design = DesignField(data["rho2"], data["rho3"])

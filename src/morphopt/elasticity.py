@@ -54,17 +54,9 @@ def phase_densities(design):
 def element_strains(mesh, u):
     """Constant strain tensor of every triangle for a nodal (n, 2) field."""
     u = check_nodal(mesh, u, "displacement")
-    ue = u[mesh.triangles]                                   # (M, 3, 2)
-    grad = np.einsum("mai,maj->mij", ue, mesh.grads)         # (M, 2, 2)
-    return 0.5 * (grad + np.transpose(grad, (0, 2, 1)))
-
-
-def _element_edofs(mesh):
-    t = mesh.triangles
-    edof = np.empty((mesh.n_triangles, 6), dtype=np.int64)
-    edof[:, 0::2] = 2 * t
-    edof[:, 1::2] = 2 * t + 1
-    return edof
+    # [m, j, i] = d u_i / d x_j
+    grad = (mesh.gradient_operator() @ u).reshape(-1, 2, 2)
+    return 0.5 * (np.transpose(grad, (0, 2, 1)) + grad)
 
 
 def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
@@ -113,7 +105,7 @@ class _OperatorMap:
         # Entries in a fixed row or column take the key n * n, which sorts
         # last onto the spare slot nnz; the appended fixed-diagonal keys
         # give fixed_slots
-        edof = _element_edofs(mesh)
+        edof = (2 * tri[:, :, None] + [0, 1]).reshape(m, 6)
         keys = n * edof[:, :, None] + edof[:, None, :]
         on_fixed = fixed[edof]
         keys[on_fixed[:, :, None] | on_fixed[:, None, :]] = n * n
@@ -198,11 +190,10 @@ def assemble_stimulus_load(mesh, design, phases, s_j):
     resp = phases.responsive
     coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
             * mesh.areas)
-    f = np.zeros(2 * mesh.n_nodes)
-    edof = _element_edofs(mesh)
-    np.add.at(f, edof.ravel(),
-              (coef[:, None, None] * mesh.grads).reshape(-1, 6).ravel())
-    return f
+    # column x of the (2M, 2) element values is coef on rows 2m + x, so
+    # D^T scatters coef * d phi_a / dx_x to dof 2a + x
+    w = (coef[:, None, None] * np.eye(2)).reshape(-1, 2)
+    return (mesh.gradient_operator().T @ w).ravel()
 
 
 def target_mass_apply(mesh, w):
@@ -250,31 +241,30 @@ def _resolve_fixed_dofs(mesh, fixed_dofs):
 def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
                 tol=SOLVER_TOL, operator=None, factor=None):
     """Solve the n state problems sharing one stiffness ``operator`` and its
-    ``factor``, built here unless given (for this design and ``fixed_dofs``)."""
+    ``factor``, built here unless given (for this design and ``fixed_dofs``),
+    in one blocked solve."""
     fixed_dofs = _resolve_fixed_dofs(mesh, fixed_dofs)
     K = operator
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
     state = StateSolution([], K, fixed_dofs, factor)
-    for j in range(stimulus.n_cases):
-        f = assemble_stimulus_load(mesh, design, phases, stimulus.s[j])
-        f[fixed_dofs] = 0.0
-        x = solve_spd(K, f, tol=tol, factor=state.solver(mesh))
-        state.u.append(x.reshape(-1, 2))
+    F = np.column_stack([assemble_stimulus_load(mesh, design, phases, s_j)
+                         for s_j in stimulus.s])
+    F[fixed_dofs] = 0.0
+    X = solve_spd(K, F, tol=tol, factor=state.solver(mesh))
+    state.u = [x.reshape(-1, 2) for x in X.T]
     return state
 
 
 def solve_adjoint(mesh, state, targets, tol=SOLVER_TOL):
-    """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j)."""
-    lams = []
-    for j, u_j in enumerate(state.u):
-        ubar = target_values(targets, j)
-        rhs = target_mass_apply(mesh, ubar - u_j).ravel()
-        rhs[state.fixed_dofs] = 0.0
-        lam = solve_spd(state.operator, rhs, tol=tol,
-                        factor=state.solver(mesh))
-        lams.append(lam.reshape(-1, 2))
-    return lams
+    """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j),
+    all cases in one blocked solve."""
+    rhs = np.column_stack([
+        target_mass_apply(mesh, target_values(targets, j) - u_j).ravel()
+        for j, u_j in enumerate(state.u)])
+    rhs[state.fixed_dofs] = 0.0
+    lams = solve_spd(state.operator, rhs, tol=tol, factor=state.solver(mesh))
+    return [lam.reshape(-1, 2) for lam in lams.T]
 
 
 def link_stiffness(m):
@@ -316,4 +306,5 @@ def solve_link(mesh, design, targets):
     K = assemble_link_operator(mesh, design)
     factor = factorize(mesh, K, mesh.dirichlet_dofs())
     loads = link_loads(mesh, targets)
-    return [solve_spd(K, f, factor=factor) for f in loads], loads
+    V = solve_spd(K, np.column_stack(loads), factor=factor)
+    return list(V.T), loads

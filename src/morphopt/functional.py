@@ -137,7 +137,7 @@ def stimulus_squares(mesh, stimulus):
 
 def p1_gradient(mesh, nodal):
     """Gradient of a nodal P1 field on every triangle, (n_tri, 2)."""
-    return np.einsum("ma,mad->md", nodal[mesh.triangles], mesh.grads)
+    return (mesh.gradient_operator() @ nodal).reshape(-1, 2)
 
 
 def perimeter_terms(mesh, design):

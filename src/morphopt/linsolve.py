@@ -7,7 +7,8 @@ edge of the graph joins two vertices of the same or of adjacent levels,
 so the permuted matrix is block tridiagonal and its Cholesky factor has
 the same block profile.  It is factored level by level with dense LAPACK
 Cholesky; only the inverse diagonal factors L_i^{-1} are kept, and the
-sparse coupling blocks are applied on the fly.
+sparse coupling blocks are applied on the fly.  A sweep solves for k
+right-hand sides at once, so its per-level work is paid once for all k.
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order) and so indefiniteness is detected
@@ -28,9 +29,10 @@ SOLVER_TOL = 1e-10
 MAX_ITERATIONS = 50
 
 
-def _dot(a, b):
-    # pairwise numpy reduction: deterministic, not delegated to threaded BLAS
-    return float(np.sum(a * b))
+def _dots(a, b):
+    # column inner products of (n, k) arrays by numpy reduction:
+    # deterministic, not delegated to threaded BLAS
+    return np.sum(a * b, axis=0)
 
 
 def _neighbours(indptr, indices, frontier):
@@ -148,6 +150,18 @@ class LevelBlocks:
         low, rows, cols = (v.astype(np.int32) for v in (low, rows[low], cols[low]))
         self.coupling = [(low[a:b], rows[a:b], cols[a:b])
                          for a, b in zip(lptr[:-1], lptr[1:])]
+        self._lanes = {1: [(rows, cols) for _, rows, cols in self.coupling]}
+
+    def lanes(self, k):
+        """Per coupling block, the bincount targets of its rows and of its
+        columns for k right-hand sides stored row-major (local row i, lane
+        l -> i k + l); built once per k."""
+        if k not in self._lanes:
+            lane = np.arange(k, dtype=np.int32)
+            self._lanes[k] = [((rows[:, None] * k + lane).ravel(),
+                               (cols[:, None] * k + lane).ravel())
+                              for _, rows, cols in self.coupling]
+        return self._lanes[k]
 
     @classmethod
     def of_matrix(cls, A):
@@ -170,6 +184,7 @@ class BlockCholesky:
         if A.shape != (blocks.n, blocks.n) or A.nnz != blocks.nnz:
             raise InvalidParameterError("level blocks built for another pattern")
         data = A.data
+        self.blocks = blocks
         self.order, self.level_ptr = blocks.order, blocks.level_ptr
         sizes = np.diff(self.level_ptr)
         self.linv = []
@@ -194,26 +209,32 @@ class BlockCholesky:
             self.linv.append(_lower_inverse(L))
 
     def solve(self, b):
-        """A^{-1} b up to rounding."""
-        bp = b[self.order]
+        """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""
+        k = 1 if b.ndim == 1 else b.shape[1]
+        lanes = self.blocks.lanes(k)
+        bp = b[self.order].reshape(-1, k)
         u = np.empty_like(bp)
         ptr = self.level_ptr
         for i, linv in enumerate(self.linv):
             r = bp[ptr[i]:ptr[i + 1]]
             if i:
-                rows, cols, vals = self.coupling[i - 1]
-                r = r - np.bincount(rows, vals * u[ptr[i - 1]:ptr[i]][cols],
-                                    minlength=len(r))
+                _, cols, vals = self.coupling[i - 1]
+                r = r - np.bincount(
+                    lanes[i - 1][0],
+                    (vals[:, None] * u[ptr[i - 1]:ptr[i]][cols]).ravel(),
+                    minlength=r.size).reshape(r.shape)
             u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
         for i in range(len(self.linv) - 2, -1, -1):
             linv = self.linv[i]
-            rows, cols, vals = self.coupling[i]
-            v = np.bincount(cols, vals * u[ptr[i + 1]:ptr[i + 2]][rows],
-                            minlength=len(linv))
+            rows, _, vals = self.coupling[i]
+            v = np.bincount(
+                lanes[i][1],
+                (vals[:, None] * u[ptr[i + 1]:ptr[i + 2]][rows]).ravel(),
+                minlength=len(linv) * k).reshape(-1, k)
             u[ptr[i]:ptr[i + 1]] -= linv.T @ (linv @ v)
         x = np.empty_like(u)
         x[self.order] = u
-        return x
+        return x.reshape(b.shape)
 
 
 def solve_spd(A, b, tol=SOLVER_TOL, maxit=MAX_ITERATIONS, callback=None,
@@ -221,11 +242,16 @@ def solve_spd(A, b, tol=SOLVER_TOL, maxit=MAX_ITERATIONS, callback=None,
     """Conjugate gradients for an SPD sparse matrix, preconditioned by its
     block Cholesky ``factor`` (built here when omitted).
 
-    Guarantees ||A x - b|| <= tol * ||b|| on return, checked on the true
-    residual.  Raises MatrixNotSPDError when the factorization breaks down
-    or on nonpositive curvature, SolverFailureError when maxit iterations
-    do not reach the tolerance.  ``callback(it, rnorm)`` sees every
-    iteration's recursive residual norm.
+    ``b`` is one right-hand side (n,) or k of them (n, k); x has b's
+    shape.  The columns iterate together, one factor sweep per iteration
+    for all columns still above the tolerance, and each column leaves the
+    loop once its own residual is certified.  Guarantees
+    ||A x_j - b_j|| <= tol * ||b_j|| for every column j on return, checked
+    on the true residual.  Raises MatrixNotSPDError when the
+    factorization breaks down or on nonpositive curvature,
+    SolverFailureError (with the largest column residual) when maxit
+    iterations do not reach the tolerance.  ``callback(it, rnorm)`` sees
+    every iteration's largest recursive residual norm.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -233,40 +259,61 @@ def solve_spd(A, b, tol=SOLVER_TOL, maxit=MAX_ITERATIONS, callback=None,
     n, m = A.shape
     if n != m:
         raise InvalidParameterError("operator must be square")
-    x = np.zeros(n)
-    bnorm = np.sqrt(_dot(b, b))
+    if b.ndim not in (1, 2) or len(b) != n:
+        raise InvalidParameterError(
+            f"right-hand side of shape {b.shape} for an operator of size {n}")
+    B = b.reshape(n, -1)
+    x = np.zeros(B.shape)
+    bnorm = np.sqrt(_dots(B, B))
     target = tol * bnorm
-    if bnorm <= target:
-        return x
+    live = np.flatnonzero(bnorm > target)           # columns still iterating
+    if live.size == 0:
+        return x.reshape(b.shape)
     if factor is None:
         factor = BlockCholesky(A)
-    r = b.copy()
-    rnorm = bnorm
+    r = B[:, live]
+    xl = np.zeros_like(r)
+    rnorm, tl = bnorm[live], target[live]
     p = None
     for it in range(maxit):
         z = factor.solve(r)
-        rz_new = _dot(r, z)
-        p = z if p is None else z + (rz_new / rz) * p
+        rz_new = _dots(r, z)
+        if p is None:
+            p = z
+        else:
+            p = z + (rz_new / rz) * p
+            p[:, restart] = z[:, restart]
         rz = rz_new
         q = A @ p
-        curvature = _dot(p, q)
-        if curvature <= 0.0:
+        curvature = _dots(p, q)
+        if np.any(curvature <= 0.0):
             raise MatrixNotSPDError(
-                f"nonpositive curvature p'Ap = {curvature!r} at iteration {it}")
+                f"nonpositive curvature p'Ap = {float(curvature.min())!r} "
+                f"at iteration {it}")
         alpha = rz / curvature
-        x += alpha * p
+        xl += alpha * p
         r -= alpha * q
-        rnorm = np.sqrt(_dot(r, r))
+        rnorm = np.sqrt(_dots(r, r))
         if callback is not None:
-            callback(it, rnorm)
-        if rnorm <= target:
-            # the recursion drifts from b - A x: certify the true residual,
-            # restart from it if it misses
-            r = b - A @ x
-            rnorm = np.sqrt(_dot(r, r))
-            if rnorm <= target:
-                return x
-            p = None
+            callback(it, float(rnorm.max()))
+        # the recursion drifts from b - A x: certify the true residual of
+        # the columns below target, restart those that miss from it
+        restart = rnorm <= tl
+        if restart.any():
+            c = np.flatnonzero(restart)
+            r[:, c] = B[:, live[c]] - A @ xl[:, c]
+            rnorm[c] = np.sqrt(_dots(r[:, c], r[:, c]))
+            done = np.zeros_like(restart)
+            done[c[rnorm[c] <= tl[c]]] = True
+            x[:, live[done]] = xl[:, done]
+            if done.all():
+                return x.reshape(b.shape)
+            keep = ~done
+            live, tl, rnorm, rz, restart = (
+                v[keep] for v in (live, tl, rnorm, rz, restart))
+            r, xl, p = (v[:, keep] for v in (r, xl, p))
+    worst = np.argmax(rnorm)
     raise SolverFailureError(
-        f"CG did not converge in {maxit} iterations (residual {rnorm:.3e}, "
-        f"target {target:.3e})", residual=rnorm, iterations=maxit)
+        f"CG did not converge in {maxit} iterations (residual "
+        f"{rnorm[worst]:.3e}, target {tl[worst]:.3e})",
+        residual=float(rnorm[worst]), iterations=maxit)

@@ -8,6 +8,7 @@ target region (membership decided by centroid).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidParameterError
 
@@ -45,8 +46,8 @@ class Mesh:
     cell_size : characteristic edge length h
     areas, grads : triangle areas and P1 shape-function gradients
     area : total area
-    cache : per-mesh derived data, filled on first use (elasticity keeps
-        its operator maps there)
+    cache : per-mesh derived data, filled on first use (the gradient
+        operator; elasticity keeps its operator maps there)
 
     Every array is read-only.
     """
@@ -129,6 +130,24 @@ class Mesh:
     def lumped_node_areas(self):
         """Row sums of the P1 mass matrix: sum of A/3 over incident triangles."""
         return self._lumped_areas
+
+    def gradient_operator(self):
+        """The P1 gradient D, a (2 n_tri, n_nodes) CSR matrix built on
+        first use: row 2m + d holds d/dx_d on triangle m, its three entries
+        in local-node order.  ``D @ nodal`` gives the per-triangle
+        gradients of nodal fields, ``D.T`` scatters element values to the
+        nodes."""
+        if "gradient" not in self.cache:
+            m = self.n_triangles
+            D = sp.csr_matrix(
+                (self.grads.transpose(0, 2, 1).ravel(),
+                 np.repeat(self.triangles, 2, axis=0).ravel().astype(np.int32),
+                 np.arange(0, 6 * m + 1, 3, dtype=np.int32)),
+                shape=(2 * m, self.n_nodes))
+            for arr in (D.data, D.indices, D.indptr):
+                arr.setflags(write=False)
+            self.cache["gradient"] = D
+        return self.cache["gradient"]
 
 
 def _split_cells(n00, n10, n01, n11):

@@ -727,6 +727,24 @@ class TestCli:
         assert name in lines[0]
         assert not img.exists()
 
+    @pytest.mark.parametrize("kind,named", [
+        pytest.param("missing", "missing.npz", id="missing-file"),
+        pytest.param("nodes-only", "triangles", id="archive-without-keys")])
+    def test_render_rejects_unreadable_artifacts(self, tmp_path, capsys, kind,
+                                                 named):
+        fields = tmp_path / "missing.npz"
+        if kind == "nodes-only":
+            fields = tmp_path / "nodes_only.npz"
+            np.savez(fields, nodes=np.zeros((3, 2)))
+        img = tmp_path / "render.ppm"
+        code = cli.main(["render", "--artifacts", str(fields), "--out",
+                         str(img)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0] and str(fields) in lines[0]
+        assert not img.exists()
+
     def test_mesh_info_subcommand(self, capsys):
         code = cli.main(["mesh-info", "--config", "cantilever_desk_staggered"])
         assert code == 0

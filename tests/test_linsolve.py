@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from morphopt import elasticity
 from morphopt.elasticity import (assemble_link_operator, assemble_stiffness,
-                                 factorize, point_constraint_dofs, solve_state)
+                                 factorize, point_constraint_dofs,
+                                 solve_adjoint, solve_state)
 from morphopt.errors import (InvalidParameterError, MatrixNotSPDError,
                              SolverFailureError)
 from morphopt.fields import DesignField, StimulusField
-from morphopt.linsolve import (BlockCholesky, LevelBlocks, level_structure,
-                               solve_spd)
+from morphopt.linsolve import (SOLVER_TOL, BlockCholesky, LevelBlocks,
+                               level_structure, solve_spd)
 from morphopt.materials import Material, PhaseSet
 from morphopt.mesh import Mesh, build_hexagon_mesh, build_rect_mesh
 
@@ -164,6 +165,236 @@ class TestSolveSPD:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameterError):
             solve_spd(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
+
+
+def spectral_spd(n, seed):
+    """An SPD matrix with eigenvalues 1..100 and its eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    dense = (q * np.linspace(1.0, 100.0, n)) @ q.T
+    return sp.csr_matrix(0.5 * (dense + dense.T)), q
+
+
+def hexagon_system(seed, k):
+    """The clamped hexagon operator, its factor and k random loads."""
+    mesh = hexagon_mesh()
+    fixed = mesh.dirichlet_dofs()
+    K = assemble_stiffness(mesh, random_design(mesh.n_nodes, seed), PHASES,
+                           fixed)
+    B = np.random.default_rng(seed).normal(size=(K.shape[0], k))
+    B[fixed] = 0.0
+    return K, factorize(mesh, K, fixed), B
+
+
+def reference_solve_spd(A, b, tol, maxit, factor, callback):
+    """The one-column CG the blocked solve replaced, without its input
+    checks: the oracle of a 1-D b."""
+    def dot(u, v):
+        return float(np.sum(u * v))
+    x = np.zeros(len(b))
+    bnorm = np.sqrt(dot(b, b))
+    target = tol * bnorm
+    if bnorm <= target:
+        return x
+    r = b.copy()
+    rnorm = bnorm
+    p = None
+    for it in range(maxit):
+        z = factor.solve(r)
+        rz_new = dot(r, z)
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        q = A @ p
+        curvature = dot(p, q)
+        if curvature <= 0.0:
+            raise MatrixNotSPDError(f"p'Ap = {curvature!r}")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        rnorm = np.sqrt(dot(r, r))
+        callback(it, rnorm)
+        if rnorm <= target:
+            r = b - A @ x
+            rnorm = np.sqrt(dot(r, r))
+            if rnorm <= target:
+                return x
+            p = None
+    raise SolverFailureError("no convergence", residual=rnorm,
+                             iterations=maxit)
+
+
+def outcome(run):
+    """``run(callback)``'s x, or its exception type and residual, with the
+    residuals the callback saw."""
+    seen = []
+    try:
+        result = run(lambda it, r: seen.append(float(r)))
+    except (MatrixNotSPDError, SolverFailureError) as exc:
+        result = (type(exc), getattr(exc, "residual", None))
+    return result, seen
+
+
+class TestBlockedSolve:
+    """b of shape (n, k): one CG whose columns share every factor sweep."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(2, 40), st.floats(0.0, 4.0), st.integers(0, 2 ** 16),
+           st.sampled_from([1e-10, 1e-13, 1e-15]), st.booleans())
+    def test_one_column_equals_reference(self, n, decades, seed, tol, exact):
+        # unpreconditioned at condition numbers up to 1e4 the recursion
+        # often undershoots the true residual, so the restart is exercised
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        dense = (q * np.logspace(0, decades, n)) @ q.T
+        A = sp.csr_matrix(0.5 * (dense + dense.T))
+        b = rng.normal(size=n)
+        factor = BlockCholesky(A) if exact else IdentityFactor()
+        got, seen = outcome(lambda callback: solve_spd(
+            A, b, tol=tol, maxit=60, factor=factor, callback=callback))
+        want, want_seen = outcome(lambda callback: reference_solve_spd(
+            A, b, tol, 60, factor, callback))
+        assert seen == want_seen
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_columns_agree_with_single_solves(self):
+        K, factor, B = hexagon_system(seed=11, k=3)
+        B[:, 1] *= 1e-6                       # columns of unequal scale
+        X = solve_spd(K, B, factor=factor)
+        assert X.shape == B.shape
+        for j in range(3):
+            x = solve_spd(K, B[:, j], factor=factor)
+            assert (np.linalg.norm(X[:, j] - x)
+                    <= 1e-14 * np.linalg.norm(x))
+            assert (np.linalg.norm(K @ X[:, j] - B[:, j])
+                    <= SOLVER_TOL * np.linalg.norm(B[:, j]))
+
+    def test_one_column_is_the_vector_solve(self):
+        K, factor, B = hexagon_system(seed=12, k=1)
+        x = solve_spd(K, B[:, 0], factor=factor)
+        assert x.shape == (K.shape[0],)
+        assert np.array_equal(solve_spd(K, B, factor=factor)[:, 0], x)
+        assert np.array_equal(factor.solve(B)[:, 0], factor.solve(B[:, 0]))
+
+    def test_zero_column_is_exact_zero(self):
+        K, factor, B = hexagon_system(seed=13, k=3)
+        B[:, 1] = 0.0
+        X = solve_spd(K, B, factor=factor)
+        assert np.all(X[:, 1] == 0.0)
+        for j in (0, 2):
+            assert (np.linalg.norm(K @ X[:, j] - B[:, j])
+                    <= SOLVER_TOL * np.linalg.norm(B[:, j]))
+        assert np.all(solve_spd(K, np.zeros((K.shape[0], 2))) == 0.0)
+
+    def test_columns_leave_at_their_own_iteration(self):
+        # unpreconditioned: a load in 2 (3) eigenvectors converges in 2 (3)
+        # iterations, a random one takes longer; each meets its tolerance
+        A, q = spectral_spd(12, seed=3)
+        rng = np.random.default_rng(4)
+        B = np.column_stack([q[:, :3] @ [1.0, -2.0, 0.5], rng.normal(size=12),
+                             q[:, 5:7] @ [3.0, 1.0]])
+        seen = []
+        X = solve_spd(A, B, tol=1e-12, maxit=200, factor=IdentityFactor(),
+                      callback=lambda it, r: seen.append(r))
+        for j in range(3):
+            assert (np.linalg.norm(A @ X[:, j] - B[:, j])
+                    <= 1e-12 * np.linalg.norm(B[:, j]))
+        single = []
+        for j in range(3):
+            single.append([])
+            solve_spd(A, B[:, j], tol=1e-12, maxit=200, factor=IdentityFactor(),
+                      callback=lambda it, r: single[-1].append(r))
+        assert len(seen) == max(len(c) for c in single)
+        assert min(len(c) for c in single) < len(seen)
+
+    def test_callback_sees_the_largest_column_residual(self):
+        A, q = spectral_spd(12, seed=5)
+        B = np.column_stack([q[:, :2] @ [1.0, 1.0], 10.0 * q[:, 2:6].sum(axis=1),
+                             np.ones(12)])
+        seen = []
+        solve_spd(A, B, tol=1e-12, maxit=200, factor=IdentityFactor(),
+                  callback=lambda it, r: seen.append(r))
+        single = []
+        for j in range(3):
+            single.append([])
+            solve_spd(A, B[:, j], tol=1e-12, maxit=200, factor=IdentityFactor(),
+                      callback=lambda it, r: single[-1].append(r))
+        assert all(type(r) is float for r in seen)
+        for it, r in enumerate(seen):
+            live = [c[it] for c in single if it < len(c)]
+            assert r == pytest.approx(max(live), rel=1e-6)
+
+    def test_indefinite_factor_rejected(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        B = np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0]])
+        with pytest.raises(MatrixNotSPDError):
+            solve_spd(A, B)
+
+    def test_indefinite_curvature_rejected(self):
+        # p'Ap = 6, -2, 2 on the three columns: the second one fails
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        B = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        with pytest.raises(MatrixNotSPDError, match="-2.0"):
+            solve_spd(A, B, factor=IdentityFactor())
+
+    def test_zero_iterations_report_the_largest_rhs_norm(self):
+        B = np.column_stack([np.ones(3), 3.0 * np.ones(3), 2.0 * np.ones(3)])
+        with pytest.raises(SolverFailureError) as err:
+            solve_spd(sp.eye(3, format="csr"), B, maxit=0)
+        assert err.value.residual == pytest.approx(3.0 * np.sqrt(3.0))
+        assert err.value.iterations == 0
+
+    def test_nonconvergence_reports_the_largest_column_residual(self):
+        A, q = spectral_spd(30, seed=7)
+        rng = np.random.default_rng(8)
+        B = rng.normal(size=(30, 3)) * [1.0, 5.0, 0.1]
+        residuals = []
+        for j in range(3):
+            with pytest.raises(SolverFailureError) as err:
+                solve_spd(A, B[:, j], maxit=3, factor=IdentityFactor())
+            residuals.append(err.value.residual)
+        with pytest.raises(SolverFailureError) as err:
+            solve_spd(A, B, maxit=3, factor=IdentityFactor())
+        assert err.value.residual == pytest.approx(max(residuals), rel=1e-9)
+        assert err.value.iterations == 3
+
+    @pytest.mark.parametrize("shape", [(4,), (10,), (6, 2), (5, 2, 1), ()])
+    def test_misshapen_rhs_rejected(self, shape):
+        # a 1-D b of length 2n is not read as two columns
+        with pytest.raises(InvalidParameterError):
+            solve_spd(sp.eye(5, format="csr"), np.ones(shape))
+
+
+class TestOneSweepForAllCases:
+    def test_state_and_adjoint_sweep_once_per_iteration(self, monkeypatch):
+        # three load cases: one CG per solve_state / solve_adjoint call,
+        # each iteration one factor sweep for all three columns
+        mesh = hexagon_mesh()
+        n = mesh.n_nodes
+        rng = np.random.default_rng(21)
+        design = random_design(n, 21)
+        stimulus = StimulusField(rng.uniform(-1.0, 1.0, (3, n)))
+        targets = rng.normal(size=(3, 2)) * 0.01
+        sweeps, calls, iterations = [], [], []
+        inner_solve = BlockCholesky.solve
+        inner_spd = elasticity.solve_spd
+
+        def counted_solve(self, b):
+            sweeps.append(b.shape)
+            return inner_solve(self, b)
+
+        def counted_spd(*args, **kwargs):
+            calls.append(1)
+            return inner_spd(*args, **kwargs,
+                             callback=lambda it, r: iterations.append(it))
+        monkeypatch.setattr(BlockCholesky, "solve", counted_solve)
+        monkeypatch.setattr(elasticity, "solve_spd", counted_spd)
+        state = solve_state(mesh, design, PHASES, stimulus)
+        solve_adjoint(mesh, state, targets)
+        assert len(calls) == 2
+        assert len(sweeps) == len(iterations) >= 2
+        assert sweeps[0] == (2 * n, 3)
 
 
 def reference_operator(mesh, wmu, wlam, fixed_dofs):

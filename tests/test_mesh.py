@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morphopt.elasticity import element_strains
+from morphopt import quadrature
+from morphopt.elasticity import assemble_stimulus_load, element_strains
 from morphopt.errors import InvalidParameterError
+from morphopt.fields import DesignField
+from morphopt.functional import p1_gradient
+from morphopt.materials import Material, PhaseSet, interp
 from morphopt.mesh import (_HEX_VERTS, Mesh, build_hexagon_mesh,
                            build_rect_mesh, hexagon_rotation_permutation,
                            points_in_hexagon)
@@ -203,6 +209,87 @@ class TestShapeGradients:
         strains = element_strains(mesh, u)
         sym = 0.5 * (A + A.T)
         assert np.max(np.abs(strains - sym)) <= 1e-13
+
+
+def reference_element_strains(mesh, u):
+    """The einsum strains the gradient operator replaced."""
+    grad = np.einsum("mai,maj->mij", u[mesh.triangles], mesh.grads)
+    return 0.5 * (grad + np.transpose(grad, (0, 2, 1)))
+
+
+def reference_p1_gradient(mesh, nodal):
+    """The einsum gradient the gradient operator replaced."""
+    return np.einsum("ma,mad->md", nodal[mesh.triangles], mesh.grads)
+
+
+def reference_stimulus_load(mesh, design, phases, s_j):
+    """The np.add.at stimulus load the gradient operator replaced."""
+    rule = quadrature.TRI_DEG4
+    aw = interp(quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
+    sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)
+    resp = phases.responsive
+    coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
+            * mesh.areas)
+    edof = (2 * mesh.triangles[:, :, None] + [0, 1]).reshape(-1, 6)
+    f = np.zeros(2 * mesh.n_nodes)
+    np.add.at(f, edof.ravel(),
+              (coef[:, None, None] * mesh.grads).reshape(-1, 6).ravel())
+    return f
+
+
+OPERATOR_MESHES = st.one_of(
+    st.builds(lambda nx, ny, side: build_rect_mesh(
+        1.0, ny / nx, 1.0 / nx, side, (0.5, 0.0, 1.0, ny / nx)),
+        st.integers(1, 30), st.integers(1, 20),
+        st.sampled_from(["left", "right", "bottom", "top"])),
+    st.builds(lambda m, orientation: build_hexagon_mesh(
+        0.35, 0.35 / m, 0.2, orientation),
+        st.integers(2, 14), st.sampled_from(["odd", "even"])))
+
+
+class TestGradientOperator:
+    PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(OPERATOR_MESHES, st.integers(1, 4), st.integers(0, 2 ** 16))
+    def test_kernels_equal_reference(self, mesh, k, seed):
+        # nodal fields as the blocked solve hands them out: (n, 2) views of
+        # the columns of a (2n, k) result, not contiguous for k > 1
+        rng = np.random.default_rng(seed)
+        n = mesh.n_nodes
+        X = rng.normal(size=(2 * n, k))
+        for x in X.T:
+            u = x.reshape(-1, 2)
+            assert np.array_equal(element_strains(mesh, u),
+                                  reference_element_strains(mesh, u))
+            assert np.array_equal(p1_gradient(mesh, u[:, 1]),
+                                  reference_p1_gradient(mesh, u[:, 1]))
+        rho2 = rng.uniform(0.0, 0.5, n)
+        design = DesignField(rho2, rng.uniform(0.0, 1.0, n) * (1.0 - rho2))
+        S = rng.uniform(-1.0, 1.0, (n, k))
+        for s_j in S.T:
+            assert np.array_equal(
+                assemble_stimulus_load(mesh, design, self.PHASES, s_j),
+                reference_stimulus_load(mesh, design, self.PHASES, s_j))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_rect_mesh(1.0, 0.5, 0.25, "left", None),
+        lambda: build_hexagon_mesh(1.0, 0.25, 0.3, "odd")],
+        ids=["rect", "hexagon"])
+    def test_layout_and_cache(self, build):
+        mesh = build()
+        assert "gradient" not in mesh.cache          # built on first use
+        D = mesh.gradient_operator()
+        assert mesh.gradient_operator() is D
+        m = mesh.n_triangles
+        assert D.shape == (2 * m, mesh.n_nodes)
+        assert D.indices.dtype == np.int32 and D.indptr.dtype == np.int32
+        # row 2m + d: d/dx_d on triangle m, entries in local-node order
+        assert np.array_equal(D.indptr, np.arange(0, 6 * m + 1, 3))
+        assert np.array_equal(D.indices.reshape(m, 2, 3),
+                              np.repeat(mesh.triangles[:, None], 2, axis=1))
+        assert np.array_equal(D.data.reshape(m, 2, 3),
+                              np.transpose(mesh.grads, (0, 2, 1)))
 
 
 class TestHexagonMesh:
