@@ -46,11 +46,6 @@ def point_constraint_dofs(constraints):
     return np.sort(np.array([2 * n + c for n, c in constraints], dtype=np.int64))
 
 
-def phase_densities(design):
-    """Nodal densities (rho1, rho2, rho3) with rho1 substituted."""
-    return (design.rho1(), design.rho2, design.rho3)
-
-
 def element_strains(mesh, u):
     """Constant strain tensor of every triangle for a nodal (n, 2) field."""
     u = check_nodal(mesh, u, "displacement")
@@ -67,10 +62,8 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
     SPD on the free subspace.
     """
     check_nodal(mesh, design.rho2, "rho2")
-    rule = quadrature.TRI_DEG2
-    aw = np.stack([interp(quadrature.at_quadrature_points(r, mesh.triangles, rule))
-                   for r in phase_densities(design)])               # (3, M, nq)
-    abar = quadrature.element_integrals(aw, rule, mesh.areas)       # (3, M)
+    abar = quadrature.element_integrals(                          # (3, M)
+        interp(design.phase_samples(mesh)), quadrature.TRI_DEG2, mesh.areas)
     if np.any(abar.max(axis=0) / mesh.areas < NEAR_SINGULAR_FLOOR):
         warnings.warn("element with all phase weights below 1e-14; "
                       "stiffness is near singular", RuntimeWarning)
@@ -176,17 +169,19 @@ def factorize(mesh, K, fixed_dofs):
     return BlockCholesky(K, _operator_map(mesh, fixed_dofs).blocks)
 
 
-def assemble_stimulus_load(mesh, design, phases, s_j):
+def assemble_stimulus_load(mesh, design, phases, s_j, sq=None):
     """Load vector f(phi) = int a(rho3) beta3 s_j C3 I : e(phi); the
     responsive phase is the only one with beta != 0 (see PhaseSet).
 
     For an isotropic phase C3 I : e(phi) = 2 kappa3 div(phi), constant
     per element, so only int a(rho3) s_j needs quadrature (degree 3).
+    ``sq`` is s_j at the degree-4 points, sampled here unless given.
     """
     s_j = check_nodal(mesh, s_j, "stimulus")
     rule = quadrature.TRI_DEG4
-    aw = interp(quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
-    sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)  # (M, nq)
+    aw = interp(design.samples(mesh)[1])
+    if sq is None:
+        sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)
     resp = phases.responsive
     coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
             * mesh.areas)
@@ -248,8 +243,9 @@ def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
     state = StateSolution([], K, fixed_dofs, factor)
-    F = np.column_stack([assemble_stimulus_load(mesh, design, phases, s_j)
-                         for s_j in stimulus.s])
+    F = np.column_stack([
+        assemble_stimulus_load(mesh, design, phases, s_j, sq)
+        for s_j, sq in zip(stimulus.s, stimulus.samples(mesh))])
     F[fixed_dofs] = 0.0
     X = solve_spd(K, F, tol=tol, factor=state.solver(mesh))
     state.u = [x.reshape(-1, 2) for x in X.T]

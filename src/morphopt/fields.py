@@ -3,12 +3,18 @@
 Design and stimulus fields are nodal P1 coefficient arrays; displacements
 and adjoints are (n_nodes, 2) arrays.  Target displacements are one
 2-vector per load case.
+
+A field holds read-only copies of its arrays, so what is derived from them
+on a mesh (the quadrature samples every kernel reads, the perimeter
+integrals) is computed once and kept on the field: it lives and dies with
+the field, and every evaluation that shares the field shares it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import InvalidParameterError
 
 # uniform start of both optimization schemes, and the [initial] default
@@ -16,16 +22,46 @@ INITIAL_RHO2 = 0.3
 INITIAL_RHO3 = 0.3
 
 
+def _frozen(array):
+    out = np.array(array, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+class _Derived:
+    """Values derived from a field's read-only arrays on one mesh."""
+
+    def derived(self, mesh, key, compute):
+        """``compute()`` on first use of ``key``, kept for the last mesh."""
+        if self.__dict__.get("_mesh") is not mesh:
+            self._mesh, self._derived = mesh, {}
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
+    def forget(self):
+        """Drop the derived values; they are recomputed on the next use."""
+        self._mesh = self._derived = None
+
+
+def _sample(nodal_arrays, mesh, rule):
+    """Nodal P1 fields at ``rule``'s points, (len, n_tri, nq), read-only."""
+    out = np.stack([quadrature.at_quadrature_points(a, mesh.triangles, rule)
+                    for a in nodal_arrays])
+    out.setflags(write=False)
+    return out
+
+
 @dataclass
-class DesignField:
+class DesignField(_Derived):
     """Nodal densities of the passive (rho2) and responsive (rho3) phases."""
 
     rho2: np.ndarray
     rho3: np.ndarray
 
     def __post_init__(self):
-        self.rho2 = np.asarray(self.rho2, dtype=float)
-        self.rho3 = np.asarray(self.rho3, dtype=float)
+        self.rho2 = _frozen(self.rho2)
+        self.rho3 = _frozen(self.rho3)
         if self.rho2.shape != self.rho3.shape or self.rho2.ndim != 1:
             raise InvalidParameterError("rho2 and rho3 must be 1d arrays of equal length")
 
@@ -37,21 +73,30 @@ class DesignField:
         """Implicit void density 1 - rho2 - rho3 (may dip into [-1, 0))."""
         return 1.0 - self.rho2 - self.rho3
 
+    def samples(self, mesh):
+        """(rho2, rho3) at the TRI_DEG4 points, (2, n_tri, nq)."""
+        return self.derived(mesh, "deg4", lambda: _sample(
+            (self.rho2, self.rho3), mesh, quadrature.TRI_DEG4))
+
+    def phase_samples(self, mesh):
+        """(rho1, rho2, rho3) at the TRI_DEG2 points, (3, n_tri, nq)."""
+        return self.derived(mesh, "deg2", lambda: _sample(
+            (self.rho1(), self.rho2, self.rho3), mesh, quadrature.TRI_DEG2))
+
     @classmethod
     def constant(cls, n_nodes, rho2, rho3):
         return cls(np.full(n_nodes, float(rho2)), np.full(n_nodes, float(rho3)))
 
 
 @dataclass
-class StimulusField:
+class StimulusField(_Derived):
     """One nodal stimulus array per load case, shape (n_cases, n_nodes)."""
 
     s: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        if self.s.ndim == 1:
-            self.s = self.s[None, :]
+        s = np.asarray(self.s, dtype=float)
+        self.s = _frozen(s[None, :] if s.ndim == 1 else s)
         if self.s.ndim != 2:
             raise InvalidParameterError("stimulus must be (n_cases, n_nodes)")
 
@@ -63,8 +108,10 @@ class StimulusField:
     def n_nodes(self):
         return self.s.shape[1]
 
-    def copy(self):
-        return StimulusField(self.s.copy())
+    def samples(self, mesh):
+        """Every s_j at the TRI_DEG4 points, (n_cases, n_tri, nq)."""
+        return self.derived(mesh, "deg4", lambda: _sample(
+            self.s, mesh, quadrature.TRI_DEG4))
 
     @classmethod
     def zeros(cls, n_cases, n_nodes):
@@ -96,11 +143,14 @@ def nodal_average_from_elements(mesh, element_values):
     vals = np.asarray(element_values, dtype=float)
     if vals.shape != (mesh.n_triangles,):
         raise InvalidParameterError("element_values must have one entry per triangle")
+    if "node_area_sums" not in mesh.cache:
+        w = np.repeat(mesh.areas, 3)
+        den = np.zeros(mesh.n_nodes)
+        np.add.at(den, mesh.triangles.ravel(), w)
+        mesh.cache["node_area_sums"] = w, den
+    w, den = mesh.cache["node_area_sums"]
     num = np.zeros(mesh.n_nodes)
-    den = np.zeros(mesh.n_nodes)
-    w = np.repeat(mesh.areas, 3)
     np.add.at(num, mesh.triangles.ravel(), w * np.repeat(vals, 3))
-    np.add.at(den, mesh.triangles.ravel(), w)
     return num / den
 
 

@@ -121,18 +121,9 @@ def multiwell_derivative(rho):
     return 2.0 * r * (1.0 - r) * (1.0 - 2.0 * r)
 
 
-def density_samples(mesh, design):
-    """(rho2, rho3) at the degree-4 rule's points, (n_tri, nq) each."""
-    rule = quadrature.TRI_DEG4
-    return (quadrature.at_quadrature_points(design.rho2, mesh.triangles, rule),
-            quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
-
-
 def stimulus_squares(mesh, stimulus):
     """sum_j s_j^2 at the degree-4 rule's points, (n_tri, nq)."""
-    return sum(sq * sq for sq in (
-        quadrature.at_quadrature_points(s_j, mesh.triangles, quadrature.TRI_DEG4)
-        for s_j in stimulus.s))
+    return sum(sq * sq for sq in stimulus.samples(mesh))
 
 
 def p1_gradient(mesh, nodal):
@@ -145,20 +136,23 @@ def perimeter_terms(mesh, design):
 
     Returns (well_integral, gradient_integral) with
     perimeter = well_integral / eps + eps * gradient_integral.
+    They are design-only, so they are kept on the design.
     """
     check_nodal(mesh, design.rho2, "rho2")
-    r2q, r3q = density_samples(mesh, design)
-    wq = multiwell(1.0 - r2q - r3q, r2q, r3q)
-    well = float(np.sum(quadrature.element_integrals(
-        wq, quadrature.TRI_DEG4, mesh.areas)))
 
-    g2 = p1_gradient(mesh, design.rho2)
-    g3 = p1_gradient(mesh, design.rho3)
-    g1 = -g2 - g3
-    sq = np.einsum("md,md->m", g1, g1) + np.einsum("md,md->m", g2, g2) \
-        + np.einsum("md,md->m", g3, g3)
-    grad = float(np.sum(sq * mesh.areas))
-    return well, grad
+    def compute():
+        r2q, r3q = design.samples(mesh)
+        wq = multiwell(1.0 - r2q - r3q, r2q, r3q)
+        well = float(np.sum(quadrature.element_integrals(
+            wq, quadrature.TRI_DEG4, mesh.areas)))
+
+        g2 = p1_gradient(mesh, design.rho2)
+        g3 = p1_gradient(mesh, design.rho3)
+        g1 = -g2 - g3
+        sq = np.einsum("md,md->m", g1, g1) + np.einsum("md,md->m", g2, g2) \
+            + np.einsum("md,md->m", g3, g3)
+        return well, float(np.sum(sq * mesh.areas))
+    return design.derived(mesh, "perimeter_terms", compute)
 
 
 def perimeter_energy(mesh, design, epsilon):
@@ -169,25 +163,29 @@ def perimeter_energy(mesh, design, epsilon):
     return well / epsilon + epsilon * grad
 
 
+def _volumes(mesh, design):
+    """(int rho2, int rho3), exact for P1 densities; kept on the design."""
+    lumped = mesh.lumped_node_areas()
+    return design.derived(mesh, "volumes", lambda: (
+        np.dot(lumped, design.rho2), np.dot(lumped, design.rho3)))
+
+
 def volume_penalty(mesh, design, nu2, nu3):
     """nu2 int rho2 + nu3 int rho3, exact for P1 densities."""
-    lumped = mesh.lumped_node_areas()
-    return float(nu2 * np.dot(lumped, design.rho2)
-                 + nu3 * np.dot(lumped, design.rho3))
+    v2, v3 = _volumes(mesh, design)
+    return float(nu2 * v2 + nu3 * v3)
 
 
 def volume_fractions(mesh, design):
     """Achieved volume fractions (int rho2 / |domain|, int rho3 / |domain|)."""
-    lumped = mesh.lumped_node_areas()
-    area = mesh.area
-    return (float(np.dot(lumped, design.rho2)) / area,
-            float(np.dot(lumped, design.rho3)) / area)
+    v2, v3 = _volumes(mesh, design)
+    return float(v2) / mesh.area, float(v3) / mesh.area
 
 
 def stimulus_penalty(mesh, design, stimulus):
     """int ((1 - rho2 - rho3)^2 + rho2^2) sum_j s_j^2."""
     check_nodal(mesh, stimulus.s.T, "stimulus")
-    r2q, r3q = density_samples(mesh, design)
+    r2q, r3q = design.samples(mesh)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
     return float(np.sum(quadrature.element_integrals(
         bq * stimulus_squares(mesh, stimulus), quadrature.TRI_DEG4,

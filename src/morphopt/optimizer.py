@@ -93,15 +93,19 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
                   on_accept=None, post_accept=None):
     """Minimize over the box [lower, upper].
 
-    ``value_fn(x) -> f`` is used for line-search trials, ``value_grad_fn(x)
-    -> (f, g)`` at the initial point and at each accepted trial, right
-    after that trial's ``value_fn`` call.  ``on_accept(k, x, f, g, step)``
-    is called after evaluating the gradient at every accepted point (and
-    at the initial point with step 0).  ``post_accept(x, f, g) -> (f, g) or
-    None`` may revise the objective/gradient at an accepted iterate (used
-    by the staggered scheme's inner stimulus minimization); it must not
-    increase f.  A non-finite f or g from any of the three raises
-    NonFiniteValueError.
+    ``value_fn(x) -> f`` is called once per line-search trial.
+    ``post_accept(x, f, g) -> (f, g) or None`` may replace an accepted
+    iterate's objective and gradient (the staggered scheme's inner stimulus
+    minimization); it must not increase f, and returns None exactly when it
+    keeps them.  At the initial point it gets the gradient; at every later
+    accepted trial it is offered the point first, right after that trial's
+    ``value_fn`` call, with ``g=None``.  ``value_grad_fn(x) -> (f, g)`` is
+    called at the initial point and at an accepted trial only when
+    post_accept is absent or returns None there, so every kept point has
+    one gradient.  ``on_accept(k, x, f, g, step)`` is called with the kept
+    (f, g) of every accepted point, and with the pristine initial point's
+    before post_accept (step 0).  A non-finite f or g from any of the three
+    raises NonFiniteValueError.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -111,14 +115,15 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     def projected_grad_norm(x, g):
         return _norm(x - np.clip(x - g, lower, upper))
 
-    def revise(x, f, g):
-        revised = None if post_accept is None else post_accept(x, f, g)
-        return (f, g) if revised is None else _finite("post_accept", *revised)
+    def revised(x, f, g):
+        """post_accept's (f, g) at x, or None."""
+        out = None if post_accept is None else post_accept(x, f, g)
+        return None if out is None else _finite("post_accept", *out)
 
     # record the pristine initial point before any inner minimization
     if on_accept is not None:
         on_accept(0, x, f, g, 0.0)
-    f, g = revise(x, f, g)
+    f, g = revised(x, f, g) or (f, g)
 
     pg0 = projected_grad_norm(x, g)
     grad_target = max(cfg.grad_atol, cfg.grad_rtol * pg0)
@@ -163,7 +168,8 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
 
         x = x_t
         f_prev = f
-        f, g = revise(x, *_finite("value_grad_fn", *value_grad_fn(x)))
+        f, g = revised(x, f_t, None) or _finite("value_grad_fn",
+                                                *value_grad_fn(x))
         pg = projected_grad_norm(x, g)
         if on_accept is not None:
             on_accept(k, x, f, g, alpha)
@@ -192,12 +198,13 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
 class _Evaluations:
     """A scheme's accepted Evaluation and its latest line-search trial.
 
-    ``value`` serves the line search and ``value_grad`` the gradient
-    request that bncg_minimize makes right after the value of an accepted
-    trial, so that trial's Evaluation becomes the accepted one.  ``record``
-    is the on_accept callback: it logs the accepted Evaluation and hands it
-    to ``on_iterate(record, evaluation)``.  ``flat_grad(Gradient)`` is the
-    scheme's gradient vector.
+    ``value`` serves the line search.  bncg_minimize asks for anything else
+    at an accepted trial right after its value, so ``keep(x)`` makes that
+    trial's Evaluation the accepted one; ``value_grad`` also forms its
+    gradient, and ``accept(ev)`` makes any Evaluation the accepted one and
+    forms its gradient.  ``record`` is the on_accept callback: it logs the
+    accepted Evaluation and hands it to ``on_iterate(record, evaluation)``.
+    ``flat_grad(Gradient)`` is the scheme's gradient vector.
     """
 
     def __init__(self, mesh, evaluate, flat_grad, on_iterate):
@@ -209,21 +216,29 @@ class _Evaluations:
 
     def value(self, x):
         # one factor alive at a time: the accepted point is done with its
-        # solves and the previous trial was rejected
+        # solves and the previous trial was rejected or accepted
         if self.accepted is not None:
             self.accepted.release()
         self.trial_x = self.trial = None
         self.trial_x, self.trial = x, self.evaluate(x)
         return self.trial.breakdown.total
 
-    def value_grad(self, x):
+    def keep(self, x):
+        """Make the Evaluation at x the accepted one and return it: the
+        latest trial, evaluated here unless it is at x."""
         if self.trial is None or not np.array_equal(self.trial_x, x):
             self.value(x)
-        ev, self.trial_x, self.trial = self.trial, None, None
-        return self.accept(ev)
+        self.accepted = self.trial
+        return self.accepted
+
+    def value_grad(self, x):
+        return self.accept(self.keep(x))
 
     def accept(self, ev):
-        """Make ``ev`` the accepted point; returns its (f, g)."""
+        """Make ``ev`` the accepted point, dropping a trial it replaces;
+        returns its (f, g)."""
+        if ev is not self.trial:
+            self.trial_x = self.trial = None
         self.accepted = ev
         return ev.breakdown.total, self.flat_grad(ev.gradient)
 
@@ -248,6 +263,7 @@ class _Evaluations:
                                cfg, on_accept=self.record,
                                post_accept=post_accept)
         self.accepted.release()
+        self.trial_x = self.trial = None
         result.evaluation = self.accepted
         return result
 
@@ -261,8 +277,8 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
     def evaluate(z):
-        design = DesignField(z[:nn].copy(), z[nn:2 * nn].copy())
-        stim = StimulusField(z[2 * nn:].reshape(n_cases, nn).copy())
+        design = DesignField(z[:nn], z[nn:2 * nn])
+        stim = StimulusField(z[2 * nn:].reshape(n_cases, nn))
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
                                       targets)
 
@@ -282,8 +298,9 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
 
     The stimulus is frozen during each line search.  At every accepted
     design the closed-form update is computed from its adjoints, solved on
-    its stiffness, and committed only if it lowers the true objective; the
-    returned gradient is then evaluated at the committed stimulus.
+    its stiffness, and committed only if it does not raise the true
+    objective.  The gradient is formed once, at the committed stimulus, or
+    at the design's own point when the update is declined.
     """
     n_cases = len(np.asarray(targets))
     nn = mesh.n_nodes
@@ -291,24 +308,33 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
     def evaluate(z):
-        stim = evals.accepted.stimulus if evals.accepted else stimulus0
-        design = DesignField(z[:nn].copy(), z[nn:].copy())
+        # a copy of the caller's start field, so the samples kept on it die
+        # with the evaluations that share it
+        stim = (evals.accepted.stimulus if evals.accepted
+                else StimulusField(stimulus0.s))
+        design = DesignField(z[:nn], z[nn:])
         return sensitivity.Evaluation(mesh, design, stim, phases, params,
                                       targets)
 
     evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
         [grad.g_rho2, grad.g_rho3]), on_iterate)
 
-    def post_accept(z, f, g):
-        ev = evals.accepted
+    def update(ev):
+        """ev at the closed-form stimulus of its adjoints, or None where
+        that raises the objective."""
         candidate = ev.at_stimulus(minimize_stimulus_field(
             mesh, ev.design, ev.lambdas, phases))
-        if candidate.breakdown.total <= ev.breakdown.total:
-            return evals.accept(candidate)
-        return None
+        return candidate if candidate.breakdown.total <= ev.breakdown.total \
+            else None
+
+    def post_accept(z, f, g):
+        # update(ev) has returned when accept forms the gradient, so the
+        # design's own point and its stimulus samples are freed first
+        candidate = update(evals.keep(z))
+        return None if candidate is None else evals.accept(candidate)
 
     z0 = np.concatenate([design0.rho2, design0.rho3])
     result = evals.minimize(z0, np.zeros(2 * nn), np.ones(2 * nn), cfg,
                             post_accept)
     return (project_design(evals.accepted.design),
-            evals.accepted.stimulus.copy(), evals.history, result)
+            evals.accepted.stimulus, evals.history, result)

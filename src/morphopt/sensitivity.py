@@ -4,10 +4,18 @@ The gradients returned here are the exact derivatives of the discretized
 objective with respect to the nodal coefficients (discretize-then-
 differentiate): every quadrature rule used by the assembly is
 differentiated consistently, so central finite differences of
-``Evaluation(...).breakdown.total`` agree to the float rounding floor.  An
-:class:`Evaluation` does the work of one point (design, stimulus) once:
-one stiffness, one state solve per case, one adjoint solve per case, and
-one link solve when the link energy is on.
+``Evaluation(...).breakdown.total`` agree to the float rounding floor.
+
+An :class:`Evaluation` does the work of one point (design, stimulus) once:
+one stiffness and its factor, one blocked state solve for all cases, one
+blocked adjoint solve, one link solve when the link energy is on, and one
+gradient, which computes the strains of every u_j and lambda_j once.  The
+quadrature samples (rho2, rho3 and every s_j at the degree-4 points, the
+three phase densities at the degree-2 points) and the design-only
+objective terms (perimeter and volume) are kept on the design and
+stimulus fields, so the assembly, the objective and both gradients share
+them, and so do all evaluations that share a field: every trial of a line
+search shares its stimulus, and ``Evaluation.at_stimulus`` its design.
 
 Design sensitivity (direction phi restricted to nodal hat functions,
 with the void chain rule phi1 = -phi2 - phi3):
@@ -35,11 +43,11 @@ import numpy as np
 
 from . import quadrature
 from .elasticity import (LINK_MATERIAL, element_strains,
-                         link_stiffness_derivative, phase_densities,
-                         solve_adjoint, solve_link, solve_state)
+                         link_stiffness_derivative, solve_adjoint, solve_link,
+                         solve_state)
 from .fields import check_nodal
-from .functional import (density_samples, multiwell_derivative, p1_gradient,
-                         stimulus_squares, total)
+from .functional import (multiwell_derivative, p1_gradient, stimulus_squares,
+                         total)
 from .linsolve import SOLVER_TOL
 from .materials import interp, interp_derivative
 
@@ -54,7 +62,7 @@ class Gradient:
 def perimeter_design_grad(mesh, design, epsilon):
     """Gradient of the perimeter energy (not yet weighted by alpha)."""
     tri = mesh.triangles
-    r2q, r3q = density_samples(mesh, design)
+    r2q, r3q = design.samples(mesh)
     w1 = multiwell_derivative(1.0 - r2q - r3q)
     w2 = multiwell_derivative(r2q)
     w3 = multiwell_derivative(r3q)
@@ -76,7 +84,7 @@ def perimeter_design_grad(mesh, design, epsilon):
 
 def q_design_grad(mesh, design, stimulus):
     """Gradient of the stimulus penalty with respect to the densities."""
-    r2q, r3q = density_samples(mesh, design)
+    r2q, r3q = design.samples(mesh)
     r1q = 1.0 - r2q - r3q
     s2 = stimulus_squares(mesh, stimulus)
     g2 = np.zeros(mesh.n_nodes)
@@ -88,27 +96,33 @@ def q_design_grad(mesh, design, stimulus):
     return g2, g3
 
 
-def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases):
-    """sum_j sum_i a'(rho_i) C_i (e(u_j) - beta_i s_j I) : e(lambda_j) phi_i."""
+def _strains(mesh, fields):
+    return [element_strains(mesh, f) for f in fields]
+
+
+def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
+                           strains=None):
+    """sum_j sum_i a'(rho_i) C_i (e(u_j) - beta_i s_j I) : e(lambda_j) phi_i
+    (``strains``: the element strains of lambdas, computed here unless
+    given)."""
     mats, resp = phases.as_tuple(), phases.responsive
     tri = mesh.triangles
     r3 = quadrature.TRI_DEG2
     r6 = quadrature.TRI_DEG4
-    da3 = [interp_derivative(quadrature.at_quadrature_points(r, tri, r3))
-           for r in phase_densities(design)]
-    da6 = interp_derivative(quadrature.at_quadrature_points(design.rho3, tri, r6))
+    da3 = interp_derivative(design.phase_samples(mesh))
+    da6 = interp_derivative(design.samples(mesh)[1])
     # sign of phi_i in the chain rule phi1 = -phi2 - phi3
     signs = ((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
+    if strains is None:
+        strains = _strains(mesh, lambdas)
 
     g2 = np.zeros(mesh.n_nodes)
     g3 = np.zeros(mesh.n_nodes)
-    for j, u_j in enumerate(state.u):
+    for u_j, el, sq6 in zip(state.u, strains, stimulus.samples(mesh)):
         eu = element_strains(mesh, u_j)
-        el = element_strains(mesh, lambdas[j])
         inner = np.einsum("mxy,mxy->m", eu, el)
         tru = eu[:, 0, 0] + eu[:, 1, 1]
         trl = el[:, 0, 0] + el[:, 1, 1]
-        sq6 = quadrature.at_quadrature_points(stimulus.s[j], tri, r6)
         for i, mat in enumerate(mats):
             cval = 2.0 * mat.lame_mu * inner + mat.lame_lambda * tru * trl
             for g, sign in zip((g2, g3), signs[i]):
@@ -141,13 +155,15 @@ def link_design_grad(mesh, design, link):
 
 
 def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
-                link=None):
+                link=None, strains=None):
     """Full design gradient (g_rho2, g_rho3) of the reduced objective
-    (``link`` as in :func:`link_design_grad`, needed when link_weight > 0)."""
+    (``link`` as in :func:`link_design_grad`, needed when link_weight > 0;
+    ``strains`` as in :func:`elasticity_design_grad`)."""
     check_nodal(mesh, design.rho2, "rho2")
     p2, p3 = perimeter_design_grad(mesh, design, params.epsilon)
     q2, q3 = q_design_grad(mesh, design, stimulus)
-    e2, e3 = elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases)
+    e2, e3 = elasticity_design_grad(mesh, design, stimulus, state, lambdas,
+                                    phases, strains)
     lumped = mesh.lumped_node_areas()
     g2 = params.alpha * p2 + params.nu2 * lumped + q2 + e2
     g3 = params.alpha * p3 + params.nu3 * lumped + q3 + e3
@@ -158,23 +174,24 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
     return g2, g3
 
 
-def grad_stimulus(mesh, design, stimulus, lambdas, phases):
-    """Stimulus gradient, one nodal array per load case."""
+def grad_stimulus(mesh, design, stimulus, lambdas, phases, strains=None):
+    """Stimulus gradient, one nodal array per load case (``strains``: the
+    element strains of lambdas, computed here unless given)."""
     resp = phases.responsive
     tri = mesh.triangles
     rule = quadrature.TRI_DEG4
-    r2q, r3q = density_samples(mesh, design)
+    r2q, r3q = design.samples(mesh)
     a3q = interp(r3q)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
+    if strains is None:
+        strains = _strains(mesh, lambdas)
 
     out = np.zeros((stimulus.n_cases, mesh.n_nodes))
-    for j in range(stimulus.n_cases):
-        el = element_strains(mesh, lambdas[j])
+    for out_j, el, sq in zip(out, strains, stimulus.samples(mesh)):
         trl = el[:, 0, 0] + el[:, 1, 1]
         coef = resp.beta * 2.0 * resp.bulk * trl
-        quadrature.add_hat_integrals(out[j], tri, a3q, rule, -(mesh.areas * coef))
-        sq = quadrature.at_quadrature_points(stimulus.s[j], tri, rule)
-        quadrature.add_hat_integrals(out[j], tri, 2.0 * bq * sq, rule,
+        quadrature.add_hat_integrals(out_j, tri, a3q, rule, -(mesh.areas * coef))
+        quadrature.add_hat_integrals(out_j, tri, 2.0 * bq * sq, rule,
                                      mesh.areas)
     return out
 
@@ -186,8 +203,9 @@ class Evaluation:
     link problem once when the link energy is on; the adjoints and the
     gradient are computed the first time they are asked for.
     ``at_stimulus`` evaluates a new stimulus on the same design, reusing K,
-    its factor and the link solution.  ``release`` drops the factor, the
-    largest thing an Evaluation holds; a later solve refactors K.
+    its factor, the link solution and everything kept on the design.
+    ``release`` drops the factor, the largest thing an Evaluation holds,
+    and what is kept on the design; a later use recomputes them.
     """
 
     def __init__(self, mesh, design, stimulus, phases, params, targets,
@@ -211,6 +229,7 @@ class Evaluation:
 
     def release(self):
         self.state.factor = None
+        self.design.forget()
 
     @cached_property
     def lambdas(self):
@@ -218,9 +237,12 @@ class Evaluation:
 
     @cached_property
     def gradient(self):
+        # the adjoint strains serve both gradients
+        strains = _strains(self.mesh, self.lambdas)
         g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
-                             self.lambdas, self.phases, self.params, self.link)
+                             self.lambdas, self.phases, self.params, self.link,
+                             strains)
         gs = grad_stimulus(self.mesh, self.design, self.stimulus, self.lambdas,
-                           self.phases)
+                           self.phases, strains)
         return Gradient(g2, g3, gs)
 

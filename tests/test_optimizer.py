@@ -145,6 +145,60 @@ class TestBncg:
                           np.ones(2), OptimizerConfig(),
                           post_accept=lambda x, f, g: (np.inf, g))
 
+    def test_gradient_only_where_post_accept_declines(self):
+        # every kept point has one gradient: post_accept is offered each
+        # accepted trial with g=None first, and value_grad_fn runs only
+        # where it declines (and once at the initial point)
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(6, 6))
+        A = A @ A.T + np.eye(6)
+        b = rng.normal(size=6)
+
+        def f(x):
+            return float(0.5 * x @ A @ x - b @ x)
+
+        def fg(x):
+            return f(x), A @ x - b
+
+        grads, offered = [], []
+
+        def counted_fg(x):
+            grads.append(x.copy())
+            return fg(x)
+
+        def post_accept(x, fv, g):
+            offered.append(g is None)
+            # commit the exact (f, g) on every other call
+            return fg(x) if len(offered) % 2 else None
+
+        res = bncg_minimize(f, counted_fg, np.zeros(6), -np.ones(6),
+                            np.ones(6), OptimizerConfig(max_outer_iters=200),
+                            post_accept=post_accept)
+        assert res.iterations >= 3
+        assert offered == [False] + [True] * res.iterations
+        declined = len(offered) // 2
+        assert len(grads) == 1 + declined
+
+    @pytest.mark.parametrize("source", ["value_grad_fn", "post_accept"])
+    def test_non_finite_after_the_first_iterate_raises(self, source):
+        p = np.array([0.3, 0.6, 0.1])
+        f, fg = quadratic(p)
+        calls = []
+
+        def bad_fg(x):
+            calls.append(None)
+            value, g = fg(x)
+            return value, (g if len(calls) == 1 else np.full_like(x, np.nan))
+
+        def post_accept(x, fv, g):
+            if g is None and source == "post_accept":
+                return np.inf, np.zeros_like(x)
+            return None
+
+        with pytest.raises(NonFiniteValueError, match=source):
+            bncg_minimize(f, bad_fg, np.zeros(3), np.zeros(3), np.ones(3),
+                          OptimizerConfig(), post_accept=post_accept)
+
     @pytest.mark.parametrize("field, value", [
         ("max_outer_iters", -1), ("restart_period", 0), ("grad_rtol", -1e-9),
         ("grad_atol", float("nan")), ("obj_rtol", -1.0)])
@@ -254,6 +308,112 @@ class TestSchemes:
         assert result.iterations == 6
         assert len(built) >= len(history)
         assert result.evaluation.state.factor is None
+
+    def _observed_staggered(self, monkeypatch, max_outer_iters=8):
+        """A staggered run seen through bncg_minimize's callbacks, as
+        perfbench's tracer sees it, and through sensitivity.grad_design."""
+        from morphopt import optimizer, sensitivity
+        seen = {"trials": 0, "post_accept": [], "proposals": [],
+                "grad_design": 0, "iterates": []}
+        inner_bncg = optimizer.bncg_minimize
+        inner_grad = sensitivity.grad_design
+        inner_update = optimizer.minimize_stimulus_field
+
+        def observed(value_fn, value_grad_fn, x0, lower, upper, cfg,
+                     on_accept=None, post_accept=None):
+            def counted_value_fn(x):
+                seen["trials"] += 1
+                return value_fn(x)
+
+            def observed_post_accept(x, f, g):
+                revised = post_accept(x, f, g)
+                seen["post_accept"].append((g is None, revised is None))
+                return revised
+            return inner_bncg(counted_value_fn, value_grad_fn, x0, lower,
+                              upper, cfg, on_accept=on_accept,
+                              post_accept=observed_post_accept)
+
+        def counted_grad(*args, **kwargs):
+            seen["grad_design"] += 1
+            return inner_grad(*args, **kwargs)
+
+        def recorded_update(*args, **kwargs):
+            seen["proposals"].append(inner_update(*args, **kwargs))
+            return seen["proposals"][-1]
+
+        def on_iterate(rec, ev):
+            seen["iterates"].append((rec, ev.design, ev.stimulus))
+
+        monkeypatch.setattr(optimizer, "bncg_minimize", observed)
+        monkeypatch.setattr(sensitivity, "grad_design", counted_grad)
+        monkeypatch.setattr(optimizer, "minimize_stimulus_field",
+                            recorded_update)
+        _, _, history, result = run_staggered(
+            self.mesh, PHASES, self.params, self.targets,
+            OptimizerConfig(max_outer_iters=max_outer_iters),
+            on_iterate=on_iterate)
+        monkeypatch.undo()
+        return seen, history, result
+
+    def _fresh(self, design, stimulus):
+        return Evaluation(self.mesh, DesignField(design.rho2, design.rho3),
+                          StimulusField(stimulus.s), PHASES, self.params,
+                          self.targets)
+
+    def test_one_gradient_per_kept_point(self, monkeypatch):
+        seen, history, result = self._observed_staggered(monkeypatch)
+        assert result.iterations == 8
+        # the pristine iterate 0, then at most one per post_accept call
+        assert seen["grad_design"] <= 1 + len(seen["post_accept"])
+        assert seen["grad_design"] == len(history) + sum(
+            not declined for _, declined in seen["post_accept"][:1])
+        # every logged gradient norm is that of a fresh evaluation at the
+        # logged point, bit for bit
+        assert len(seen["iterates"]) == len(history)
+        for rec, design, stimulus in seen["iterates"]:
+            grad = self._fresh(design, stimulus).gradient
+            norm_d = np.sqrt(np.sum(np.concatenate(
+                [grad.g_rho2, grad.g_rho3]) ** 2))
+            norm_s = np.sqrt(np.sum(grad.g_s.ravel() ** 2))
+            assert rec.grad_norm_design == float(norm_d)
+            assert rec.grad_norm_stimulus == float(norm_s)
+
+    def test_trials_and_commits_as_perfbench_counts_them(self, monkeypatch):
+        # perfbench counts line-search trials through value_fn and stimulus
+        # commits through post_accept returning a value; pin both
+        from morphopt import elasticity
+        assembled = []
+        inner = elasticity.assemble_stiffness
+
+        def counted(mesh, design, *args, **kwargs):
+            assembled.append(design)
+            return inner(mesh, design, *args, **kwargs)
+        monkeypatch.setattr(elasticity, "assemble_stiffness", counted)
+        seen, history, result = self._observed_staggered(monkeypatch)
+        # one stiffness per trial design and one for the start: value_fn
+        # runs once per trial and no trial is evaluated twice
+        assert seen["trials"] >= result.iterations
+        assert len(assembled) == seen["trials"] + 1
+
+        calls = seen["post_accept"]
+        assert len(calls) == len(history)
+        assert [g_none for g_none, _ in calls] == [False] + [True] * (
+            len(calls) - 1)
+        assert any(declined for _, declined in calls)
+        assert not all(declined for _, declined in calls)
+        # None exactly when the closed-form update would raise the true
+        # objective; the run goes on with the stimulus it kept
+        stimulus = StimulusField.zeros(1, self.mesh.n_nodes)
+        for k, ((_, declined), proposal) in enumerate(
+                zip(calls, seen["proposals"])):
+            _, design, kept = seen["iterates"][k]
+            before = self._fresh(design, stimulus).breakdown.total
+            after = self._fresh(design, proposal).breakdown.total
+            assert declined == (after > before)
+            if not declined:
+                stimulus = proposal
+            if k > 0:
+                assert np.array_equal(kept.s, stimulus.s)
 
     def test_staggered_inner_update_degenerate_case(self):
         # without responsive material the inner minimizer returns s = 0

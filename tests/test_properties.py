@@ -1,8 +1,10 @@
 """Property tests: config parsing, the closed-form stimulus, the box
-projections and the hexagon's rotation equivariance over generated inputs
-(hypothesis, derandomized so every run draws the same examples)."""
+projections, the hexagon's rotation equivariance, the read-only fields and
+the evaluations that share them over generated inputs (hypothesis,
+derandomized so every run draws the same examples)."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -131,3 +133,54 @@ def test_design_gradient_is_rotation_equivariant(m, orientation, seed):
     defect = max(np.max(np.abs(grad.g_rho2[perm] - grad.g_rho2)),
                  np.max(np.abs(grad.g_rho3[perm] - grad.g_rho3))) / scale
     assert defect <= 1e-10
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cases=st.integers(1, 3),
+       link=st.booleans())
+def test_at_stimulus_equals_a_fresh_evaluation_bitwise(seed, n_cases, link):
+    # at_stimulus shares K, its factor, the link solution and the samples
+    # and objective terms kept on the design; none of it may move a bit
+    rng = np.random.default_rng(seed)
+    n = COARSE.n_nodes
+    design = DesignField(*rng.uniform(0.05, 0.6, (2, n)))
+    stim = StimulusField(rng.uniform(-1.0, 1.0, (n_cases, n)))
+    targets = rng.uniform(-1.0, 1.0, (n_cases, 2))
+    params = RegularizationParams(2 / 9, 6e-4, 0.1, 0.3,
+                                  link_weight=0.1 if link else 0.0)
+    first = Evaluation(COARSE, design, StimulusField.zeros(n_cases, n),
+                       PHASES, params, targets)
+    first.gradient
+    shared = first.at_stimulus(stim)
+    fresh = Evaluation(COARSE, DesignField(design.rho2, design.rho3),
+                       StimulusField(stim.s), PHASES, params, targets)
+    assert np.array_equal(_bits(list(vars(shared.breakdown).values())),
+                          _bits(list(vars(fresh.breakdown).values())))
+    for name in ("g_rho2", "g_rho3", "g_s"):
+        assert np.array_equal(_bits(getattr(shared.gradient, name)),
+                              _bits(getattr(fresh.gradient, name)))
+
+
+@PROPERTY
+@given(st.data())
+def test_fields_are_read_only_copies(data):
+    rho = data.draw(arrays(np.float64, (2, COARSE.n_nodes),
+                           elements=st.floats(0.0, 0.5)))
+    s = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)),
+                                      COARSE.n_nodes),
+                         elements=st.floats(-1.0, 1.0)))
+    design, stim = DesignField(rho[0], rho[1]), StimulusField(s)
+    kept = [a.copy() for a in (design.rho2, design.rho3, stim.s)]
+    rho += 1.0
+    s += 1.0
+    targets = [design.rho2, design.rho3, stim.s, *design.samples(COARSE),
+               *design.phase_samples(COARSE), *stim.samples(COARSE)]
+    for array in targets:
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    for array, before in zip((design.rho2, design.rho3, stim.s), kept):
+        np.testing.assert_array_equal(array, before)
