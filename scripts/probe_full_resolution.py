@@ -12,17 +12,39 @@ own.  After the peak resident memory is read, the gradient of one
 timed (adjoint solve and both gradient kernels; ``gradient_error`` holds
 the message when the adjoint solve raises SolverFailureError), and the shipped
 ``hexagon_contrast5`` mesh is built at the same h and timed.  Prints one
-JSON line with the times, the CG iterations, the relative residual and the
-peak resident memory.  ``--src`` selects the source tree, so two versions
-of the library can be probed with the same script; run with BLAS threads
-pinned to 1 for comparable numbers.
+JSON line with the times, the CG iterations, the relative residual, the
+peak resident memory and ``mesh_cache_mib``: the bytes of every array held
+in ``Mesh.cache`` after the gradient step (the gradient and quadrature
+operators, the operator maps), read from whatever the cache holds.
+``--src`` selects the source tree, so two versions of the library can be
+probed with the same script; run with BLAS threads pinned to 1 for
+comparable numbers.
 """
 
 import argparse
+import inspect
 import json
 import resource
 import sys
 import time
+
+import numpy as np
+
+
+def _nbytes(obj, seen):
+    """Bytes of the numpy arrays reachable from ``obj`` through containers
+    and object attributes (scipy.sparse matrices included), each counted
+    once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.base is None else _nbytes(obj.base, seen)
+    if isinstance(obj, dict):
+        return sum(_nbytes(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_nbytes(v, seen) for v in obj)
+    return sum(_nbytes(v, seen) for v in getattr(obj, "__dict__", {}).values())
 
 
 def main():
@@ -31,7 +53,6 @@ def main():
     ap.add_argument("--h", type=float, default=2e-3)
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    import numpy as np
     from morphopt import config, elasticity, sensitivity
     from morphopt.errors import SolverFailureError
     from morphopt.fields import DesignField, StimulusField
@@ -74,7 +95,12 @@ def main():
     state = elasticity.solve_state(mesh, design, spec.phases, stim,
                                    operator=K)
     t4 = time.perf_counter()
-    f = elasticity.assemble_stimulus_load(mesh, design, spec.phases, stim.s[0])
+    if "s_j" in inspect.signature(elasticity.assemble_stimulus_load).parameters:
+        f = elasticity.assemble_stimulus_load(mesh, design, spec.phases,
+                                              stim.s[0])
+    else:
+        f = elasticity.assemble_stimulus_load(mesh, design, spec.phases,
+                                              stim)[:, 0]
     f[fixed] = 0.0
     u = state.u[0].ravel()
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
@@ -93,6 +119,7 @@ def main():
     except SolverFailureError as exc:
         out["gradient_error"] = str(exc)
     out["gradient_s"] = time.perf_counter() - t
+    out["mesh_cache_mib"] = _nbytes(mesh.cache, set()) / 2 ** 20
     hexagon = config.load_shipped_config("hexagon_contrast5",
                                          overrides=[f"mesh.h={args.h!r}"])
     t = time.perf_counter()

@@ -75,7 +75,10 @@ def _cmd_check_gradient(args):
 
 
 def _cmd_profile_oracle(args):
-    epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
+    try:
+        epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
+    except ValueError as exc:
+        raise MorphoptError(f"--epsilons: {exc}") from None
     rows = verify.profile_coefficient(epsilons, n_intervals=args.intervals,
                                       span_factor=args.span,
                                       potential=args.potential)

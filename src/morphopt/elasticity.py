@@ -169,26 +169,25 @@ def factorize(mesh, K, fixed_dofs):
     return BlockCholesky(K, _operator_map(mesh, fixed_dofs).blocks)
 
 
-def assemble_stimulus_load(mesh, design, phases, s_j, sq=None):
-    """Load vector f(phi) = int a(rho3) beta3 s_j C3 I : e(phi); the
-    responsive phase is the only one with beta != 0 (see PhaseSet).
+def assemble_stimulus_load(mesh, design, phases, stimulus):
+    """Load vectors f_j(phi) = int a(rho3) beta3 s_j C3 I : e(phi), one
+    column of the (2 n_nodes, n_cases) result per case; the responsive
+    phase is the only one with beta != 0 (see PhaseSet).
 
     For an isotropic phase C3 I : e(phi) = 2 kappa3 div(phi), constant
     per element, so only int a(rho3) s_j needs quadrature (degree 3).
-    ``sq`` is s_j at the degree-4 points, sampled here unless given.
     """
-    s_j = check_nodal(mesh, s_j, "stimulus")
+    check_nodal(mesh, stimulus.s.T, "stimulus")
     rule = quadrature.TRI_DEG4
     aw = interp(design.samples(mesh)[1])
-    if sq is None:
-        sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)
     resp = phases.responsive
-    coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
-            * mesh.areas)
-    # column x of the (2M, 2) element values is coef on rows 2m + x, so
-    # D^T scatters coef * d phi_a / dx_x to dof 2a + x
-    w = (coef[:, None, None] * np.eye(2)).reshape(-1, 2)
-    return (mesh.gradient_operator().T @ w).ravel()
+    coef = (resp.beta * 2.0 * resp.bulk                              # (k, M)
+            * ((aw * stimulus.samples(mesh)) @ rule.weights) * mesh.areas)
+    # column y k + j of the (2M, 2k) element values is coef_j on rows
+    # 2m + y, so D^T scatters coef_j * d phi_a / dx_y to dof 2a + y of case j
+    w = (coef.T[:, None, None, :] * np.eye(2)[:, :, None]).reshape(
+        2 * mesh.n_triangles, -1)
+    return (mesh.gradient_operator().T @ w).reshape(2 * mesh.n_nodes, -1)
 
 
 def target_mass_apply(mesh, w):
@@ -243,9 +242,7 @@ def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
     state = StateSolution([], K, fixed_dofs, factor)
-    F = np.column_stack([
-        assemble_stimulus_load(mesh, design, phases, s_j, sq)
-        for s_j, sq in zip(stimulus.s, stimulus.samples(mesh))])
+    F = assemble_stimulus_load(mesh, design, phases, stimulus)
     F[fixed_dofs] = 0.0
     X = solve_spd(K, F, tol=tol, factor=state.solver(mesh))
     state.u = [x.reshape(-1, 2) for x in X.T]
@@ -276,10 +273,9 @@ def link_stiffness_derivative(m):
 def assemble_link_operator(mesh, design):
     """Stiffness of LINK_MATERIAL scaled by k(rho2 + rho3), clamped."""
     check_nodal(mesh, design.rho2, "rho2")
-    rule = quadrature.TRI_DEG4
-    mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
-                                         mesh.triangles, rule)
-    kbar = quadrature.element_integrals(link_stiffness(mq), rule, mesh.areas)
+    r2q, r3q = design.samples(mesh)
+    kbar = quadrature.element_integrals(link_stiffness(r2q + r3q),
+                                        quadrature.TRI_DEG4, mesh.areas)
     return _assemble_isotropic(mesh, kbar * LINK_MATERIAL.lame_mu,
                                kbar * LINK_MATERIAL.lame_lambda,
                                mesh.dirichlet_dofs())

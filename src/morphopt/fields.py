@@ -44,10 +44,12 @@ class _Derived:
         self._mesh = self._derived = None
 
 
-def _sample(nodal_arrays, mesh, rule):
-    """Nodal P1 fields at ``rule``'s points, (len, n_tri, nq), read-only."""
-    out = np.stack([quadrature.at_quadrature_points(a, mesh.triangles, rule)
-                    for a in nodal_arrays])
+def _sample(nodal, mesh, rule):
+    """The k nodal arrays ``nodal`` at ``rule``'s points, (k, n_tri, nq),
+    read-only: one product with the rule's operator."""
+    X = np.stack(nodal, axis=1)                       # (n_nodes, k), C order
+    out = np.ascontiguousarray((mesh.quadrature_operator(rule) @ X).T)
+    out = out.reshape(len(nodal), mesh.n_triangles, -1)
     out.setflags(write=False)
     return out
 
@@ -143,15 +145,11 @@ def nodal_average_from_elements(mesh, element_values):
     vals = np.asarray(element_values, dtype=float)
     if vals.shape != (mesh.n_triangles,):
         raise InvalidParameterError("element_values must have one entry per triangle")
-    if "node_area_sums" not in mesh.cache:
-        w = np.repeat(mesh.areas, 3)
-        den = np.zeros(mesh.n_nodes)
-        np.add.at(den, mesh.triangles.ravel(), w)
-        mesh.cache["node_area_sums"] = w, den
-    w, den = mesh.cache["node_area_sums"]
-    num = np.zeros(mesh.n_nodes)
-    np.add.at(num, mesh.triangles.ravel(), w * np.repeat(vals, 3))
-    return num / den
+    # int v phi_a over int phi_a: each triangle gives A/3 of itself to a node
+    rule = quadrature.TRI_DEG2
+    return quadrature.hat_integrals(
+        mesh, rule, np.repeat(vals[:, None], len(rule.weights), axis=1),
+        mesh.areas)[0] / mesh.lumped_node_areas()
 
 
 def target_values(targets, j):

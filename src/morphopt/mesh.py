@@ -46,8 +46,8 @@ class Mesh:
     cell_size : characteristic edge length h
     areas, grads : triangle areas and P1 shape-function gradients
     area : total area
-    cache : per-mesh derived data, filled on first use (the gradient
-        operator; elasticity keeps its operator maps there)
+    cache : per-mesh derived data, filled on first use (the gradient and
+        quadrature operators; elasticity keeps its operator maps there)
 
     Every array is read-only.
     """
@@ -133,21 +133,35 @@ class Mesh:
 
     def gradient_operator(self):
         """The P1 gradient D, a (2 n_tri, n_nodes) CSR matrix built on
-        first use: row 2m + d holds d/dx_d on triangle m, its three entries
-        in local-node order.  ``D @ nodal`` gives the per-triangle
-        gradients of nodal fields, ``D.T`` scatters element values to the
-        nodes."""
-        if "gradient" not in self.cache:
-            m = self.n_triangles
-            D = sp.csr_matrix(
-                (self.grads.transpose(0, 2, 1).ravel(),
-                 np.repeat(self.triangles, 2, axis=0).ravel().astype(np.int32),
-                 np.arange(0, 6 * m + 1, 3, dtype=np.int32)),
-                shape=(2 * m, self.n_nodes))
-            for arr in (D.data, D.indices, D.indptr):
+        first use: row 2m + d holds d/dx_d on triangle m.  ``D @ nodal``
+        gives the per-triangle gradients of nodal fields, ``D.T`` scatters
+        element values to the nodes."""
+        return self._triangle_rows("gradient", self.grads.transpose(0, 2, 1))
+
+    def quadrature_operator(self, rule):
+        """The P1 sampling map Q of a quadrature rule with nq points, an
+        (n_tri nq, n_nodes) CSR matrix built on first use: row m nq + q
+        evaluates a nodal field at point q of triangle m.  ``Q @ nodal``
+        samples nodal fields, ``Q.T`` scatters point values to the nodes."""
+        return self._triangle_rows(
+            ("quadrature", rule),
+            np.broadcast_to(rule.points, (self.n_triangles,) + rule.points.shape))
+
+    def _triangle_rows(self, key, values):
+        """The read-only CSR matrix kept in ``cache[key]``, built on first
+        use from ``values`` (n_tri, r, 3): row m r + i holds values[m, i]
+        at the nodes of triangle m, in local-node order."""
+        if key not in self.cache:
+            m, r = values.shape[:2]
+            A = sp.csr_matrix(
+                (values.ravel(),
+                 np.repeat(self.triangles, r, axis=0).ravel().astype(np.int32),
+                 np.arange(0, 3 * m * r + 1, 3, dtype=np.int32)),
+                shape=(m * r, self.n_nodes))
+            for arr in (A.data, A.indices, A.indptr):
                 arr.setflags(write=False)
-            self.cache["gradient"] = D
-        return self.cache["gradient"]
+            self.cache[key] = A
+        return self.cache[key]
 
 
 def _split_cells(n00, n10, n01, n11):

@@ -3,7 +3,10 @@
 Points are stored as barycentric coordinates, weights sum to one; an
 integral over a physical triangle is ``area * sum_q w_q f(x_q)``.  For P1
 fields the barycentric coordinates double as shape-function values at the
-quadrature points.
+quadrature points, so the map from nodal fields to the points of a rule is
+one sparse matrix per mesh and rule, ``Mesh.quadrature_operator``: it
+samples fields, and its transpose (:func:`hat_integrals`) integrates point
+values against the hat functions.
 """
 
 import numpy as np
@@ -57,32 +60,22 @@ TRI_DEG5 = TriangleRule(
 )
 
 
-def at_quadrature_points(nodal, triangles, rule):
-    """Evaluate a nodal P1 field at the rule's points on every triangle.
-
-    Parameters
-    ----------
-    nodal : (n_nodes,) array
-    triangles : (n_tri, 3) int array
-    rule : TriangleRule
-
-    Returns
-    -------
-    (n_tri, nq) array of field values.
-    """
-    vals = np.asarray(nodal)[triangles]          # (M, 3)
-    return vals @ rule.points.T                  # (M, nq)
-
-
-def add_hat_integrals(out, triangles, values, rule, scale):
-    """Transpose of :func:`at_quadrature_points`: add to ``out`` at node a
-    of every triangle T  scale_T * sum_q w_q values_Tq phi_a(x_q).
+def hat_integrals(mesh, rule, values, scale):
+    """Integrals of point values against the hat functions, one scatter
+    for all k columns: the (k, n_nodes) sums over every triangle T of
+    scale_T * sum_q w_q values_Tq phi_a(x_q) at node a, for ``values`` of
+    shape (k, n_tri, nq) or (n_tri, nq).
 
     With ``scale`` the triangle areas this is  int_T v phi_a  for the
-    (n_tri, nq) quadrature values v.
+    quadrature values v.  It is the transpose of sampling with
+    ``mesh.quadrature_operator(rule)``.
     """
-    contrib = ((values * rule.weights) @ rule.points) * scale[:, None]
-    np.add.at(out, triangles.ravel(), contrib.ravel())
+    w = (scale[:, None] * rule.weights).ravel()
+    values = np.reshape(values, (-1, len(w)))
+    # the product reads its k columns from C-ordered rows, one per point
+    cols = np.empty((len(w), len(values)))
+    np.multiply(values, w, out=cols.T)
+    return (mesh.quadrature_operator(rule).T @ cols).T
 
 
 def element_integrals(values, rule, areas):

@@ -17,6 +17,14 @@ stimulus fields, so the assembly, the objective and both gradients share
 them, and so do all evaluations that share a field: every trial of a line
 search shares its stimulus, and ``Evaluation.at_stimulus`` its design.
 
+Each gradient term sums its integrands over the load cases and the phases
+first, applies the void chain rule to the sums, and then scatters once:
+one product with the transpose of the mesh's quadrature operator
+(:func:`morphopt.quadrature.hat_integrals`) or of its gradient operator,
+with both densities, or all cases, as the columns of that product.  A
+gradient makes six scatters for any number of cases, seven with the link
+energy on.
+
 Design sensitivity (direction phi restricted to nodal hat functions,
 with the void chain rule phi1 = -phi2 - phi3):
 
@@ -41,15 +49,14 @@ from functools import cached_property
 
 import numpy as np
 
-from . import quadrature
 from .elasticity import (LINK_MATERIAL, element_strains,
                          link_stiffness_derivative, solve_adjoint, solve_link,
                          solve_state)
 from .fields import check_nodal
-from .functional import (multiwell_derivative, p1_gradient, stimulus_squares,
-                         total)
+from .functional import multiwell_derivative, stimulus_squares, total
 from .linsolve import SOLVER_TOL
 from .materials import interp, interp_derivative
+from .quadrature import TRI_DEG2, TRI_DEG4, hat_integrals
 
 
 @dataclass
@@ -60,98 +67,80 @@ class Gradient:
 
 
 def perimeter_design_grad(mesh, design, epsilon):
-    """Gradient of the perimeter energy (not yet weighted by alpha)."""
-    tri = mesh.triangles
+    """Gradient of the perimeter energy (not yet weighted by alpha), the
+    rho2 and rho3 rows of a (2, n_nodes) array."""
     r2q, r3q = design.samples(mesh)
     w1 = multiwell_derivative(1.0 - r2q - r3q)
-    w2 = multiwell_derivative(r2q)
-    w3 = multiwell_derivative(r3q)
-    scale = mesh.areas / epsilon
-    g2 = np.zeros(mesh.n_nodes)
-    g3 = np.zeros(mesh.n_nodes)
-    quadrature.add_hat_integrals(g2, tri, w2 - w1, quadrature.TRI_DEG4, scale)
-    quadrature.add_hat_integrals(g3, tri, w3 - w1, quadrature.TRI_DEG4, scale)
-
-    gr2 = p1_gradient(mesh, design.rho2)
-    gr3 = p1_gradient(mesh, design.rho3)
-    gr1 = -gr2 - gr3
-    c = 2.0 * epsilon * mesh.areas
-    for g, gr in ((g2, gr2), (g3, gr3)):
-        np.add.at(g, tri.ravel(), (c[:, None] * np.einsum(
-            "md,mad->ma", gr - gr1, mesh.grads)).ravel())
-    return g2, g3
+    well = hat_integrals(mesh, TRI_DEG4, np.stack(
+        [multiwell_derivative(r2q) - w1, multiwell_derivative(r3q) - w1]),
+        mesh.areas / epsilon)
+    # 2 eps int D(rho_i - rho1) . D phi_i, both densities as two columns
+    D = mesh.gradient_operator()
+    grads = D @ np.column_stack([design.rho2, design.rho3])       # (2M, 2)
+    gr1 = -grads[:, 0] - grads[:, 1]
+    c = np.repeat(2.0 * epsilon * mesh.areas, 2)
+    return well + (D.T @ (c[:, None] * (grads - gr1[:, None]))).T
 
 
 def q_design_grad(mesh, design, stimulus):
-    """Gradient of the stimulus penalty with respect to the densities."""
+    """Gradient of the stimulus penalty with respect to the densities, as
+    in :func:`perimeter_design_grad`."""
     r2q, r3q = design.samples(mesh)
     r1q = 1.0 - r2q - r3q
     s2 = stimulus_squares(mesh, stimulus)
-    g2 = np.zeros(mesh.n_nodes)
-    g3 = np.zeros(mesh.n_nodes)
-    quadrature.add_hat_integrals(g2, mesh.triangles, 2.0 * (r2q - r1q) * s2,
-                                 quadrature.TRI_DEG4, mesh.areas)
-    quadrature.add_hat_integrals(g3, mesh.triangles, -2.0 * r1q * s2,
-                                 quadrature.TRI_DEG4, mesh.areas)
-    return g2, g3
+    return hat_integrals(mesh, TRI_DEG4,
+                         np.stack([2.0 * (r2q - r1q) * s2, -2.0 * r1q * s2]),
+                         mesh.areas)
 
 
 def _strains(mesh, fields):
-    return [element_strains(mesh, f) for f in fields]
+    """Element strains of every field, (len(fields), n_tri, 2, 2)."""
+    return np.stack([element_strains(mesh, f) for f in fields])
+
+
+def _traces(strains):
+    """tr e of every case and triangle, (n_cases, n_tri)."""
+    return strains[..., 0, 0] + strains[..., 1, 1]
 
 
 def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
                            strains=None):
     """sum_j sum_i a'(rho_i) C_i (e(u_j) - beta_i s_j I) : e(lambda_j) phi_i
-    (``strains``: the element strains of lambdas, computed here unless
+    as in :func:`perimeter_design_grad` (``strains``: the
+    (n_cases, n_tri, 2, 2) element strains of lambdas, computed here unless
     given)."""
     mats, resp = phases.as_tuple(), phases.responsive
-    tri = mesh.triangles
-    r3 = quadrature.TRI_DEG2
-    r6 = quadrature.TRI_DEG4
-    da3 = interp_derivative(design.phase_samples(mesh))
-    da6 = interp_derivative(design.samples(mesh)[1])
-    # sign of phi_i in the chain rule phi1 = -phi2 - phi3
-    signs = ((-1.0, -1.0), (1.0, 0.0), (0.0, 1.0))
     if strains is None:
         strains = _strains(mesh, lambdas)
-
-    g2 = np.zeros(mesh.n_nodes)
-    g3 = np.zeros(mesh.n_nodes)
-    for u_j, el, sq6 in zip(state.u, strains, stimulus.samples(mesh)):
-        eu = element_strains(mesh, u_j)
-        inner = np.einsum("mxy,mxy->m", eu, el)
-        tru = eu[:, 0, 0] + eu[:, 1, 1]
-        trl = el[:, 0, 0] + el[:, 1, 1]
-        for i, mat in enumerate(mats):
-            cval = 2.0 * mat.lame_mu * inner + mat.lame_lambda * tru * trl
-            for g, sign in zip((g2, g3), signs[i]):
-                if sign:
-                    quadrature.add_hat_integrals(g, tri, da3[i], r3,
-                                                 sign * (mesh.areas * cval))
-        # the stimulus load: beta_i = 0 except in the responsive phase
-        lval = resp.beta * 2.0 * resp.bulk * trl
-        quadrature.add_hat_integrals(g3, tri, da6 * sq6, r6,
-                                     -(mesh.areas * lval))
-    return g2, g3
+    eu = _strains(mesh, state.u)
+    trl = _traces(strains)
+    # C_i e(u_j) : e(lambda_j) summed over the cases, one row per phase i
+    mu = np.array([[mat.lame_mu] for mat in mats])
+    lam = np.array([[mat.lame_lambda] for mat in mats])
+    cval = (2.0 * mu * np.einsum("jmxy,jmxy->m", eu, strains)
+            + lam * np.einsum("jm,jm->m", _traces(eu), trl))
+    # phases 2 and 3 minus the void, by the chain rule phi1 = -phi2 - phi3
+    da3 = interp_derivative(design.phase_samples(mesh)) * cval[:, :, None]
+    g = hat_integrals(mesh, TRI_DEG2, da3[1:] - da3[0], mesh.areas)
+    # the stimulus load: beta_i = 0 except in the responsive phase
+    lval = np.einsum("jmq,jm->mq", stimulus.samples(mesh), trl)
+    g[1] -= hat_integrals(mesh, TRI_DEG4,
+                          interp_derivative(design.samples(mesh)[1]) * lval,
+                          resp.beta * 2.0 * resp.bulk * mesh.areas)[0]
+    return g
 
 
 def link_design_grad(mesh, design, link):
     """Gradient of the link energy; it is the same for rho2 and rho3
     (``link``: solve_link's (v_j, f_j) at this design)."""
-    rule = quadrature.TRI_DEG4
-    mq = quadrature.at_quadrature_points(design.rho2 + design.rho3,
-                                         mesh.triangles, rule)
-    dk = link_stiffness_derivative(mq)
-    g = np.zeros(mesh.n_nodes)
-    for v in link[0]:
-        e = element_strains(mesh, v.reshape(-1, 2))
-        tr = e[:, 0, 0] + e[:, 1, 1]
-        energy = (2.0 * LINK_MATERIAL.lame_mu * np.einsum("mxy,mxy->m", e, e)
-                  + LINK_MATERIAL.lame_lambda * tr * tr)
-        quadrature.add_hat_integrals(g, mesh.triangles, dk, rule,
-                                     -(mesh.areas * energy))
-    return g
+    r2q, r3q = design.samples(mesh)
+    e = _strains(mesh, [v.reshape(-1, 2) for v in link[0]])
+    tr = _traces(e)
+    energy = (2.0 * LINK_MATERIAL.lame_mu * np.einsum("jmxy,jmxy->m", e, e)
+              + LINK_MATERIAL.lame_lambda * np.einsum("jm,jm->m", tr, tr))
+    return -hat_integrals(mesh, TRI_DEG4,
+                          link_stiffness_derivative(r2q + r3q),
+                          mesh.areas * energy)[0]
 
 
 def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
@@ -160,40 +149,28 @@ def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
     (``link`` as in :func:`link_design_grad`, needed when link_weight > 0;
     ``strains`` as in :func:`elasticity_design_grad`)."""
     check_nodal(mesh, design.rho2, "rho2")
-    p2, p3 = perimeter_design_grad(mesh, design, params.epsilon)
-    q2, q3 = q_design_grad(mesh, design, stimulus)
-    e2, e3 = elasticity_design_grad(mesh, design, stimulus, state, lambdas,
-                                    phases, strains)
-    lumped = mesh.lumped_node_areas()
-    g2 = params.alpha * p2 + params.nu2 * lumped + q2 + e2
-    g3 = params.alpha * p3 + params.nu3 * lumped + q3 + e3
+    nu = np.array([[params.nu2], [params.nu3]])
+    g = (params.alpha * perimeter_design_grad(mesh, design, params.epsilon)
+         + nu * mesh.lumped_node_areas()
+         + q_design_grad(mesh, design, stimulus)
+         + elasticity_design_grad(mesh, design, stimulus, state, lambdas,
+                                  phases, strains))
     if params.link_weight:
-        g_link = params.link_weight * link_design_grad(mesh, design, link)
-        g2 = g2 + g_link
-        g3 = g3 + g_link
-    return g2, g3
+        g = g + params.link_weight * link_design_grad(mesh, design, link)
+    return g[0], g[1]
 
 
 def grad_stimulus(mesh, design, stimulus, lambdas, phases, strains=None):
-    """Stimulus gradient, one nodal array per load case (``strains``: the
-    element strains of lambdas, computed here unless given)."""
+    """Stimulus gradient, one nodal array per load case (``strains`` as in
+    :func:`elasticity_design_grad`)."""
     resp = phases.responsive
-    tri = mesh.triangles
-    rule = quadrature.TRI_DEG4
     r2q, r3q = design.samples(mesh)
-    a3q = interp(r3q)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
     if strains is None:
         strains = _strains(mesh, lambdas)
-
-    out = np.zeros((stimulus.n_cases, mesh.n_nodes))
-    for out_j, el, sq in zip(out, strains, stimulus.samples(mesh)):
-        trl = el[:, 0, 0] + el[:, 1, 1]
-        coef = resp.beta * 2.0 * resp.bulk * trl
-        quadrature.add_hat_integrals(out_j, tri, a3q, rule, -(mesh.areas * coef))
-        quadrature.add_hat_integrals(out_j, tri, 2.0 * bq * sq, rule,
-                                     mesh.areas)
-    return out
+    coef = resp.beta * 2.0 * resp.bulk * _traces(strains)            # (k, M)
+    return hat_integrals(mesh, TRI_DEG4, 2.0 * bq * stimulus.samples(mesh)
+                         - interp(r3q) * coef[:, :, None], mesh.areas)
 
 
 class Evaluation:

@@ -7,6 +7,7 @@ brute-force stimulus recomputes tr(e(lambda)) from a boundary integral
 energy has its own quadrature.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,12 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
     """
     if potential not in ("triple", "double"):
         raise InvalidParameterError(f"unknown potential {potential!r}")
+    if n_intervals < 1:
+        raise InvalidParameterError(
+            f"n_intervals must be >= 1, got {n_intervals!r}")
+    if not (math.isfinite(span_factor) and span_factor > 0):
+        raise InvalidParameterError(
+            f"span_factor must be positive and finite, got {span_factor!r}")
     n_nodes = n_intervals + 1
     length = span_factor * eps
     dx = length / n_intervals
@@ -249,8 +256,9 @@ def profile_coefficient(epsilons, n_intervals=4000, span_factor=40.0,
     """
     out = []
     for eps in epsilons:
-        if eps <= 0:
-            raise InvalidParameterError("epsilon values must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidParameterError(
+                f"epsilon values must be positive and finite, got {eps!r}")
         energy, _ = minimize_profile(eps, n_intervals=n_intervals,
                                      span_factor=span_factor,
                                      potential=potential)

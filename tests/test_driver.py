@@ -673,6 +673,23 @@ class TestCli:
         assert float(eps) == 0.05
         assert 0.5 < float(energy) < 0.7
 
+    @pytest.mark.parametrize("args,name", [
+        pytest.param(["--epsilons", "abc"], "--epsilons", id="unparsable-eps"),
+        pytest.param(["--epsilons", "nan"], "epsilon", id="nan-eps"),
+        pytest.param(["--intervals", "0"], "n_intervals", id="zero-intervals"),
+        pytest.param(["--intervals", "-3"], "n_intervals",
+                     id="negative-intervals"),
+        pytest.param(["--span", "nan"], "span_factor", id="nan-span"),
+        pytest.param(["--span", "0"], "span_factor", id="zero-span")])
+    def test_profile_oracle_rejects_bad_input(self, capsys, args, name):
+        code = cli.main(["profile-oracle", "--epsilons", "0.05", *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert name in err[0] and "non-finite" not in err[0]
+        assert "energy" not in captured.out
+
     def test_render_subcommand(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "cli_out3"
         cli.main(["run", "--config", str(tiny_cfg), "--out", str(out)])

@@ -11,6 +11,7 @@ from morphopt.errors import InvalidParameterError
 from morphopt.fields import DesignField, StimulusField, project_design
 from morphopt.materials import Material, PhaseSet, interp
 from morphopt.mesh import Mesh, build_rect_mesh
+from test_mesh import reference_at_quadrature_points
 
 PASSIVE = Material(5.0, 0.3, 0.0)
 RESPONSIVE = Material(5.0, 0.3, 1.0)
@@ -126,9 +127,9 @@ class TestStiffness:
         rng = np.random.default_rng(2)
         rho = rng.uniform(0, 1, mesh.n_nodes)
         for rule_lo, rule_hi in ((quadrature.TRI_DEG2, quadrature.TRI_DEG4),):
-            lo = interp(quadrature.at_quadrature_points(
+            lo = interp(reference_at_quadrature_points(
                 rho, mesh.triangles, rule_lo)) @ rule_lo.weights
-            hi = interp(quadrature.at_quadrature_points(
+            hi = interp(reference_at_quadrature_points(
                 rho, mesh.triangles, rule_hi)) @ rule_hi.weights
             np.testing.assert_allclose(lo, hi, rtol=1e-13)
 
@@ -139,10 +140,10 @@ class TestStiffness:
         rho = rng.uniform(0, 1, mesh.n_nodes)
         s = rng.uniform(-1, 1, mesh.n_nodes)
         r4, r5 = quadrature.TRI_DEG4, quadrature.TRI_DEG5
-        lo = (interp(quadrature.at_quadrature_points(rho, mesh.triangles, r4))
-              * quadrature.at_quadrature_points(s, mesh.triangles, r4)) @ r4.weights
-        hi = (interp(quadrature.at_quadrature_points(rho, mesh.triangles, r5))
-              * quadrature.at_quadrature_points(s, mesh.triangles, r5)) @ r5.weights
+        lo = (interp(reference_at_quadrature_points(rho, mesh.triangles, r4))
+              * reference_at_quadrature_points(s, mesh.triangles, r4)) @ r4.weights
+        hi = (interp(reference_at_quadrature_points(rho, mesh.triangles, r5))
+              * reference_at_quadrature_points(s, mesh.triangles, r5)) @ r5.weights
         np.testing.assert_allclose(lo, hi, rtol=1e-13, atol=1e-16)
 
 
@@ -151,21 +152,22 @@ class TestStimulusLoad:
         mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         design = DesignField.constant(mesh.n_nodes, 0.4, 0.5)
         f = assemble_stimulus_load(mesh, design, PHASES,
-                                   np.zeros(mesh.n_nodes))
+                                   StimulusField.zeros(1, mesh.n_nodes))
         assert np.max(np.abs(f)) == 0.0
 
     def test_no_responsive_material_gives_zero_load(self):
         mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         design = DesignField.constant(mesh.n_nodes, 0.8, 0.0)
         f = assemble_stimulus_load(mesh, design, PHASES,
-                                   np.ones(mesh.n_nodes))
+                                   StimulusField(np.ones(mesh.n_nodes)))
         assert np.max(np.abs(f)) == 0.0
 
     def test_uniform_prestress_against_quadrature_oracle(self):
         mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         n = mesh.n_nodes
         design = DesignField.constant(n, 0.0, 1.0)
-        f = assemble_stimulus_load(mesh, design, PHASES, np.ones(n))
+        f = assemble_stimulus_load(mesh, design, PHASES,
+                                   StimulusField(np.ones(n)))[:, 0]
         kappa = RESPONSIVE.bulk
         oracle = np.zeros(2 * n)
         for m, tri in enumerate(mesh.triangles):
@@ -188,7 +190,8 @@ class TestStimulusLoad:
         design = project_design(DesignField(rng.uniform(0, 1, n),
                                             rng.uniform(0, 1, n)))
         s = rng.uniform(-1, 1, n)
-        f = assemble_stimulus_load(mesh, design, PHASES, s)
+        f = assemble_stimulus_load(mesh, design, PHASES,
+                                   StimulusField(s))[:, 0]
         kappa = RESPONSIVE.bulk
         oracle = np.zeros(2 * n)
         for m, tri in enumerate(mesh.triangles):
@@ -245,7 +248,8 @@ class TestSolveState:
                             tol=1e-12)
         u = state.u[0].ravel()
         strain_energy = float(u @ (state.operator @ u))
-        load = assemble_stimulus_load(mesh, design, PHASES, s)
+        load = assemble_stimulus_load(mesh, design, PHASES,
+                                      StimulusField(s))[:, 0]
         load[state.fixed_dofs] = 0.0
         residual = strain_energy - float(u @ load)
         assert abs(residual) <= 1e-9 * max(strain_energy, 1e-30)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from morphopt import quadrature
 from morphopt.elasticity import assemble_stimulus_load, element_strains
 from morphopt.errors import InvalidParameterError
-from morphopt.fields import DesignField
+from morphopt.fields import (DesignField, StimulusField,
+                             nodal_average_from_elements)
 from morphopt.functional import p1_gradient
 from morphopt.materials import Material, PhaseSet, interp
 from morphopt.mesh import (_HEX_VERTS, Mesh, build_hexagon_mesh,
@@ -222,13 +223,37 @@ def reference_p1_gradient(mesh, nodal):
     return np.einsum("ma,mad->md", nodal[mesh.triangles], mesh.grads)
 
 
-def reference_stimulus_load(mesh, design, phases, s_j):
-    """The np.add.at stimulus load the gradient operator replaced."""
+def reference_at_quadrature_points(nodal, triangles, rule):
+    """The gather and matmul sampling the quadrature operator replaced:
+    a nodal P1 field at the rule's points on every triangle, (n_tri, nq)."""
+    return np.asarray(nodal)[triangles] @ rule.points.T
+
+
+def reference_add_hat_integrals(out, triangles, values, rule, scale):
+    """The np.add.at scatter the quadrature operator replaced: add to
+    ``out`` at node a of every triangle T
+    scale_T * sum_q w_q values_Tq phi_a(x_q)."""
+    contrib = ((values * rule.weights) @ rule.points) * scale[:, None]
+    np.add.at(out, triangles.ravel(), contrib.ravel())
+
+
+def reference_nodal_average(mesh, vals):
+    """The np.add.at area-weighted average nodal_average_from_elements
+    replaced."""
+    w = np.repeat(mesh.areas, 3)
+    den = np.zeros(mesh.n_nodes)
+    np.add.at(den, mesh.triangles.ravel(), w)
+    num = np.zeros(mesh.n_nodes)
+    np.add.at(num, mesh.triangles.ravel(), w * np.repeat(vals, 3))
+    return num / den
+
+
+def reference_stimulus_load(mesh, rho3q, phases, sq):
+    """The np.add.at stimulus load the gradient operator replaced, from
+    rho3 and s_j at the degree-4 points."""
     rule = quadrature.TRI_DEG4
-    aw = interp(quadrature.at_quadrature_points(design.rho3, mesh.triangles, rule))
-    sq = quadrature.at_quadrature_points(s_j, mesh.triangles, rule)
     resp = phases.responsive
-    coef = (resp.beta * 2.0 * resp.bulk * ((aw * sq) @ rule.weights)
+    coef = (resp.beta * 2.0 * resp.bulk * ((interp(rho3q) * sq) @ rule.weights)
             * mesh.areas)
     edof = (2 * mesh.triangles[:, :, None] + [0, 1]).reshape(-1, 6)
     f = np.zeros(2 * mesh.n_nodes)
@@ -266,11 +291,12 @@ class TestGradientOperator:
                                   reference_p1_gradient(mesh, u[:, 1]))
         rho2 = rng.uniform(0.0, 0.5, n)
         design = DesignField(rho2, rng.uniform(0.0, 1.0, n) * (1.0 - rho2))
-        S = rng.uniform(-1.0, 1.0, (n, k))
-        for s_j in S.T:
-            assert np.array_equal(
-                assemble_stimulus_load(mesh, design, self.PHASES, s_j),
-                reference_stimulus_load(mesh, design, self.PHASES, s_j))
+        stimulus = StimulusField(rng.uniform(-1.0, 1.0, (k, n)))
+        F = assemble_stimulus_load(mesh, design, self.PHASES, stimulus)
+        assert F.shape == (2 * n, k)
+        for f, sq in zip(F.T, stimulus.samples(mesh)):
+            assert np.array_equal(f, reference_stimulus_load(
+                mesh, design.samples(mesh)[1], self.PHASES, sq))
 
     @pytest.mark.parametrize("build", [
         lambda: build_rect_mesh(1.0, 0.5, 0.25, "left", None),
@@ -290,6 +316,82 @@ class TestGradientOperator:
                               np.repeat(mesh.triangles[:, None], 2, axis=1))
         assert np.array_equal(D.data.reshape(m, 2, 3),
                               np.transpose(mesh.grads, (0, 2, 1)))
+
+
+QUADRATURE_RULES = [quadrature.TRI_DEG2, quadrature.TRI_DEG4]
+
+
+def assert_close_to_scale(actual, expected):
+    """Agreement within 1e-14 of the largest |expected| value."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+LAYOUT_MESHES = {
+    **{f"rect-{side}": (build_rect_mesh, (1.0, 0.5, 0.25, side, None))
+       for side in ("left", "right", "bottom", "top")},
+    **{f"hexagon-{orientation}": (build_hexagon_mesh,
+                                  (1.0, 0.25, 0.3, orientation))
+       for orientation in ("odd", "even")}}
+
+
+class TestQuadratureOperator:
+    @pytest.mark.parametrize("name", LAYOUT_MESHES)
+    def test_layout_and_cache(self, name):
+        build, args = LAYOUT_MESHES[name]
+        mesh = build(*args)
+        m = mesh.n_triangles
+        for rule in QUADRATURE_RULES:
+            nq = len(rule.weights)
+            assert ("quadrature", rule) not in mesh.cache  # built on first use
+            Q = mesh.quadrature_operator(rule)
+            assert mesh.quadrature_operator(rule) is Q
+            assert Q.shape == (m * nq, mesh.n_nodes)
+            assert Q.indices.dtype == np.int32 and Q.indptr.dtype == np.int32
+            # row m nq + q: point q of triangle m, entries in local-node order
+            assert np.array_equal(Q.indptr, np.arange(0, 3 * m * nq + 1, 3))
+            assert np.array_equal(
+                Q.indices.reshape(m, nq, 3),
+                np.broadcast_to(mesh.triangles[:, None], (m, nq, 3)))
+            assert np.array_equal(Q.data.reshape(m, nq, 3),
+                                  np.broadcast_to(rule.points, (m, nq, 3)))
+            for arr in (Q.data, Q.indices, Q.indptr):
+                assert not arr.flags.writeable
+        assert mesh.quadrature_operator(QUADRATURE_RULES[0]) is not \
+            mesh.quadrature_operator(QUADRATURE_RULES[1])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(OPERATOR_MESHES, st.integers(1, 4), st.integers(0, 2 ** 16))
+    def test_kernels_equal_reference(self, mesh, k, seed):
+        rng = np.random.default_rng(seed)
+        n, m, tri = mesh.n_nodes, mesh.n_triangles, mesh.triangles
+        X = rng.normal(size=(k, n))
+        for rule in QUADRATURE_RULES:
+            nq = len(rule.weights)
+            sampled = (mesh.quadrature_operator(rule) @ X.T).T
+            V = rng.normal(size=(k, m, nq))
+            scale = mesh.areas * rng.uniform(-2.0, 2.0, m)
+            scattered = quadrature.hat_integrals(mesh, rule, V, scale)
+            assert scattered.shape == (k, n)
+            for x, q, v, g in zip(X, sampled, V, scattered):
+                assert_close_to_scale(
+                    q.reshape(m, nq),
+                    reference_at_quadrature_points(x, tri, rule))
+                expected = np.zeros(n)
+                reference_add_hat_integrals(expected, tri, v, rule, scale)
+                assert_close_to_scale(g, expected)
+        # the fields sample through the same operators
+        for x, q in zip(X, StimulusField(X).samples(mesh)):
+            assert_close_to_scale(q, reference_at_quadrature_points(
+                x, tri, quadrature.TRI_DEG4))
+        design = DesignField(X[0], X[-1])
+        for x, q in zip((design.rho1(), design.rho2, design.rho3),
+                        design.phase_samples(mesh)):
+            assert_close_to_scale(q, reference_at_quadrature_points(
+                x, tri, quadrature.TRI_DEG2))
+        vals = rng.normal(size=m)
+        assert_close_to_scale(nodal_average_from_elements(mesh, vals),
+                              reference_nodal_average(mesh, vals))
 
 
 class TestHexagonMesh:

@@ -169,7 +169,7 @@ class TestReducedObjective:
         j = total(mesh, design, stim, state.u, TARGETS, params).total
         rng = np.random.default_rng(3)
         u = state.u[0].ravel()
-        load = assemble_stimulus_load(mesh, design, PHASES, stim.s[0])
+        load = assemble_stimulus_load(mesh, design, PHASES, stim)[:, 0]
         load[state.fixed_dofs] = 0.0
         for _ in range(3):
             lam = rng.normal(size=2 * n)

@@ -135,6 +135,19 @@ class TestProfileCoefficient:
         with pytest.raises(InvalidParameterError):
             profile_coefficient([0.1, -0.1])
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            profile_coefficient([eps])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_intervals": 0}, {"n_intervals": -3}, {"span_factor": float("nan")},
+        {"span_factor": float("inf")}, {"span_factor": 0.0},
+        {"span_factor": -40.0}])
+    def test_invalid_grid_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            minimize_profile(0.1, **kwargs)
+
     def test_unknown_potential_rejected(self):
         with pytest.raises(InvalidParameterError):
             minimize_profile(0.1, potential="quad")
