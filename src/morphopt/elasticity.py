@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .errors import InvalidParameterError
-from .fields import check_nodal, target_values
+from .fields import check_nodal, check_targets
 from .linsolve import (SOLVER_TOL, BlockCholesky, LevelBlocks, level_structure,
                        solve_spd)
 from .materials import Material, interp
@@ -47,11 +47,19 @@ def point_constraint_dofs(constraints):
 
 
 def element_strains(mesh, u):
-    """Constant strain tensor of every triangle for a nodal (n, 2) field."""
-    u = check_nodal(mesh, u, "displacement")
-    # [m, j, i] = d u_i / d x_j
-    grad = (mesh.gradient_operator() @ u).reshape(-1, 2, 2)
-    return 0.5 * (np.transpose(grad, (0, 2, 1)) + grad)
+    """Constant strain tensor of every triangle, (n_tri, 2, 2) for a nodal
+    (n, 2) field and (k, n_tri, 2, 2) for k fields (k, n, 2), all from one
+    product with the gradient operator."""
+    u = np.asarray(u)
+    # (n, 2, k); its (n, 2k) reshape is a view of the blocked solve's result
+    cases = np.moveaxis(u, 0, -1) if u.ndim == 3 else u[..., None]
+    X = check_nodal(mesh, cases, "displacement")
+    # [c, m, j, i] = d u_i / d x_j of case c
+    grad = np.moveaxis((mesh.gradient_operator() @ X.reshape(mesh.n_nodes, -1))
+                       .reshape(-1, 2, 2, X.shape[2]), -1, 0)
+    # C order, so sums over the strains add in the same order for any k
+    e = np.ascontiguousarray(0.5 * (np.swapaxes(grad, 2, 3) + grad))
+    return e if u.ndim == 3 else e[0]
 
 
 def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
@@ -191,27 +199,28 @@ def assemble_stimulus_load(mesh, design, phases, stimulus):
 
 
 def target_mass_apply(mesh, w):
-    """Consistent P1 mass product  int_{target} w . phi  for nodal w (n, 2)."""
+    """Consistent P1 mass product  int_{target} w . phi  for nodal w (n, ...)."""
     w = check_nodal(mesh, w, "misfit")
-    out = np.zeros((mesh.n_nodes, 2))
+    out = np.zeros(w.shape)
     te = mesh.target_elements
     if len(te) == 0:
         return out
     tri = mesh.triangles[te]
-    we = w[tri]                                                      # (Mt, 3, 2)
-    a = mesh.areas[te][:, None, None]
+    we = w[tri]                                                 # (Mt, 3, ...)
+    a = mesh.areas[te].reshape((-1,) + (1,) * w.ndim)
     # (M w)_a = (A/12)(2 w_a + w_b + w_c) per target element
     contrib = a / 12.0 * (we + we.sum(axis=1, keepdims=True))
-    np.add.at(out, tri.ravel(), contrib.reshape(-1, 2))
+    np.add.at(out, tri.ravel(), contrib.reshape(-1, *w.shape[1:]))
     return out
 
 
 @dataclass
 class StateSolution:
-    """Equilibrium displacements plus the operator they satisfy and its
-    block Cholesky factor (None once released; it is rebuilt on demand)."""
+    """Equilibrium displacements (n_cases, n_nodes, 2) plus the operator
+    they satisfy and its block Cholesky factor (None once released; it is
+    rebuilt on demand)."""
 
-    u: list
+    u: np.ndarray
     operator: sp.csr_matrix
     fixed_dofs: np.ndarray
     factor: BlockCholesky = None
@@ -241,23 +250,23 @@ def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
     K = operator
     if K is None:
         K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
-    state = StateSolution([], K, fixed_dofs, factor)
+    state = StateSolution(None, K, fixed_dofs, factor)
     F = assemble_stimulus_load(mesh, design, phases, stimulus)
     F[fixed_dofs] = 0.0
     X = solve_spd(K, F, tol=tol, factor=state.solver(mesh))
-    state.u = [x.reshape(-1, 2) for x in X.T]
+    state.u = X.T.reshape(X.shape[1], -1, 2)             # a view, case first
     return state
 
 
 def solve_adjoint(mesh, state, targets, tol=SOLVER_TOL):
     """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j),
-    all cases in one blocked solve."""
-    rhs = np.column_stack([
-        target_mass_apply(mesh, target_values(targets, j) - u_j).ravel()
-        for j, u_j in enumerate(state.u)])
+    (n_cases, n_nodes, 2), all cases in one blocked solve."""
+    u = state.u
+    misfit = check_targets(targets, len(u)).T - u.transpose(1, 2, 0)
+    rhs = target_mass_apply(mesh, misfit).reshape(2 * mesh.n_nodes, -1)
     rhs[state.fixed_dofs] = 0.0
     lams = solve_spd(state.operator, rhs, tol=tol, factor=state.solver(mesh))
-    return [lam.reshape(-1, 2) for lam in lams.T]
+    return lams.T.reshape(lams.shape[1], -1, 2)
 
 
 def link_stiffness(m):
@@ -282,21 +291,19 @@ def assemble_link_operator(mesh, design):
 
 
 def link_loads(mesh, targets):
-    """Target loads M0 ubar_j of the link problem, zero on the clamp."""
-    n = mesh.n_nodes
-    loads = []
-    for j in range(len(np.asarray(targets))):
-        ubar = np.broadcast_to(target_values(targets, j), (n, 2))
-        f = target_mass_apply(mesh, ubar).ravel()
-        f[mesh.dirichlet_dofs()] = 0.0
-        loads.append(f)
-    return loads
+    """Target loads M0 ubar_j of the link problem, zero on the clamp, one
+    row of the (n_cases, 2 n_nodes) result per target."""
+    t = check_targets(targets, len(np.asarray(targets))).T           # (2, k)
+    F = target_mass_apply(mesh, np.broadcast_to(t, (mesh.n_nodes, *t.shape)))
+    F = F.reshape(2 * mesh.n_nodes, -1)
+    F[mesh.dirichlet_dofs()] = 0.0
+    return F.T
 
 
 def solve_link(mesh, design, targets):
-    """Displacements v_j of the link problem with their loads f_j."""
+    """Displacements V and loads F of the link problem, one row v_j and
+    f_j of the (n_cases, 2 n_nodes) arrays per case."""
     K = assemble_link_operator(mesh, design)
     factor = factorize(mesh, K, mesh.dirichlet_dofs())
-    loads = link_loads(mesh, targets)
-    V = solve_spd(K, np.column_stack(loads), factor=factor)
-    return list(V.T), loads
+    F = link_loads(mesh, targets)
+    return solve_spd(K, F.T, factor=factor).T, F

@@ -1,8 +1,9 @@
 """Nodal field containers and projection utilities.
 
-Design and stimulus fields are nodal P1 coefficient arrays; displacements
-and adjoints are (n_nodes, 2) arrays.  Target displacements are one
-2-vector per load case.
+Design and stimulus fields are nodal P1 coefficient arrays; the
+displacements and adjoints of n load cases are one (n_cases, n_nodes, 2)
+array, case axis first, like the (n_cases, n_nodes) stimuli.  Target
+displacements are one 2-vector per load case.
 
 A field holds read-only copies of its arrays, so what is derived from them
 on a mesh (the quadrature samples every kernel reads, the perimeter
@@ -23,7 +24,8 @@ INITIAL_RHO3 = 0.3
 
 
 def _frozen(array):
-    out = np.array(array, dtype=float)
+    # C order, so a saved field's bytes do not depend on how it was computed
+    out = np.array(array, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -141,20 +143,24 @@ def check_nodal(mesh, array, name="field"):
 
 
 def nodal_average_from_elements(mesh, element_values):
-    """Area-weighted average of per-triangle values onto the nodes."""
+    """Area-weighted average of per-triangle values onto the nodes: (n_tri,)
+    values give (n_nodes,), k rows (k, n_tri) give (k, n_nodes)."""
     vals = np.asarray(element_values, dtype=float)
-    if vals.shape != (mesh.n_triangles,):
+    if vals.ndim not in (1, 2) or vals.shape[-1] != mesh.n_triangles:
         raise InvalidParameterError("element_values must have one entry per triangle")
     # int v phi_a over int phi_a: each triangle gives A/3 of itself to a node
     rule = quadrature.TRI_DEG2
-    return quadrature.hat_integrals(
-        mesh, rule, np.repeat(vals[:, None], len(rule.weights), axis=1),
-        mesh.areas)[0] / mesh.lumped_node_areas()
+    return (quadrature.hat_integrals(
+        mesh, rule, np.repeat(vals[..., None], len(rule.weights), axis=-1),
+        mesh.areas) / mesh.lumped_node_areas()).reshape(*vals.shape[:-1], -1)
 
 
-def target_values(targets, j):
-    """Target displacement (2,) of case ``j`` from the (n, 2) ``targets``."""
+def check_targets(targets, n_cases):
+    """The (n_cases, 2) float array of target displacements, one per load
+    case; raises unless ``targets`` has that shape."""
     t = np.asarray(targets, dtype=float)
-    if t.ndim != 2 or t.shape[1] != 2:
-        raise InvalidParameterError("targets must be (n, 2)")
-    return t[j]
+    if t.shape != (n_cases, 2):
+        raise InvalidParameterError(
+            f"targets of shape {t.shape} for {n_cases} load cases; "
+            "one (ux, uy) per case expected")
+    return t

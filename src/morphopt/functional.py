@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InvalidParameterError
-from .fields import check_nodal, target_values
+from .fields import check_nodal, check_targets
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,25 @@ class ObjectiveBreakdown:
 
 
 def tracking(mesh, state_u, targets):
-    """sum_j (1/2) int_{target} |u_j - ubar_j|^2, exact P1 mass quadrature.
+    """sum_j (1/2) int_{target} |u_j - ubar_j|^2 of the (n_cases, n_nodes, 2)
+    displacements, exact P1 mass quadrature.
 
     For a P1 misfit w the element integral is
     (A/6) * (w1.w1 + w2.w2 + w3.w3 + w1.w2 + w2.w3 + w1.w3).
     """
+    u = np.asarray(state_u)
+    check_nodal(mesh, u[0], "displacement")
+    w = u - check_targets(targets, len(u))[:, None, :]
     te = mesh.target_elements
     if len(te) == 0:
         return 0.0
-    tri = mesh.triangles[te]
-    a = mesh.areas[te]
-    value = 0.0
-    for j, u_j in enumerate(state_u):
-        u_j = check_nodal(mesh, u_j, "displacement")
-        w = u_j - target_values(targets, j)
-        we = w[tri]
-        dots = np.einsum("max,mbx->mab", we, we)
-        diag = np.trace(dots, axis1=1, axis2=2)
-        off = 0.5 * (dots.sum(axis=(1, 2)) - diag)
-        value += 0.5 * float(np.sum(a / 6.0 * (diag + off)))
-    return value
+    we = w[:, mesh.triangles[te]]                                # (k, Mt, 3, 2)
+    # C order and one sum per case keep each case's order of additions
+    dots = np.einsum("jmax,jmbx->jmab", we, we, order="C")
+    diag = np.trace(dots, axis1=2, axis2=3)
+    off = 0.5 * (dots.sum(axis=(2, 3)) - diag)
+    return sum(0.5 * float(np.sum(v))
+               for v in mesh.areas[te] / 6.0 * (diag + off))
 
 
 def multiwell(rho1, rho2, rho3):
@@ -194,7 +193,7 @@ def stimulus_penalty(mesh, design, stimulus):
 
 def link_energy(link):
     """Link compliance  sum_j f_j . v_j  of the virtual elastic body
-    (``link``: the (v_j, f_j) that elasticity.solve_link returns)."""
+    (``link``: the (V, F) that elasticity.solve_link returns)."""
     vs, loads = link
     return float(sum(np.dot(f, v) for f, v in zip(loads, vs)))
 

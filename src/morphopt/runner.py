@@ -125,7 +125,7 @@ def run(spec, out_dir=None):
              dirichlet_nodes=mesh.dirichlet_nodes,
              target_elements=mesh.target_elements, cell_size=mesh.cell_size,
              rho2=design.rho2, rho3=design.rho3, s=stim.s,
-             u=np.stack(final_ev.state.u), lam=np.stack(final_ev.lambdas))
+             u=final_ev.state.u, lam=final_ev.lambdas)
 
     composites, scales = [], []
     for j in range(stim.n_cases):

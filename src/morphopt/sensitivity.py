@@ -10,6 +10,8 @@ An :class:`Evaluation` does the work of one point (design, stimulus) once:
 one stiffness and its factor, one blocked state solve for all cases, one
 blocked adjoint solve, one link solve when the link energy is on, and one
 gradient, which computes the strains of every u_j and lambda_j once.  The
+states, adjoints and link fields are one array each, case axis first, and
+their strains come from one gradient-operator product per array.  The
 quadrature samples (rho2, rho3 and every s_j at the degree-4 points, the
 three phase densities at the degree-2 points) and the design-only
 objective terms (perimeter and volume) are kept on the design and
@@ -52,7 +54,7 @@ import numpy as np
 from .elasticity import (LINK_MATERIAL, element_strains,
                          link_stiffness_derivative, solve_adjoint, solve_link,
                          solve_state)
-from .fields import check_nodal
+from .fields import check_nodal, check_targets
 from .functional import multiwell_derivative, stimulus_squares, total
 from .linsolve import SOLVER_TOL
 from .materials import interp, interp_derivative
@@ -93,11 +95,6 @@ def q_design_grad(mesh, design, stimulus):
                          mesh.areas)
 
 
-def _strains(mesh, fields):
-    """Element strains of every field, (len(fields), n_tri, 2, 2)."""
-    return np.stack([element_strains(mesh, f) for f in fields])
-
-
 def _traces(strains):
     """tr e of every case and triangle, (n_cases, n_tri)."""
     return strains[..., 0, 0] + strains[..., 1, 1]
@@ -111,8 +108,8 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
     given)."""
     mats, resp = phases.as_tuple(), phases.responsive
     if strains is None:
-        strains = _strains(mesh, lambdas)
-    eu = _strains(mesh, state.u)
+        strains = element_strains(mesh, lambdas)
+    eu = element_strains(mesh, state.u)
     trl = _traces(strains)
     # C_i e(u_j) : e(lambda_j) summed over the cases, one row per phase i
     mu = np.array([[mat.lame_mu] for mat in mats])
@@ -132,9 +129,9 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
 
 def link_design_grad(mesh, design, link):
     """Gradient of the link energy; it is the same for rho2 and rho3
-    (``link``: solve_link's (v_j, f_j) at this design)."""
+    (``link``: solve_link's (V, F) at this design)."""
     r2q, r3q = design.samples(mesh)
-    e = _strains(mesh, [v.reshape(-1, 2) for v in link[0]])
+    e = element_strains(mesh, link[0].reshape(len(link[0]), -1, 2))
     tr = _traces(e)
     energy = (2.0 * LINK_MATERIAL.lame_mu * np.einsum("jmxy,jmxy->m", e, e)
               + LINK_MATERIAL.lame_lambda * np.einsum("jm,jm->m", tr, tr))
@@ -167,7 +164,7 @@ def grad_stimulus(mesh, design, stimulus, lambdas, phases, strains=None):
     r2q, r3q = design.samples(mesh)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
     if strains is None:
-        strains = _strains(mesh, lambdas)
+        strains = element_strains(mesh, lambdas)
     coef = resp.beta * 2.0 * resp.bulk * _traces(strains)            # (k, M)
     return hat_integrals(mesh, TRI_DEG4, 2.0 * bq * stimulus.samples(mesh)
                          - interp(r3q) * coef[:, :, None], mesh.areas)
@@ -188,16 +185,16 @@ class Evaluation:
     def __init__(self, mesh, design, stimulus, phases, params, targets,
                  tol=SOLVER_TOL, operator=None, factor=None, link=None):
         self.mesh, self.design, self.stimulus = mesh, design, stimulus
-        self.phases, self.params, self.targets = phases, params, targets
-        self.tol = tol
+        self.phases, self.params, self.tol = phases, params, tol
+        self.targets = check_targets(targets, stimulus.n_cases)
         # the link factor is gone before the state's is built
         if link is None and params.link_weight:
-            link = solve_link(mesh, design, targets)
+            link = solve_link(mesh, design, self.targets)
         self.link = link
         self.state = solve_state(mesh, design, phases, stimulus, tol=tol,
                                  operator=operator, factor=factor)
-        self.breakdown = total(mesh, design, stimulus, self.state.u, targets,
-                               params, link)
+        self.breakdown = total(mesh, design, stimulus, self.state.u,
+                               self.targets, params, link)
 
     def at_stimulus(self, stimulus):
         return Evaluation(self.mesh, self.design, stimulus, self.phases,
@@ -215,7 +212,7 @@ class Evaluation:
     @cached_property
     def gradient(self):
         # the adjoint strains serve both gradients
-        strains = _strains(self.mesh, self.lambdas)
+        strains = element_strains(self.mesh, self.lambdas)
         g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
                              self.lambdas, self.phases, self.params, self.link,
                              strains)

@@ -22,7 +22,7 @@ from .materials import interp
 
 @dataclass
 class StimulusQuadratic:
-    """Pointwise coefficients of  -c s + B s^2  (arrays of equal shape)."""
+    """Pointwise coefficients of  -c s + B s^2  (arrays that broadcast)."""
 
     c: np.ndarray
     B: np.ndarray
@@ -44,25 +44,13 @@ def optimal_stimulus_pointwise(quad):
     return float(s) if s.ndim == 0 else s
 
 
-def stimulus_coefficients(mesh, design, lam_j, phases):
-    """Pointwise quadratic coefficients for one load case.
-
-    tr(e(lambda)) is piecewise constant for P1; it is recovered at the
-    nodes by area-weighted averaging.
-    """
-    resp = phases.responsive
-    el = element_strains(mesh, lam_j)
-    tr_elem = el[:, 0, 0] + el[:, 1, 1]
-    tr = nodal_average_from_elements(mesh, tr_elem)
-    c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr
-    B = design.rho1() ** 2 + design.rho2 ** 2
-    return StimulusQuadratic(c, B)
-
-
 def minimize_stimulus_field(mesh, design, lambdas, phases):
-    """Closed-form stimulus minimizer, applied per load case and node."""
-    s = np.empty((len(lambdas), mesh.n_nodes))
-    for j, lam_j in enumerate(lambdas):
-        quad = stimulus_coefficients(mesh, design, lam_j, phases)
-        s[j] = optimal_stimulus_pointwise(quad)
-    return StimulusField(s)
+    """Closed-form stimulus minimizer of every case at every node, for the
+    (n_cases, n_nodes, 2) adjoints: tr(e(lambda_j)) is piecewise constant
+    for P1 and is recovered at the nodes by area-weighted averaging."""
+    resp = phases.responsive
+    el = element_strains(mesh, lambdas)
+    tr = nodal_average_from_elements(mesh, el[..., 0, 0] + el[..., 1, 1])
+    c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr      # (k, n)
+    B = design.rho1() ** 2 + design.rho2 ** 2
+    return StimulusField(optimal_stimulus_pointwise(StimulusQuadratic(c, B)))

@@ -3,8 +3,8 @@ import pytest
 
 from morphopt.errors import InvalidParameterError
 from morphopt.fields import (DesignField, StimulusField, check_nodal,
-                             nodal_average_from_elements, project_design,
-                             project_stimulus, target_values)
+                             check_targets, nodal_average_from_elements,
+                             project_design, project_stimulus)
 from morphopt.mesh import Mesh, build_rect_mesh
 
 
@@ -97,13 +97,24 @@ class TestContainers:
         with pytest.raises(InvalidParameterError, match="rho2"):
             check_nodal(mesh, np.zeros(3), "rho2")
 
-    def test_target_values_shapes(self):
-        t = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert target_values(t, 1).shape == (2,)
+    def test_check_targets_shapes(self):
+        t = check_targets([[0, 1], [1, 0]], 2)
+        assert t.shape == (2, 2) and t.dtype == float
         # one target per case only: a nodal (n, n_nodes, 2) array is rejected
         for bad in (np.zeros((2, 10, 2)), np.zeros((2, 3))):
             with pytest.raises(InvalidParameterError):
-                target_values(bad, 0)
+                check_targets(bad, 2)
+        # and so is a target count other than the case count
+        for n_cases in (1, 3):
+            with pytest.raises(InvalidParameterError, match="load cases"):
+                check_targets(t, n_cases)
+
+    def test_fields_stored_in_c_order(self):
+        # the saved bytes of a field must not depend on how it was computed
+        s = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        stim = StimulusField(s)
+        assert stim.s.flags.c_contiguous
+        np.testing.assert_array_equal(stim.s, s)
 
     def test_constant_constructors(self):
         d = DesignField.constant(4, 0.3, 0.2)

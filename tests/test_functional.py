@@ -74,6 +74,13 @@ class TestTracking:
         u = [np.zeros((mesh.n_nodes, 2))] * 2
         assert tracking(mesh, u, targets) == pytest.approx(2 / 450, rel=1e-12)
 
+    def test_wrong_node_count_rejected(self):
+        mesh = cantilever_mesh(1 / 15)
+        targets = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for n in (mesh.n_nodes - 1, mesh.n_nodes + 1):
+            with pytest.raises(InvalidParameterError, match="displacement"):
+                tracking(mesh, np.zeros((2, n, 2)), targets)
+
 
 class TestMultiwell:
     def test_vertex_is_root(self):

@@ -211,6 +211,13 @@ class TestShapeGradients:
         sym = 0.5 * (A + A.T)
         assert np.max(np.abs(strains - sym)) <= 1e-13
 
+    def test_strains_reject_wrong_node_count(self):
+        mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
+        for u in (np.zeros((mesh.n_nodes + 1, 2)),
+                  np.zeros((3, mesh.n_nodes - 1, 2))):
+            with pytest.raises(InvalidParameterError, match="displacement"):
+                element_strains(mesh, u)
+
 
 def reference_element_strains(mesh, u):
     """The einsum strains the gradient operator replaced."""
@@ -289,6 +296,14 @@ class TestGradientOperator:
                                   reference_element_strains(mesh, u))
             assert np.array_equal(p1_gradient(mesh, u[:, 1]),
                                   reference_p1_gradient(mesh, u[:, 1]))
+        # all cases at once, as the solves hand them out: the (k, n, 2) view
+        # of the blocked result, and the same fields stacked in C order
+        cases = X.T.reshape(k, n, 2)
+        expected = np.stack([reference_element_strains(mesh, u) for u in cases])
+        for stacked in (cases, np.ascontiguousarray(cases)):
+            strains = element_strains(mesh, stacked)
+            assert strains.flags.c_contiguous
+            assert np.array_equal(strains, expected)
         rho2 = rng.uniform(0.0, 0.5, n)
         design = DesignField(rho2, rng.uniform(0.0, 1.0, n) * (1.0 - rho2))
         stimulus = StimulusField(rng.uniform(-1.0, 1.0, (k, n)))
@@ -392,6 +407,13 @@ class TestQuadratureOperator:
         vals = rng.normal(size=m)
         assert_close_to_scale(nodal_average_from_elements(mesh, vals),
                               reference_nodal_average(mesh, vals))
+        # k rows at once, each as its own average
+        rows = rng.normal(size=(k, m))
+        averaged = nodal_average_from_elements(mesh, rows)
+        assert averaged.shape == (k, n)
+        for row, avg in zip(rows, averaged):
+            assert np.array_equal(avg, nodal_average_from_elements(mesh, row))
+            assert_close_to_scale(avg, reference_nodal_average(mesh, row))
 
 
 class TestHexagonMesh:

@@ -5,10 +5,12 @@ from morphopt.elasticity import (LINK_FLOOR, StateSolution,
                                   assemble_stiffness, assemble_stimulus_load,
                                   link_loads, solve_adjoint, solve_link,
                                   solve_state)
+from morphopt.errors import InvalidParameterError
 from morphopt.fields import DesignField, StimulusField, project_design
-from morphopt.functional import RegularizationParams, link_energy, total
+from morphopt.functional import (RegularizationParams, link_energy, total,
+                                 tracking)
 from morphopt.materials import Material, PhaseSet
-from morphopt.mesh import build_rect_mesh
+from morphopt.mesh import build_hexagon_mesh, build_rect_mesh
 from morphopt.linsolve import solve_spd
 from morphopt.sensitivity import (Evaluation, elasticity_design_grad,
                                   grad_design, grad_stimulus,
@@ -196,6 +198,51 @@ class TestReducedObjective:
             ev.gradient.g_s,
             grad_stimulus(mesh, design, stim, lams, PHASES))
         assert ev.gradient.g_s.shape == (1, n)
+
+
+class TestLoadCases:
+    @pytest.mark.parametrize("targets, n_cases", [
+        ([[0.0, 1.0], [1.0, 0.0]], 1), ([[0.0, 1.0]], 2)],
+        ids=["target-without-case", "case-without-target"])
+    def test_target_count_must_match_cases(self, targets, n_cases):
+        # an extra target was dropped silently, a missing one raised a bare
+        # IndexError
+        mesh = cantilever(1 / 10)
+        n = mesh.n_nodes
+        design = DesignField.constant(n, 0.3, 0.3)
+        stim = StimulusField(np.full((n_cases, n), 0.5))
+        params = RegularizationParams(0.2, 6e-4, 0.1, 0.3)
+        with pytest.raises(InvalidParameterError, match="load cases"):
+            Evaluation(mesh, design, stim, PHASES, params, targets)
+        state = solve_state(mesh, design, PHASES, stim)
+        with pytest.raises(InvalidParameterError, match="load cases"):
+            tracking(mesh, state.u, targets)
+        with pytest.raises(InvalidParameterError, match="load cases"):
+            solve_adjoint(mesh, state, targets)
+
+    def test_three_case_shapes(self):
+        # one array per family, case axis first, on the three-case hexagon
+        mesh = build_hexagon_mesh(0.35, 0.35 / 6, 0.14)
+        n = mesh.n_nodes
+        s32 = np.sqrt(3.0) / 2.0
+        targets = np.array([[1.0, 0.0], [-0.5, s32], [-0.5, -s32]])
+        design = DesignField.constant(n, 0.3, 0.3)
+        stim = StimulusField(np.outer([1.0, -0.5, 0.25], np.ones(n)))
+        params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03,
+                                      link_weight=LINK_WEIGHT)
+        ev = Evaluation(mesh, design, stim, PHASES, params, targets)
+        assert ev.state.u.shape == ev.lambdas.shape == (3, n, 2)
+        V, F = ev.link
+        assert V.shape == F.shape == (3, 2 * n)
+        # every row is its own one-case solve
+        for j in range(3):
+            one = Evaluation(mesh, design, StimulusField(stim.s[j]), PHASES,
+                             params, targets[j:j + 1])
+            np.testing.assert_allclose(
+                one.state.u[0], ev.state.u[j],
+                rtol=0, atol=1e-9 * np.abs(ev.state.u).max())
+            np.testing.assert_array_equal(one.link[1][0], F[j])
+        assert ev.gradient.g_s.shape == (3, n)
 
 
 class TestLinkSwitch:
