@@ -19,8 +19,7 @@ from .mesh import Mesh, build_hexagon_mesh, build_rect_mesh
 from .optimizer import (BncgResult, IterateRecord, OptimizerConfig,
                         bncg_minimize, run_monolithic, run_staggered)
 from .sensitivity import Evaluation, Gradient, grad_design, grad_stimulus
-from .stimulus_update import (StimulusQuadratic, minimize_stimulus_field,
-                              optimal_stimulus_pointwise)
+from .stimulus_update import minimize_stimulus_field, optimal_stimulus_pointwise
 from .verify import brute_force_stimulus, fd_gradient_check, profile_coefficient
 
 __version__ = "0.1.0"
@@ -31,8 +30,7 @@ __all__ = [
     "Mesh", "MorphoptError", "NonFiniteValueError", "ObjectiveBreakdown",
     "OptimizerConfig", "PhaseSet", "RegularizationParams",
     "SolverFailureError", "StateSolution", "StimulusField",
-    "StimulusQuadratic", "assemble_stiffness",
-    "assemble_stimulus_load", "bncg_minimize", "brute_force_stimulus",
+    "assemble_stiffness", "assemble_stimulus_load", "bncg_minimize", "brute_force_stimulus",
     "build_hexagon_mesh", "build_rect_mesh", "fd_gradient_check",
     "grad_design", "grad_stimulus", "interp", "interp_derivative",
     "minimize_stimulus_field", "nodal_average_from_elements", "multiwell",

@@ -119,6 +119,11 @@ def _cmd_render(args):
     j = args.case - 1
     s = data["s"]
     u = data["u"]
+    if s.ndim != 2:
+        raise MorphoptError(f"s has shape {s.shape}, not (cases, nodes)")
+    if u.ndim != 3 or u.shape[0] != s.shape[0] or u.shape[2] != 2:
+        raise MorphoptError(
+            f"u has shape {u.shape}, not ({s.shape[0]}, nodes, 2)")
     if not 0 <= j < s.shape[0]:
         raise MorphoptError(f"case {args.case} out of range (1..{s.shape[0]})")
     # the scale rule of `morphopt run`, unless the user names one

@@ -136,9 +136,9 @@ def project_stimulus(stimulus):
 def check_nodal(mesh, array, name="field"):
     """Raise unless ``array``'s leading nodal axis matches the mesh."""
     arr = np.asarray(array)
-    if arr.shape[0] != mesh.n_nodes:
+    if arr.shape[:1] != (mesh.n_nodes,):
         raise InvalidParameterError(
-            f"{name} has {arr.shape[0]} entries for a {mesh.n_nodes}-node mesh")
+            f"{name} has shape {arr.shape} for a {mesh.n_nodes}-node mesh")
     return arr
 
 

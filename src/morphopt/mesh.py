@@ -74,6 +74,10 @@ class Mesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.nodes)):
             raise InvalidParameterError("triangle refers to a nonexistent node")
+        if self.target_elements.size and (
+                self.target_elements[0] < 0
+                or self.target_elements[-1] >= len(self.triangles)):
+            raise InvalidParameterError("target element refers to a nonexistent triangle")
         p = self.nodes[self.triangles]                       # (M, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidParameterError
+from .fields import check_nodal
 
 BACKGROUND = np.array([255.0, 255.0, 255.0])
 
@@ -55,8 +56,8 @@ def _cross(a, b):
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
 
-def _finite_displacement(displacement):
-    u = np.asarray(displacement, dtype=float)
+def _finite_displacement(mesh, displacement):
+    u = check_nodal(mesh, np.asarray(displacement, dtype=float), "displacement")
     if not np.all(np.isfinite(u)):
         raise InvalidParameterError("displacement must be finite")
     return u
@@ -70,7 +71,7 @@ def fold_free_scale(mesh, displacement):
     A0 + B s + C s^2 with A0 > 0; the scale stops short of the smallest
     positive root over all triangles.
     """
-    u = _finite_displacement(displacement)
+    u = _finite_displacement(mesh, displacement)
     _, d1, d2 = _edges(mesh.nodes, mesh.triangles)
     _, e1, e2 = _edges(u, mesh.triangles)
     a0 = _cross(d1, d2)
@@ -115,7 +116,9 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
         raise InvalidParameterError(f"scale must be finite, got {scale!r}")
     if width < 1:
         raise InvalidParameterError(f"width must be >= 1, got {width!r}")
-    pts = mesh.nodes + scale * _finite_displacement(displacement)
+    pts = mesh.nodes + scale * _finite_displacement(mesh, displacement)
+    check_nodal(mesh, design.rho2, "rho2")
+    check_nodal(mesh, stimulus_j, "stimulus")
     tri = mesh.triangles
     p, d1, d2 = _edges(pts, tri)
     det = _cross(d1, d2)
@@ -147,52 +150,33 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
     count = np.where(det == 0.0, 0, nx * ny)
 
     img = np.full((height * width, 3), 255, dtype=np.uint8)
+    # the highest-numbered triangle that covers each pixel so far; blocks
+    # run in triangle order, so a later block's winner overwrites
+    winner = np.full(height * width, -1, dtype=np.int64)
     for a, b in _pair_blocks(count):
-        # the block's triangles by box width, so that each width's
-        # (triangle, pixel) candidate pairs form one run of box rows
-        tb = a + np.argsort(nx[a:b], kind="stable")
-        c = count[tb]
-        t = np.repeat(tb, c)
-        start = np.cumsum(c) - c
-        k = np.arange(t.size) - np.repeat(start, c)
-        w = nx[t]
-        ii = i0[t] + k % w
-        jj = j0[t] + k // w
+        c = count[a:b]
+        t = np.repeat(np.arange(a, b), c)
+        k = np.arange(t.size) - np.repeat(np.cumsum(c) - c, c)
+        dj, di = np.divmod(k, nx[t])
+        ii = i0[t] + di
+        jj = j0[t] + dj
         rx = lo[0] + (ii + 0.5) * px - p[t, 0, 0]
         ry = lo[1] + (jj + 0.5) * px - p[t, 0, 1]
         l1 = (rx * d2[t, 1] - ry * d2[t, 0]) / det[t]
         l2 = (-rx * d1[t, 1] + ry * d1[t, 0]) / det[t]
         l0 = 1.0 - l1 - l2
-        inside = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9)
-        bary = np.stack([l0, l1, l2], axis=-1)
-        # BLAS rounds a product by the shapes of its operands, so each box
-        # row is multiplied as one (width, 3) matrix: a pixel's color does
-        # not depend on the block its triangle falls in
-        cols = np.empty((t.size, 3))
-        wts = np.empty((t.size, 1))
-        bounds = np.unique(np.concatenate(
-            [[0, t.size], start[np.flatnonzero(np.diff(nx[tb])) + 1]]))
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            n = w[s]
-            rows = bary[s:e].reshape(-1, n, 3)
-            corners = tri[t[s:e:n]]
-            np.matmul(rows, node_color[corners],
-                      out=cols[s:e].reshape(-1, n, 3))
-            np.matmul(rows, node_weight[corners][:, :, None],
-                      out=wts[s:e].reshape(-1, n, 1))
-        keep = np.flatnonzero(inside)
-        if keep.size == 0:
-            continue
+        keep = np.flatnonzero((l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9))
         # image row 0 is the top of the domain
         pix = (height - 1 - jj[keep]) * width + ii[keep]
-        # the highest-numbered triangle wins a pixel it shares: sort by
-        # (pixel, triangle) and take the last entry of each pixel
-        order = np.argsort(pix * (b - a) + (t[keep] - a))
-        pix = pix[order]
-        last = np.append(pix[1:] != pix[:-1], True)
-        keep = keep[order[last]]
-        rgb = cols[keep] / np.maximum(wts[keep], 1.0)
-        img[pix[last]] = np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+        np.maximum.at(winner, pix, t[keep])
+        won = winner[pix] == t[keep]
+        keep, pix = keep[won], pix[won]
+        bary = (l0[keep], l1[keep], l2[keep])
+        corners = tri[t[keep]].T
+        rgb = sum(l[:, None] * node_color[v] for l, v in zip(bary, corners))
+        wt = sum(l * node_weight[v] for l, v in zip(bary, corners))
+        img[pix] = np.clip(np.round(rgb / np.maximum(wt, 1.0)[:, None]),
+                           0, 255).astype(np.uint8)
     return img.reshape(height, width, 3)
 
 

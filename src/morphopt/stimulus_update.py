@@ -10,8 +10,6 @@ bang-bang sign rule when B = 0.  This is the inner step of the staggered
 scheme.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .elasticity import element_strains
@@ -20,23 +18,16 @@ from .fields import StimulusField, nodal_average_from_elements
 from .materials import interp
 
 
-@dataclass
-class StimulusQuadratic:
-    """Pointwise coefficients of  -c s + B s^2  (arrays that broadcast)."""
-
-    c: np.ndarray
-    B: np.ndarray
-
-
-def optimal_stimulus_pointwise(quad):
-    """Minimizer of -c s + B s^2 over [-1, 1], elementwise.
+def optimal_stimulus_pointwise(c, B):
+    """Minimizer of -c s + B s^2 over [-1, 1], elementwise, for arrays c
+    and B that broadcast.
 
     B > 0: clamp(c / 2B); B = 0: sign(c) (0 when c = 0).  Matches the
     limiting cases: pure responsive points give s = sign(tr e(lambda)),
     points without responsive material give the penalty minimizer 0.
     """
-    c = np.asarray(quad.c, dtype=float)
-    B = np.asarray(quad.B, dtype=float)
+    c = np.asarray(c, dtype=float)
+    B = np.asarray(B, dtype=float)
     if np.any(B < 0):
         raise InvalidParameterError("quadratic coefficient B must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -53,4 +44,4 @@ def minimize_stimulus_field(mesh, design, lambdas, phases):
     tr = nodal_average_from_elements(mesh, el[..., 0, 0] + el[..., 1, 1])
     c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr      # (k, n)
     B = design.rho1() ** 2 + design.rho2 ** 2
-    return StimulusField(optimal_stimulus_pointwise(StimulusQuadratic(c, B)))
+    return StimulusField(optimal_stimulus_pointwise(c, B))

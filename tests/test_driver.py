@@ -711,27 +711,47 @@ class TestCli:
         assert code == 0
         assert img.read_bytes() == (out / "composite_case1.ppm").read_bytes()
 
-    @pytest.mark.parametrize("u_value,args,name", [
-        pytest.param(np.nan, [], "displacement", id="nan-displacement"),
-        pytest.param(np.inf, [], "displacement", id="inf-displacement"),
-        pytest.param(np.nan, ["--scale", "0.5"], "displacement",
+    @pytest.mark.parametrize("u_value,args,name,bad", [
+        pytest.param(np.nan, [], "displacement", {}, id="nan-displacement"),
+        pytest.param(np.inf, [], "displacement", {}, id="inf-displacement"),
+        pytest.param(np.nan, ["--scale", "0.5"], "displacement", {},
                      id="nan-displacement-given-scale"),
-        pytest.param(0.1, ["--scale", "nan"], "scale", id="nan-scale"),
-        pytest.param(0.1, ["--width", "-3"], "width", id="negative-width"),
-        pytest.param(0.1, ["--width", "0"], "width", id="zero-width")])
-    def test_render_rejects_bad_input(self, tmp_path, u_value, args, name):
+        pytest.param(0.1, ["--scale", "nan"], "scale", {}, id="nan-scale"),
+        pytest.param(0.1, ["--width", "-3"], "width", {}, id="negative-width"),
+        pytest.param(0.1, ["--width", "0"], "width", {}, id="zero-width"),
+        pytest.param(0.1, [], "rho2", {"rho2": lambda n: np.full(n - 1, 0.5)},
+                     id="short-rho2"),
+        pytest.param(0.1, [], "rho3", {"rho3": lambda n: np.full(n - 1, 0.5)},
+                     id="short-rho3"),
+        pytest.param(0.1, [], "rho2", {"rho2": lambda n: np.full(n - 1, 0.5),
+                                       "rho3": lambda n: np.full(n - 1, 0.5)},
+                     id="short-design"),
+        pytest.param(0.1, [], "stimulus", {"s": lambda n: np.zeros((1, n - 1))},
+                     id="short-s"),
+        pytest.param(0.1, [], "s has shape", {"s": lambda n: np.zeros(n)},
+                     id="one-dimensional-s"),
+        pytest.param(0.1, [], "displacement",
+                     {"u": lambda n: np.zeros((1, n - 1, 2))}, id="short-u"),
+        pytest.param(0.1, [], "u has shape", {"u": lambda n: np.zeros((n, 2))},
+                     id="u-without-case-axis"),
+        pytest.param(0.1, [], "u has shape",
+                     {"u": lambda n: np.zeros((0, n, 2))}, id="zero-case-u")])
+    def test_render_rejects_bad_input(self, tmp_path, u_value, args, name,
+                                      bad):
         # in a child process with a timeout: a rejection that turns into a
         # hang fails here instead of stalling the suite
         mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         n = mesh.n_nodes
         u = np.zeros((1, n, 2))
         u[0, -1, 1] = u_value
+        arrays = dict(rho2=np.full(n, 0.5), rho3=np.full(n, 0.5),
+                      s=np.zeros((1, n)), u=u)
+        arrays.update({key: make(n) for key, make in bad.items()})
         fields = tmp_path / "final_fields.npz"
         np.savez(fields, nodes=mesh.nodes, triangles=mesh.triangles,
                  dirichlet_nodes=mesh.dirichlet_nodes,
                  target_elements=mesh.target_elements,
-                 cell_size=mesh.cell_size, rho2=np.full(n, 0.5),
-                 rho3=np.full(n, 0.5), s=np.zeros((1, n)), u=u)
+                 cell_size=mesh.cell_size, **arrays)
         img = tmp_path / "render.ppm"
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

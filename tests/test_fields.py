@@ -96,6 +96,8 @@ class TestContainers:
         check_nodal(mesh, np.zeros(mesh.n_nodes), "ok")
         with pytest.raises(InvalidParameterError, match="rho2"):
             check_nodal(mesh, np.zeros(3), "rho2")
+        with pytest.raises(InvalidParameterError, match="stimulus"):
+            check_nodal(mesh, 0.5, "stimulus")
 
     def test_check_targets_shapes(self):
         t = check_targets([[0, 1], [1, 0]], 2)

@@ -484,6 +484,16 @@ class TestMeshValidation:
                  np.array([[0, 1, 7]]), np.array([], dtype=int),
                  np.array([], dtype=int), 1.0)
 
+    @pytest.mark.parametrize("target", [-1, 10 ** 6])
+    def test_target_element_off_mesh_rejected(self, target):
+        mesh = build_rect_mesh(1.0, 1.0, 0.25, "left", None)
+        with pytest.raises(InvalidParameterError, match="target element"):
+            Mesh(mesh.nodes, mesh.triangles, mesh.dirichlet_nodes,
+                 np.array([0, target]), mesh.cell_size)
+        # the last triangle is still a valid target
+        Mesh(mesh.nodes, mesh.triangles, mesh.dirichlet_nodes,
+             np.array([mesh.n_triangles - 1]), mesh.cell_size)
+
     def test_interior_dirichlet_node_rejected(self):
         mesh = build_rect_mesh(1.0, 1.0, 0.25, "left", None)
         interior = [i for i in range(mesh.n_nodes)

@@ -8,8 +8,7 @@ from morphopt.functional import RegularizationParams
 from morphopt.materials import Material, PhaseSet
 from morphopt.mesh import build_rect_mesh
 from morphopt.sensitivity import Evaluation
-from morphopt.stimulus_update import (StimulusQuadratic,
-                                      minimize_stimulus_field,
+from morphopt.stimulus_update import (minimize_stimulus_field,
                                       optimal_stimulus_pointwise)
 
 PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
@@ -26,36 +25,34 @@ def grid_search_minimizer(c, B, resolution=10000):
 class TestPointwiseRule:
     def test_pure_responsive_positive_trace(self):
         # rho3 = 1, rho2 = 0 makes B = 0; positive trace drives s to +1
-        q = StimulusQuadratic(c=np.array([0.7]), B=np.array([0.0]))
-        assert optimal_stimulus_pointwise(q)[0] == 1.0
+        assert optimal_stimulus_pointwise(np.array([0.7]),
+                                          np.array([0.0]))[0] == 1.0
 
     def test_no_responsive_material(self):
         # rho3 = 0 makes c = 0 and B > 0: penalty minimizer 0
-        q = StimulusQuadratic(c=np.array([0.0]), B=np.array([1.0]))
-        assert optimal_stimulus_pointwise(q)[0] == 0.0
+        assert optimal_stimulus_pointwise(np.array([0.0]),
+                                          np.array([1.0]))[0] == 0.0
 
     def test_interior_minimizer_matches_grid_search(self):
         # rho2 = rho3 = 0.5, kappa = 1, tr = 0.1: c = 0.05, B = 0.25
         c, B = 0.25 * 2.0 * 1.0 * 0.1, 0.25
-        s = optimal_stimulus_pointwise(StimulusQuadratic(np.array([c]),
-                                                         np.array([B])))[0]
+        s = optimal_stimulus_pointwise(np.array([c]), np.array([B]))[0]
         assert s == pytest.approx(0.1, abs=1e-14)
         assert abs(s - grid_search_minimizer(c, B, 20000)) <= 1e-4
 
     def test_degenerate_flat_quadratic(self):
-        q = StimulusQuadratic(c=np.array([0.0]), B=np.array([0.0]))
-        assert optimal_stimulus_pointwise(q)[0] == 0.0
+        assert optimal_stimulus_pointwise(np.array([0.0]),
+                                          np.array([0.0]))[0] == 0.0
 
     def test_negative_B_rejected(self):
         with pytest.raises(InvalidParameterError):
-            optimal_stimulus_pointwise(StimulusQuadratic(np.array([0.0]),
-                                                         np.array([-1e-3])))
+            optimal_stimulus_pointwise(np.array([0.0]), np.array([-1e-3]))
 
     def test_kkt_conditions(self):
         rng = np.random.default_rng(0)
         c = rng.normal(size=200)
         B = np.abs(rng.normal(size=200)) + 1e-6
-        s = optimal_stimulus_pointwise(StimulusQuadratic(c, B))
+        s = optimal_stimulus_pointwise(c, B)
         slope = -c + 2.0 * B * s                # d/ds of -c s + B s^2
         interior = (np.abs(s) < 1.0)
         assert np.max(np.abs(slope[interior])) <= 1e-12
@@ -65,21 +62,19 @@ class TestPointwiseRule:
     def test_odd_and_monotone_in_c(self):
         B = np.full(101, 0.3)
         c = np.linspace(-2, 2, 101)
-        s = optimal_stimulus_pointwise(StimulusQuadratic(c, B))
+        s = optimal_stimulus_pointwise(c, B)
         np.testing.assert_allclose(s, -s[::-1], atol=1e-15)
         assert np.all(np.diff(s) >= -1e-15)
 
     def test_continuity_toward_vanishing_B(self):
         c = np.array([0.5])
         for B in (1e-2, 1e-4, 1e-8):
-            s = optimal_stimulus_pointwise(StimulusQuadratic(c, np.array([B])))
+            s = optimal_stimulus_pointwise(c, np.array([B]))
             assert s[0] == 1.0  # clamp takes over well before B -> 0
-        assert optimal_stimulus_pointwise(
-            StimulusQuadratic(c, np.array([0.0])))[0] == 1.0
+        assert optimal_stimulus_pointwise(c, np.array([0.0]))[0] == 1.0
 
     def test_scalar_interface(self):
-        assert optimal_stimulus_pointwise(
-            StimulusQuadratic(0.05, 0.25)) == pytest.approx(0.1)
+        assert optimal_stimulus_pointwise(0.05, 0.25) == pytest.approx(0.1)
 
 
 class TestFieldMinimization:
