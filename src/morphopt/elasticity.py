@@ -21,7 +21,6 @@ the target region by M0 ubar_j.  Its stiffness integrand has degree
 LINK_POWER per element and uses the degree-4 rule, so it is exact.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +29,9 @@ import scipy.sparse as sp
 from . import quadrature
 from .errors import InvalidParameterError
 from .fields import check_nodal, check_targets
-from .linsolve import (SOLVER_TOL, BlockCholesky, LevelBlocks, level_structure,
-                       solve_spd)
+from .linsolve import BlockCholesky, LevelBlocks, level_structure, solve_spd
 from .materials import Material, interp
 
-NEAR_SINGULAR_FLOOR = 1e-14
 # the virtual material of the link problem and its void stand-in
 LINK_MATERIAL = Material(1.0, 0.3)
 LINK_FLOOR = 1e-4
@@ -43,6 +40,8 @@ LINK_POWER = 4
 
 def point_constraint_dofs(constraints):
     """Dofs for test-mode point constraints given (node, component) pairs."""
+    if any(c not in (0, 1) for _, c in constraints):
+        raise InvalidParameterError("constraint component must be 0 or 1")
     return np.sort(np.array([2 * n + c for n, c in constraints], dtype=np.int64))
 
 
@@ -72,10 +71,6 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
     check_nodal(mesh, design.rho2, "rho2")
     abar = quadrature.element_integrals(                          # (3, M)
         interp(design.phase_samples(mesh)), quadrature.TRI_DEG2, mesh.areas)
-    if np.any(abar.max(axis=0) / mesh.areas < NEAR_SINGULAR_FLOOR):
-        warnings.warn("element with all phase weights below 1e-14; "
-                      "stiffness is near singular", RuntimeWarning)
-
     mats = phases.as_tuple()
     wmu = sum(abar[i] * mats[i].lame_mu for i in range(3))           # (M,)
     wlam = sum(abar[i] * mats[i].lame_lambda for i in range(3))
@@ -160,6 +155,9 @@ def _operator_map(mesh, fixed_dofs):
     """The mesh's _OperatorMap for ``fixed_dofs``, built on first use."""
     if fixed_dofs is not None:
         fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+        if fixed_dofs.size and (fixed_dofs[0] < 0
+                                or fixed_dofs[-1] >= 2 * mesh.n_nodes):
+            raise InvalidParameterError("fixed dof refers to a nonexistent node")
     key = ("operator", None if fixed_dofs is None else fixed_dofs.tobytes())
     if key not in mesh.cache:
         mesh.cache[key] = _OperatorMap(mesh, fixed_dofs)
@@ -217,55 +215,45 @@ def target_mass_apply(mesh, w):
 @dataclass
 class StateSolution:
     """Equilibrium displacements (n_cases, n_nodes, 2) plus the operator
-    they satisfy and its block Cholesky factor (None once released; it is
-    rebuilt on demand)."""
+    they satisfy and its block Cholesky factor (None once released)."""
 
     u: np.ndarray
     operator: sp.csr_matrix
     fixed_dofs: np.ndarray
     factor: BlockCholesky = None
 
-    def solver(self, mesh):
-        """The operator's factor, refactored if it was released."""
-        if self.factor is None:
-            self.factor = factorize(mesh, self.operator, self.fixed_dofs)
-        return self.factor
 
-
-def _resolve_fixed_dofs(mesh, fixed_dofs):
+def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
+                operator=None, factor=None):
+    """Solve the n state problems sharing one stiffness ``operator`` and its
+    ``factor``, built here unless given (for this design and ``fixed_dofs``),
+    in one blocked solve."""
     if fixed_dofs is None:
         fixed_dofs = mesh.dirichlet_dofs()
     fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
     if len(fixed_dofs) == 0:
         raise InvalidParameterError("no Dirichlet constraints: operator is singular")
-    return fixed_dofs
-
-
-def solve_state(mesh, design, phases, stimulus, fixed_dofs=None,
-                tol=SOLVER_TOL, operator=None, factor=None):
-    """Solve the n state problems sharing one stiffness ``operator`` and its
-    ``factor``, built here unless given (for this design and ``fixed_dofs``),
-    in one blocked solve."""
-    fixed_dofs = _resolve_fixed_dofs(mesh, fixed_dofs)
-    K = operator
-    if K is None:
-        K = assemble_stiffness(mesh, design, phases, fixed_dofs=fixed_dofs)
-    state = StateSolution(None, K, fixed_dofs, factor)
+    if operator is None:
+        operator = assemble_stiffness(mesh, design, phases, fixed_dofs)
     F = assemble_stimulus_load(mesh, design, phases, stimulus)
     F[fixed_dofs] = 0.0
-    X = solve_spd(K, F, tol=tol, factor=state.solver(mesh))
-    state.u = X.T.reshape(X.shape[1], -1, 2)             # a view, case first
-    return state
+    if factor is None:
+        factor = factorize(mesh, operator, fixed_dofs)
+    X = solve_spd(operator, F, factor=factor)
+    u = X.T.reshape(X.shape[1], -1, 2)                   # a view, case first
+    return StateSolution(u, operator, fixed_dofs, factor)
 
 
-def solve_adjoint(mesh, state, targets, tol=SOLVER_TOL):
+def solve_adjoint(mesh, state, targets):
     """Adjoint displacements lambda_j with K lambda_j = M0 (ubar_j - u_j),
     (n_cases, n_nodes, 2), all cases in one blocked solve."""
+    if state.factor is None:
+        raise InvalidParameterError("the state's factor was released")
     u = state.u
     misfit = check_targets(targets, len(u)).T - u.transpose(1, 2, 0)
     rhs = target_mass_apply(mesh, misfit).reshape(2 * mesh.n_nodes, -1)
     rhs[state.fixed_dofs] = 0.0
-    lams = solve_spd(state.operator, rhs, tol=tol, factor=state.solver(mesh))
+    lams = solve_spd(state.operator, rhs, factor=state.factor)
     return lams.T.reshape(lams.shape[1], -1, 2)
 
 

@@ -219,6 +219,10 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
         c = nodes[triangles].mean(axis=1)
         inside = (c[:, 0] >= x0) & (c[:, 0] <= x1) & (c[:, 1] >= y0) & (c[:, 1] <= y1)
         target = np.nonzero(inside)[0]
+        if len(target) == 0:
+            raise InvalidParameterError(
+                f"target_box {tuple(target_box)} contains no triangle "
+                f"centroid at cell size h={h}")
 
     return Mesh(nodes, triangles, dirichlet, target,
                 cell_size=max(lx / nx, ly / ny))

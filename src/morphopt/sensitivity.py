@@ -56,7 +56,6 @@ from .elasticity import (LINK_MATERIAL, element_strains,
                          solve_state)
 from .fields import check_nodal, check_targets
 from .functional import multiwell_derivative, stimulus_squares, total
-from .linsolve import SOLVER_TOL
 from .materials import interp, interp_derivative
 from .quadrature import TRI_DEG2, TRI_DEG4, hat_integrals
 
@@ -179,27 +178,27 @@ class Evaluation:
     ``at_stimulus`` evaluates a new stimulus on the same design, reusing K,
     its factor, the link solution and everything kept on the design.
     ``release`` drops the factor, the largest thing an Evaluation holds,
-    and what is kept on the design; a later use recomputes them.
+    and what is kept on the design; the adjoints then cannot be solved.
     """
 
     def __init__(self, mesh, design, stimulus, phases, params, targets,
-                 tol=SOLVER_TOL, operator=None, factor=None, link=None):
+                 operator=None, factor=None, link=None):
         self.mesh, self.design, self.stimulus = mesh, design, stimulus
-        self.phases, self.params, self.tol = phases, params, tol
+        self.phases, self.params = phases, params
         self.targets = check_targets(targets, stimulus.n_cases)
         # the link factor is gone before the state's is built
         if link is None and params.link_weight:
             link = solve_link(mesh, design, self.targets)
         self.link = link
-        self.state = solve_state(mesh, design, phases, stimulus, tol=tol,
+        self.state = solve_state(mesh, design, phases, stimulus,
                                  operator=operator, factor=factor)
         self.breakdown = total(mesh, design, stimulus, self.state.u,
                                self.targets, params, link)
 
     def at_stimulus(self, stimulus):
         return Evaluation(self.mesh, self.design, stimulus, self.phases,
-                          self.params, self.targets, self.tol,
-                          self.state.operator, self.state.factor, self.link)
+                          self.params, self.targets, self.state.operator,
+                          self.state.factor, self.link)
 
     def release(self):
         self.state.factor = None
@@ -207,7 +206,7 @@ class Evaluation:
 
     @cached_property
     def lambdas(self):
-        return solve_adjoint(self.mesh, self.state, self.targets, tol=self.tol)
+        return solve_adjoint(self.mesh, self.state, self.targets)
 
     @cached_property
     def gradient(self):

@@ -52,6 +52,8 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     if not (np.isfinite(delta) and delta > 0):
         raise InvalidParameterError(
             f"delta must be finite and positive, got {delta!r}")
+    if corrupt not in (None, "design", "stimulus", "link"):
+        raise InvalidParameterError(f"unknown corrupt {corrupt!r}")
 
     def objective(design, stim):
         return sensitivity.Evaluation(mesh, design, stim, phases, params,

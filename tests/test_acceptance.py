@@ -121,8 +121,7 @@ def test_criterion_3_analytic_dilation():
     i00 = int(np.argmin(np.sum(np.abs(mesh.nodes), axis=1)))
     i10 = int(np.argmin(np.sum(np.abs(mesh.nodes - [1.0, 0.0]), axis=1)))
     fixed = point_constraint_dofs([(i00, 0), (i00, 1), (i10, 1)])
-    state = solve_state(mesh, design, PHASES, stim, fixed_dofs=fixed,
-                        tol=1e-10)
+    state = solve_state(mesh, design, PHASES, stim, fixed_dofs=fixed)
     exact = PHASES.responsive.beta * s * (mesh.nodes - mesh.nodes[i00])
     err = float(np.max(np.abs(state.u[0] - exact)))
     runtime = time.time() - t0
@@ -286,11 +285,11 @@ def test_criterion_8_hexagon_equivariance():
     n = mesh.n_nodes
     design = DesignField.constant(n, 0.3, 0.3)
     stim0 = StimulusField.zeros(3, n)
-    state0 = solve_state(mesh, design, phases, stim0, tol=1e-12)
-    lams0 = solve_adjoint(mesh, state0, targets, tol=1e-12)
+    state0 = solve_state(mesh, design, phases, stim0)
+    lams0 = solve_adjoint(mesh, state0, targets)
     stim = minimize_stimulus_field(mesh, design, lams0, phases)
-    state = solve_state(mesh, design, phases, stim, tol=1e-12)
-    lams = solve_adjoint(mesh, state, targets, tol=1e-12)
+    state = solve_state(mesh, design, phases, stim)
+    lams = solve_adjoint(mesh, state, targets)
     g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
     scale = max(float(np.max(np.abs(g2))), float(np.max(np.abs(g3))))
     err = max(float(np.max(np.abs(g2[perm] - g2))),

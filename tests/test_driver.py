@@ -796,6 +796,20 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mesh-info", "run"])
+    def test_target_box_without_centroid_exits_2(self, tiny_cfg, command,
+                                                 capsys):
+        # x0 = x1 = 0.8 lies on a grid line: no target triangle, so a run
+        # would optimize an objective with no tracking term
+        argv = [command, "--config", str(tiny_cfg), "--override",
+                "target.x1=0.8"]
+        if command == "run":
+            argv += ["--out", str(tiny_cfg.parent / "out")]
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "centroid" in lines[0]
+
     def test_seed_free_context_blocks_rng(self):
         with pytest.raises(MorphoptError):
             with cli.forbid_numpy_random():

@@ -225,8 +225,7 @@ class TestSolveState:
         i00 = int(np.argmin(np.sum(np.abs(mesh.nodes), axis=1)))
         i10 = int(np.argmin(np.sum(np.abs(mesh.nodes - [1, 0]), axis=1)))
         fixed = point_constraint_dofs([(i00, 0), (i00, 1), (i10, 1)])
-        state = solve_state(mesh, design, PHASES, stim, fixed_dofs=fixed,
-                            tol=1e-10)
+        state = solve_state(mesh, design, PHASES, stim, fixed_dofs=fixed)
         exact = RESPONSIVE.beta * s * (mesh.nodes - mesh.nodes[i00])
         assert np.max(np.abs(state.u[0] - exact)) <= 1e-9
 
@@ -244,8 +243,7 @@ class TestSolveState:
         n = mesh.n_nodes
         design = DesignField.constant(n, 0.2, 0.6)
         s = np.where(mesh.nodes[:, 0] > 0.5, 1.0, 0.0)
-        state = solve_state(mesh, design, PHASES, StimulusField(s[None, :]),
-                            tol=1e-12)
+        state = solve_state(mesh, design, PHASES, StimulusField(s[None, :]))
         u = state.u[0].ravel()
         strain_energy = float(u @ (state.operator @ u))
         load = assemble_stimulus_load(mesh, design, PHASES,
@@ -262,6 +260,20 @@ class TestSolveState:
         with pytest.raises(InvalidParameterError):
             solve_state(no_bc, design, PHASES,
                         StimulusField.zeros(1, no_bc.n_nodes))
+
+    @pytest.mark.parametrize("first", [-1, 2 * 9])
+    def test_fixed_dof_off_mesh_rejected(self, first):
+        mesh = build_rect_mesh(1.0, 1.0, 0.5, "left", None)     # 9 nodes
+        design = DesignField.constant(mesh.n_nodes, 0.5, 0.5)
+        with pytest.raises(InvalidParameterError, match="fixed dof"):
+            solve_state(mesh, design, PHASES,
+                        StimulusField.zeros(1, mesh.n_nodes),
+                        fixed_dofs=[first, 0, 1])
+
+    def test_point_constraint_component_rejected(self):
+        # component 2 of node 0 would name node 1's x dof
+        with pytest.raises(InvalidParameterError, match="component"):
+            point_constraint_dofs([(0, 0), (0, 2)])
 
 
 class TestAdjoint:
@@ -308,8 +320,8 @@ class TestAdjoint:
     def test_adjoint_solves_with_state_operator(self):
         design = DesignField.constant(self.n, 0.4, 0.4)
         stim = StimulusField(np.full((1, self.n), 0.5))
-        state = solve_state(self.mesh, design, PHASES, stim, tol=1e-12)
-        lams = solve_adjoint(self.mesh, state, self.targets, tol=1e-12)
+        state = solve_state(self.mesh, design, PHASES, stim)
+        lams = solve_adjoint(self.mesh, state, self.targets)
         rhs = target_mass_apply(self.mesh, self.targets[0] - state.u[0]).ravel()
         rhs[state.fixed_dofs] = 0.0
         res = state.operator @ lams[0].ravel() - rhs

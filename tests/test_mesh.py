@@ -166,6 +166,14 @@ class TestRectMesh:
         assert mesh.n_triangles == 8
         assert len(mesh.target_elements) == 8
 
+    # centroids sit at x, y in {1/6, 1/3, 2/3, 5/6}
+    @pytest.mark.parametrize("box", [
+        pytest.param((0.5, 0.0, 0.5, 1.0), id="zero-width"),
+        pytest.param((0.4, 0.4, 0.6, 0.6), id="between-centroids")])
+    def test_target_box_without_centroid_rejected(self, box):
+        with pytest.raises(InvalidParameterError, match="centroid"):
+            build_rect_mesh(1.0, 1.0, 0.5, "bottom", box)
+
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_rect_mesh(1.0, 0.01, 0.5, "left", None)

@@ -442,11 +442,11 @@ class TestEquivariance:
         n = mesh.n_nodes
         design = DesignField.constant(n, 0.3, 0.3)
         stim0 = StimulusField.zeros(3, n)
-        state0 = solve_state(mesh, design, phases, stim0, tol=1e-12)
-        lams0 = solve_adjoint(mesh, state0, targets, tol=1e-12)
+        state0 = solve_state(mesh, design, phases, stim0)
+        lams0 = solve_adjoint(mesh, state0, targets)
         stim = minimize_stimulus_field(mesh, design, lams0, phases)
-        state = solve_state(mesh, design, phases, stim, tol=1e-12)
-        lams = solve_adjoint(mesh, state, targets, tol=1e-12)
+        state = solve_state(mesh, design, phases, stim)
+        lams = solve_adjoint(mesh, state, targets)
         g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
         scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))
         assert np.max(np.abs(g2[perm] - g2)) <= 1e-10 * scale

@@ -125,7 +125,7 @@ def test_design_gradient_is_rotation_equivariant(m, orientation, seed):
     np.testing.assert_array_equal(design.rho2[perm], design.rho2)
     params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
     ev0 = Evaluation(mesh, design, StimulusField.zeros(3, n), HEX_PHASES,
-                     params, HEX_TARGETS, tol=1e-12)
+                     params, HEX_TARGETS)
     stim = minimize_stimulus_field(mesh, design, ev0.lambdas, HEX_PHASES)
     assert np.any(stim.s != 0.0)
     grad = ev0.at_stimulus(stim).gradient

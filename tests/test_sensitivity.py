@@ -115,8 +115,8 @@ class TestTermStructure:
             design = DesignField(rng.uniform(0.2, 0.8, n),
                                  rng.uniform(0.2, 0.8, n))
             stim = StimulusField(rng.uniform(-0.5, 0.5, (1, n)))
-            state = solve_state(mesh, design, PHASES, stim, tol=1e-12)
-            lams = solve_adjoint(mesh, state, TARGETS, tol=1e-12)
+            state = solve_state(mesh, design, PHASES, stim)
+            lams = solve_adjoint(mesh, state, TARGETS)
             e2, e3 = elasticity_design_grad(mesh, design, stim, state, lams,
                                             PHASES)
             phi2 = rng.uniform(-1, 1, n)
@@ -127,7 +127,7 @@ class TestTermStructure:
             def j_track(sign):
                 d = DesignField(design.rho2 + sign * delta * phi2,
                                 design.rho3 + sign * delta * phi3)
-                st = solve_state(mesh, d, PHASES, stim, tol=1e-12)
+                st = solve_state(mesh, d, PHASES, stim)
                 return tracking_term(mesh, st.u, TARGETS)
 
             fd = (j_track(+1) - j_track(-1)) / (2 * delta)
@@ -167,7 +167,7 @@ class TestReducedObjective:
         design = DesignField.constant(n, 0.4, 0.3)
         stim = StimulusField(np.full((1, n), 0.4))
         params = RegularizationParams(0.1, 6e-4, 0.1, 0.3)
-        state = solve_state(mesh, design, PHASES, stim, tol=1e-13)
+        state = solve_state(mesh, design, PHASES, stim)
         j = total(mesh, design, stim, state.u, TARGETS, params).total
         rng = np.random.default_rng(3)
         u = state.u[0].ravel()
@@ -198,6 +198,42 @@ class TestReducedObjective:
             ev.gradient.g_s,
             grad_stimulus(mesh, design, stim, lams, PHASES))
         assert ev.gradient.g_s.shape == (1, n)
+
+
+class TestOneFactor:
+    def setup_method(self):
+        self.mesh = cantilever(1 / 10)
+        n = self.mesh.n_nodes
+        self.design = DesignField.constant(n, 0.35, 0.25)
+        self.stim = StimulusField(np.full((1, n), 0.3))
+
+    @pytest.mark.parametrize("link_weight, factors", [(0.0, 1),
+                                                      (LINK_WEIGHT, 2)])
+    def test_gradient_and_stimulus_resolve_share_the_factor(
+            self, link_weight, factors, monkeypatch):
+        from morphopt import elasticity
+        inner = elasticity.BlockCholesky
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(elasticity, "BlockCholesky", counted)
+        params = RegularizationParams(0.1, 6e-4, 0.1, 0.3,
+                                      link_weight=link_weight)
+        ev = Evaluation(self.mesh, self.design, self.stim, PHASES, params,
+                        TARGETS)
+        ev.gradient
+        ev.at_stimulus(StimulusField(-self.stim.s)).gradient
+        assert len(built) == factors
+
+    def test_released_state_cannot_be_solved_again(self):
+        params = RegularizationParams(0.1, 6e-4, 0.1, 0.3)
+        ev = Evaluation(self.mesh, self.design, self.stim, PHASES, params,
+                        TARGETS)
+        ev.release()
+        with pytest.raises(InvalidParameterError, match="released"):
+            solve_adjoint(self.mesh, ev.state, TARGETS)
 
 
 class TestLoadCases:

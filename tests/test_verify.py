@@ -46,6 +46,13 @@ class TestFdCheck:
             fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
                               trials=1, delta=delta)
 
+    @pytest.mark.parametrize("corrupt", ["Design", "stimulis", "", 1])
+    def test_unknown_corrupt_rejected(self, corrupt):
+        # a typo must not run the check without its corruption
+        with pytest.raises(InvalidParameterError, match="corrupt"):
+            fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
+                              trials=1, corrupt=corrupt)
+
     def test_mutation_detected_in_design_block(self):
         res = fd_gradient_check(self.mesh, PHASES, self.params, self.targets,
                                 trials=2, seed=2, corrupt="design")
