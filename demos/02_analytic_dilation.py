@@ -13,7 +13,7 @@ from morphopt import DesignField, Material, PhaseSet, StimulusField
 from morphopt.elasticity import point_constraint_dofs, solve_state
 from morphopt.mesh import build_rect_mesh
 
-phases = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+phases = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 mesh = build_rect_mesh(1.0, 1.0, 0.05, "left", None)
 n = mesh.n_nodes
 

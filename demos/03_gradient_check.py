@@ -12,7 +12,7 @@ from morphopt import Material, PhaseSet, RegularizationParams
 from morphopt.mesh import build_rect_mesh
 from morphopt.verify import fd_gradient_check
 
-phases = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+phases = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 h = 1 / 20
 mesh = build_rect_mesh(1.0, 1 / 3, h, "left",
                        (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30))

@@ -16,7 +16,7 @@ from morphopt.mesh import build_rect_mesh
 from morphopt.stimulus_update import minimize_stimulus_field
 from morphopt.verify import brute_force_stimulus
 
-phases = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+phases = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 mesh = build_rect_mesh(1.0, 1 / 3, 1 / 10, "left", (0.8, 0.1, 1.0, 0.23))
 n = mesh.n_nodes
 rng = np.random.default_rng(0)

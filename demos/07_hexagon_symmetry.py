@@ -24,7 +24,7 @@ print(f"mesh: {mesh.n_nodes} nodes; 120-degree rotation is a node "
 
 s32 = np.sqrt(3.0) / 2.0
 targets = np.array([[1.0, 0.0], [-0.5, s32], [-0.5, -s32]])
-phases = PhaseSet.build(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
+phases = PhaseSet(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
 params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
 
 n = mesh.n_nodes

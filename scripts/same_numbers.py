@@ -8,13 +8,15 @@ run (BLAS pinned to one thread) executes the 30-iterate
 ``hexagon_contrast5`` at h = 0.01, epsilon = 0.02.  Every artifact file of
 the two trees is then compared: the script prints ``identical`` or, where
 the bytes differ, the largest relative difference of the numbers in
-``history.csv`` and of every array in ``final_fields.npz`` (``differs``
-for any other file).  Exit status 1 when an artifact differs or is
-missing on one side.
+``history.csv`` and of every array in ``final_fields.npz``, the lines
+found on one side only of a text artifact (``config_resolved.cfg``,
+``summary.txt``; ``-`` base, ``+`` change), or ``differs`` for any other
+file.  Exit status 1 when an artifact differs or is missing on one side.
 """
 
 import argparse
 import csv
+import difflib
 import os
 import subprocess
 import sys
@@ -78,6 +80,12 @@ def describe(name, base, change):
                     lines.append(f"{name}[{key}] max rel diff "
                                  f"{relative_difference(a[key], b[key])}")
             return lines or [f"{name} differs in its .npy headers only"]
+    if name.endswith((".cfg", ".txt")):
+        with open(base) as fa, open(change) as fb:
+            diff = difflib.ndiff(fa.read().splitlines(),
+                                 fb.read().splitlines())
+        return [f"{name}: {line}" for line in diff
+                if line.startswith(("- ", "+ "))]
     return [f"{name} differs"]
 
 

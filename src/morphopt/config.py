@@ -213,7 +213,7 @@ def parse_config(path=None, text=None, overrides=()):
                           beta=beta)
 
     phase_set = _validated(
-        "phases", PhaseSet.build, passive=material("phases.passive"),
+        "phases", PhaseSet, passive=material("phases.passive"),
         responsive=material("phases.responsive", responsive=True),
         eta=secs["phases"].get("eta", _float, default=1e-4))
 

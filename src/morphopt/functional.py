@@ -68,19 +68,8 @@ class ObjectiveBreakdown:
     perimeter: float
     volume_penalty: float
     stimulus_penalty: float
-    alpha: float
     total: float
     link: float = 0.0
-    link_weight: float = 0.0
-
-    @classmethod
-    def combine(cls, tracking, perimeter, volume_penalty, stimulus_penalty,
-                alpha, link=0.0, link_weight=0.0):
-        total = tracking + alpha * perimeter + volume_penalty + stimulus_penalty
-        if link_weight:
-            total += link_weight * link
-        return cls(tracking, perimeter, volume_penalty, stimulus_penalty,
-                   alpha, total, link, link_weight)
 
 
 def tracking(mesh, state_u, targets):
@@ -201,13 +190,13 @@ def link_energy(link):
 def total(mesh, design, stimulus, state_u, targets, params, link=None):
     """Full objective breakdown at given fields (``link`` as in
     :func:`link_energy`, needed when link_weight > 0)."""
-    energy = link_energy(link) if params.link_weight else 0.0
-    return ObjectiveBreakdown.combine(
-        tracking=tracking(mesh, state_u, targets),
-        perimeter=perimeter_energy(mesh, design, params.epsilon),
-        volume_penalty=volume_penalty(mesh, design, params.nu2, params.nu3),
-        stimulus_penalty=stimulus_penalty(mesh, design, stimulus),
-        alpha=params.alpha,
-        link=energy,
-        link_weight=params.link_weight,
-    )
+    track = tracking(mesh, state_u, targets)
+    perim = perimeter_energy(mesh, design, params.epsilon)
+    vol = volume_penalty(mesh, design, params.nu2, params.nu3)
+    stim = stimulus_penalty(mesh, design, stimulus)
+    value = track + params.alpha * perim + vol + stim
+    energy = 0.0
+    if params.link_weight:
+        energy = link_energy(link)
+        value += params.link_weight * energy
+    return ObjectiveBreakdown(track, perim, vol, stim, value, energy)

@@ -6,7 +6,7 @@ strain beta*s*I, so the stress is C(e(u) - beta*s*I).  The void phase is a
 weak material whose Young's modulus is the passive one scaled by eta.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,29 +51,21 @@ class Material:
 
 @dataclass(frozen=True)
 class PhaseSet:
-    """The three phases: void (rho1), passive (rho2), responsive (rho3)."""
+    """The three phases: void (rho1), passive (rho2), responsive (rho3);
+    the void is derived from the passive phase and eta."""
 
-    void: Material
     passive: Material
     responsive: Material
-    eta: float
+    eta: float = 1e-4
+    void: Material = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1e-2:
             raise InvalidParameterError(f"eta must lie in (0, 1e-2], got {self.eta}")
-        if self.void.beta != 0.0 or self.passive.beta != 0.0:
-            raise InvalidParameterError("void and passive phases must have beta = 0")
-        expected = self.eta * self.passive.young
-        if abs(self.void.young - expected) > 1e-12 * max(expected, 1.0):
-            raise InvalidParameterError(
-                "void young modulus must equal eta * passive young modulus")
-
-    @classmethod
-    def build(cls, passive, responsive, eta=1e-4):
-        """Derive the void phase from the passive one and assemble the set
-        (an eta out of range is reported as such, not as a void modulus)."""
-        void = Material(eta * passive.young, passive.poisson) if eta > 0 else passive
-        return cls(void, passive, responsive, eta)
+        if self.passive.beta != 0.0:
+            raise InvalidParameterError("passive phase must have beta = 0")
+        object.__setattr__(self, "void", Material(
+            self.eta * self.passive.young, self.passive.poisson))
 
     def as_tuple(self):
         return (self.void, self.passive, self.responsive)

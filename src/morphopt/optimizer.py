@@ -41,17 +41,15 @@ class OptimizerConfig:
     grad_atol: float = 1e-6
     obj_rtol: float = 1e-6
     max_outer_iters: int = 500
-    restart_period: int = 50
 
     def __post_init__(self):
         # NaN fails every test; each message starts with the field name,
         # which config.py prefixes with the section
-        for name, low in (("grad_rtol", 0), ("grad_atol", 0), ("obj_rtol", 0),
-                          ("max_outer_iters", 0), ("restart_period", 1)):
+        for name in ("grad_rtol", "grad_atol", "obj_rtol", "max_outer_iters"):
             value = getattr(self, name)
-            if not value >= low:
+            if not value >= 0:
                 raise InvalidParameterError(
-                    f"{name} must be >= {low}, got {value!r}")
+                    f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -181,13 +179,11 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
         if stall_count >= OBJ_STALL_WINDOW:
             return BncgResult(x, f, "converged-obj", k)
 
+        # PR+: beta = max(0, beta_PR) falls back to steepest descent by itself
         g_red = reduced(g, x)
-        if k % cfg.restart_period == 0:
-            beta = 0.0
-        else:
-            denom = float(np.dot(g_red_prev, g_red_prev))
-            beta = 0.0 if denom == 0.0 else max(
-                0.0, float(np.dot(g_red, g_red - g_red_prev)) / denom)
+        denom = float(np.dot(g_red_prev, g_red_prev))
+        beta = 0.0 if denom == 0.0 else max(
+            0.0, float(np.dot(g_red, g_red - g_red_prev)) / denom)
         d = -g_red + beta * d
         g_red_prev = g_red
         alpha0 = alpha * STEP_GROWTH

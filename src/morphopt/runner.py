@@ -74,9 +74,10 @@ def _export_snapshot(path, mesh, ev):
 def run(spec, out_dir=None):
     """Execute the problem and write all artifacts; returns RunArtifacts."""
     out_dir = out_dir or spec.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    # a mesh error leaves no output directory behind
     mesh = spec.build_mesh()
     spec.params.warn_if_unresolved(mesh.cell_size)
+    os.makedirs(out_dir, exist_ok=True)
 
     nn = mesh.n_nodes
     design0 = DesignField.constant(nn, spec.initial_rho2, spec.initial_rho3)

@@ -239,7 +239,7 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
         return _profile_energy_and_grad(z, n_nodes, dx, eps, potential)
 
     cfg = OptimizerConfig(grad_rtol=0.0, grad_atol=1e-9, obj_rtol=1e-13,
-                          max_outer_iters=PROFILE_MAX_ITERS, restart_period=200)
+                          max_outer_iters=PROFILE_MAX_ITERS)
     result = bncg_minimize(lambda z: fg(z)[0], fg, z0, lower, upper, cfg)
     if potential == "triple":
         profile = (result.x[:n_nodes], result.x[n_nodes:])

@@ -28,7 +28,7 @@ from morphopt.verify import (brute_force_stimulus, fd_gradient_check,
                              profile_coefficient)
 from morphopt import runner
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 BOX = (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30)
 TARGETS = np.array([[0.0, 1.0]])
 # weight of the link energy in 6d's run; the only change to its parameters
@@ -255,8 +255,7 @@ def test_linked_desk_target_carried_by_structure(desk_linked):
     # carried by the structure keeps its tracking when eta drops 100-fold
     mesh = desk_linked["mesh"]
     design, stim, history, _ = desk_linked["run"]
-    soft = PhaseSet.build(PHASES.passive, PHASES.responsive,
-                          eta=PHASES.eta / 100)
+    soft = PhaseSet(PHASES.passive, PHASES.responsive, eta=PHASES.eta / 100)
     track = tracking(mesh, solve_state(mesh, design, soft, stim).u, TARGETS)
     change = abs(track / history[-1].breakdown.tracking - 1.0)
     box_max = float(np.max((design.rho2 + design.rho3)[_target_nodes(mesh)]))
@@ -281,7 +280,7 @@ def test_criterion_8_hexagon_equivariance():
     s32 = np.sqrt(3.0) / 2.0
     targets = np.array([[1.0, 0.0], [-0.5, s32], [-0.5, -s32]])
     params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
-    phases = PhaseSet.build(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
+    phases = PhaseSet(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
     n = mesh.n_nodes
     design = DesignField.constant(n, 0.3, 0.3)
     stim0 = StimulusField.zeros(3, n)

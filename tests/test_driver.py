@@ -140,8 +140,8 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tiny_cfg.parent / "out").exists()
 
-    # the removed line-search settings and solver_tol stay listed: as
-    # unknown keys they must still exit 2 naming the key
+    # the removed line-search settings, restart_period and solver_tol stay
+    # listed: as unknown keys they must still exit 2 naming the key
     @pytest.mark.parametrize("override", [
         "optimizer.max_outer_iters=-3", "optimizer.restart_period=0",
         "optimizer.max_ls_trials=0", "optimizer.obj_stall_window=0",
@@ -809,6 +809,26 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "centroid" in lines[0]
+        assert not (tiny_cfg.parent / "out").exists()
+
+    # grids above mesh.MAX_NODES fail before any array is allocated
+    @pytest.mark.parametrize("command", ["mesh-info", "run"])
+    @pytest.mark.parametrize("name, override", [
+        ("cantilever_desk_staggered", "domain.lx=1e300"),
+        ("cantilever_desk_staggered", "mesh.h=1e-300"),
+        ("hexagon_contrast5", "domain.edge=1e300"),
+        ("hexagon_contrast5", "mesh.h=1e-300")])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, command, name,
+                                    override):
+        argv = [command, "--config", name, "--override", override]
+        if command == "run":
+            argv += ["--override", "optimizer.max_outer_iters=1", "--out",
+                     str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "ceiling" in lines[0]
+        assert not (tmp_path / "out").exists()
 
     def test_seed_free_context_blocks_rng(self):
         with pytest.raises(MorphoptError):

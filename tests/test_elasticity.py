@@ -15,7 +15,7 @@ from test_mesh import reference_at_quadrature_points
 
 PASSIVE = Material(5.0, 0.3, 0.0)
 RESPONSIVE = Material(5.0, 0.3, 1.0)
-PHASES = PhaseSet.build(PASSIVE, RESPONSIVE, eta=1e-4)
+PHASES = PhaseSet(PASSIVE, RESPONSIVE, eta=1e-4)
 
 
 def single_triangle_mesh():
@@ -71,7 +71,7 @@ class TestStiffness:
     def test_element_matrix_against_symbolic_oracle(self):
         mesh = single_triangle_mesh()
         design = DesignField.constant(3, 1.0, 0.0)   # pure passive
-        phases = PhaseSet.build(Material(1.0, 0.0), Material(1.0, 0.0, 1.0))
+        phases = PhaseSet(Material(1.0, 0.0), Material(1.0, 0.0, 1.0))
         K = assemble_stiffness(mesh, design, phases).toarray()
         oracle = element_stiffness_bmatrix_oracle(
             [(0, 0), (1, 0), (0, 1)], 1, 0)
@@ -85,7 +85,7 @@ class TestStiffness:
                     np.array([[0, 1, 2]]), np.array([], dtype=int),
                     np.array([], dtype=int), 1.0)
         design = DesignField.constant(3, 1.0, 0.0)
-        phases = PhaseSet.build(Material(5.0, 0.3), Material(5.0, 0.3, 1.0))
+        phases = PhaseSet(Material(5.0, 0.3), Material(5.0, 0.3, 1.0))
         K = assemble_stiffness(mesh, design, phases).toarray()
         oracle = element_stiffness_bmatrix_oracle(
             coords, 5, Fraction(3, 10))

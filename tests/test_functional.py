@@ -231,7 +231,7 @@ class TestTotal:
         u = [rng.normal(size=(mesh.n_nodes, 2))]
         params = RegularizationParams(0.05, 6e-4, 0.1, 0.3)
         b = total(mesh, d, s, u, np.array([[0.0, 1.0]]), params)
-        assert b.total == (b.tracking + b.alpha * b.perimeter
+        assert b.total == (b.tracking + params.alpha * b.perimeter
                            + b.volume_penalty + b.stimulus_penalty)
 
     def test_zero_target_pure_design_volume_only(self):

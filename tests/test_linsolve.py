@@ -16,7 +16,7 @@ from morphopt.linsolve import (SOLVER_TOL, BlockCholesky, LevelBlocks,
 from morphopt.materials import Material, PhaseSet
 from morphopt.mesh import Mesh, build_hexagon_mesh, build_rect_mesh
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 
 
 def random_spd(n, seed):

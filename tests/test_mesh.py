@@ -178,6 +178,13 @@ class TestRectMesh:
         with pytest.raises(InvalidParameterError):
             build_rect_mesh(1.0, 0.01, 0.5, "left", None)
 
+    def test_oversized_grid_rejected_before_allocation(self):
+        # the desk cantilever at h = 1e-5 would need about 3.3e9 nodes;
+        # 3163^2 nodes is the first square grid above MAX_NODES
+        for lx, ly, h in ((1.0, 1 / 3, 1e-5), (1.0, 1.0, 1 / 3162)):
+            with pytest.raises(InvalidParameterError, match="ceiling"):
+                build_rect_mesh(lx, ly, h, "left", None)
+
     def test_refinement_quadruples_triangles(self):
         coarse = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         fine = build_rect_mesh(1.0, 0.5, 0.125, "left", None)
@@ -288,7 +295,7 @@ OPERATOR_MESHES = st.one_of(
 
 
 class TestGradientOperator:
-    PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+    PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(OPERATOR_MESHES, st.integers(1, 4), st.integers(0, 2 ** 16))
@@ -428,6 +435,11 @@ class TestHexagonMesh:
     def test_target_unresolved_is_error(self):
         with pytest.raises(InvalidParameterError, match="unresolved"):
             build_hexagon_mesh(0.35, 0.35 / 2, 0.035)
+
+    def test_oversized_grid_rejected_before_allocation(self):
+        # 3 m^2 + 3 m + 1 nodes: m = 1826 is the first grid above MAX_NODES
+        with pytest.raises(InvalidParameterError, match="ceiling"):
+            build_hexagon_mesh(1.0, 1 / 1826, 0.5)
 
     def test_target_area_one_percent(self):
         mesh = build_hexagon_mesh(0.35, 0.35 / 40, 0.035)

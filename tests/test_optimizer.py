@@ -11,7 +11,7 @@ from morphopt.optimizer import (OptimizerConfig, bncg_minimize,
                                 run_monolithic, run_staggered)
 from morphopt.sensitivity import Evaluation
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 BOX = (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30)
 
 
@@ -200,7 +200,7 @@ class TestBncg:
                           OptimizerConfig(), post_accept=post_accept)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_outer_iters", -1), ("restart_period", 0), ("grad_rtol", -1e-9),
+        ("max_outer_iters", -1), ("grad_rtol", -1e-9),
         ("grad_atol", float("nan")), ("obj_rtol", -1.0)])
     def test_invalid_config_names_field(self, field, value):
         with pytest.raises(InvalidParameterError, match=f"^{field} "):
@@ -433,8 +433,7 @@ class TestEquivariance:
         s32 = np.sqrt(3.0) / 2.0
         targets = np.array([[1.0, 0.0], [-0.5, s32], [-0.5, -s32]])
         params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
-        phases = PhaseSet.build(Material(5e-2, 0.3, 0.0),
-                                Material(5e-3, 0.3, 1.0))
+        phases = PhaseSet(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
         from morphopt.elasticity import solve_adjoint, solve_state
         from morphopt.sensitivity import grad_design
         from morphopt.stimulus_update import minimize_stimulus_field

@@ -26,8 +26,8 @@ from test_driver import TINY_CFG
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 # keys of removed settings (solver_tol, stimulus_mode, the line-search
-# constants, q_weight) stay in the draw: they must be rejected as unknown
-# keys
+# constants, restart_period, q_weight) stay in the draw: they must be
+# rejected as unknown keys
 KEYS = (["optimizer." + k for k in (
     "scheme", "solver_tol", "grad_rtol", "grad_atol", "obj_rtol",
     "max_outer_iters", "armijo_c", "backtrack_factor", "max_ls_trials",
@@ -55,7 +55,7 @@ def test_parse_config_returns_a_spec_or_raises_config_error(overrides):
     assert parse_config(text=echo_config(spec)) == spec
 
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 COARSE = build_rect_mesh(1.0, 1 / 3, 1 / 9, "left", (0.8, 0.1, 1.0, 0.23))
 RESOLUTION = 4000
 
@@ -103,7 +103,7 @@ def test_projections_are_idempotent(data):
     assert np.all(np.abs(once.s) <= 1)
 
 
-HEX_PHASES = PhaseSet.build(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
+HEX_PHASES = PhaseSet(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
 S32 = np.sqrt(3.0) / 2.0
 HEX_TARGETS = np.array([[1.0, 0.0], [-0.5, S32], [-0.5, -S32]])
 

@@ -18,7 +18,7 @@ from morphopt.sensitivity import (Evaluation, elasticity_design_grad,
                                   q_design_grad)
 from morphopt.verify import fd_gradient_check
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 BOX = (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30)
 TARGETS = np.array([[0.0, 1.0]])
 # the link weight of criterion 6d's desk run (tests/test_acceptance.py)
@@ -308,7 +308,7 @@ class TestLinkSwitch:
         b_off, g_off = ev_off.breakdown, ev_off.gradient
         b_on, g_on = ev_on.breakdown, ev_on.gradient
         assert ev_off.link is None and b_off.link == 0.0
-        assert b_off.total == (b_off.tracking + b_off.alpha * b_off.perimeter
+        assert b_off.total == (b_off.tracking + off.alpha * b_off.perimeter
                                + b_off.volume_penalty + b_off.stimulus_penalty)
         assert b_on.total == b_off.total + LINK_WEIGHT * b_on.link
         link = LINK_WEIGHT * link_design_grad(
@@ -321,7 +321,7 @@ class TestLinkSwitch:
         # k(1) = 1: the link body is the clamped unit material itself
         mesh = cantilever(1 / 12)
         unit = Material(1.0, 0.3, 0.0)
-        phases = PhaseSet.build(unit, unit)
+        phases = PhaseSet(unit, unit)
         design = DesignField.constant(mesh.n_nodes, 1.0, 0.0)
         K = assemble_stiffness(mesh, design, phases,
                                fixed_dofs=mesh.dirichlet_dofs())

@@ -11,7 +11,7 @@ from morphopt.sensitivity import Evaluation
 from morphopt.stimulus_update import (minimize_stimulus_field,
                                       optimal_stimulus_pointwise)
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 
 
 def grid_search_minimizer(c, B, resolution=10000):

@@ -11,7 +11,7 @@ from morphopt.stimulus_update import minimize_stimulus_field
 from morphopt.verify import (brute_force_stimulus, fd_gradient_check,
                              minimize_profile, profile_coefficient)
 
-PHASES = PhaseSet.build(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
+PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
 BOX = (1 - 1 / 15, 1 / 6 - 1 / 30, 1.0, 1 / 6 + 1 / 30)
 
 
