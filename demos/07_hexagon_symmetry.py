@@ -11,7 +11,7 @@ import numpy as np
 
 from morphopt import (DesignField, Material, PhaseSet, RegularizationParams,
                       StimulusField)
-from morphopt.elasticity import solve_adjoint, solve_state
+from morphopt.elasticity import element_strains, solve_adjoint, solve_state
 from morphopt.mesh import build_hexagon_mesh, hexagon_rotation_permutation
 from morphopt.sensitivity import grad_design
 from morphopt.stimulus_update import minimize_stimulus_field
@@ -34,7 +34,8 @@ lams0 = solve_adjoint(mesh, state0, targets)
 stim = minimize_stimulus_field(mesh, design, lams0, phases)
 state = solve_state(mesh, design, phases, stim)
 lams = solve_adjoint(mesh, state, targets)
-g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
+g2, g3 = grad_design(mesh, design, stim, state, element_strains(mesh, lams),
+                     phases, params)
 
 scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))
 defect = max(np.max(np.abs(g2[perm] - g2)), np.max(np.abs(g3[perm] - g3)))

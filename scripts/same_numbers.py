@@ -11,7 +11,10 @@ the bytes differ, the largest relative difference of the numbers in
 ``history.csv`` and of every array in ``final_fields.npz``, the lines
 found on one side only of a text artifact (``config_resolved.cfg``,
 ``summary.txt``; ``-`` base, ``+`` change), or ``differs`` for any other
-file.  Exit status 1 when an artifact differs or is missing on one side.
+file.  The standard output of ``morphopt profile-oracle`` (with its
+defaults and with ``--potential double``) and of ``morphopt check-gradient
+--h 0.1 --trials 2`` is compared the same way, line by line.  Exit status
+1 when an artifact or an output differs or is missing on one side.
 """
 
 import argparse
@@ -34,17 +37,28 @@ RUNS = {
 }
 
 
-def run(src, config, overrides, out):
+# commands whose standard output is compared byte for byte
+OUTPUTS = (["profile-oracle"], ["profile-oracle", "--potential", "double"],
+           ["check-gradient", "--h", "0.1", "--trials", "2"])
+
+
+def morphopt(src, args):
+    """Standard output of ``morphopt ARGS`` run on the tree ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "morphopt.cli", "run", "--config", config,
-           "--out", out]
-    for item in overrides:
-        cmd += ["--override", item]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "morphopt.cli", *args],
+                          env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{src}: {config} failed:\n{proc.stderr}")
+        sys.exit(f"{src}: morphopt {' '.join(args)} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def run(src, config, overrides, out):
+    args = ["run", "--config", config, "--out", out]
+    for item in overrides:
+        args += ["--override", item]
+    morphopt(src, args)
 
 
 def relative_difference(a, b):
@@ -127,7 +141,18 @@ def main():
             run(src, config, overrides, dirs[-1])
         print(f"{label}:")
         same = compare(*dirs) and same
-    print("all artifacts identical" if same else "artifacts differ")
+    for cmd in OUTPUTS:
+        base, change = (morphopt(src, cmd) for src in (args.base, args.change))
+        if base == change:
+            print(f"{' '.join(cmd)}: identical")
+            continue
+        same = False
+        print(f"{' '.join(cmd)}:")
+        for line in difflib.ndiff(base.splitlines(), change.splitlines()):
+            if line.startswith(("- ", "+ ")):
+                print(f"  {line}")
+    print("all artifacts and outputs identical" if same
+          else "artifacts or outputs differ")
     print(f"artifacts in {out}")
     return 0 if same else 1
 

@@ -21,7 +21,7 @@ from .render import composite_export, fold_free_scale
 def forbid_numpy_random():
     """Assert that no numpy randomness is drawn inside the block."""
     def raiser(*args, **kwargs):
-        raise MorphoptError("randomness requested during a --seed-free run")
+        raise MorphoptError("randomness requested during a run")
 
     saved = (np.random.default_rng, np.random.seed, np.random.RandomState)
     np.random.default_rng = raiser
@@ -44,7 +44,7 @@ def _cmd_run(args):
     from . import runner
 
     spec = _load_spec(args)
-    with forbid_numpy_random() if args.seed_free else contextlib.nullcontext():
+    with forbid_numpy_random():
         artifacts = runner.run(spec, out_dir=args.out)
     print(f"status,{artifacts.status}")
     print(f"iterations,{artifacts.summary['iterations']}")
@@ -160,8 +160,6 @@ def build_parser():
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="override a config value (section.key=value)")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed-free", action="store_true",
-                       help="assert that the run draws no randomness")
     p_run.set_defaults(func=_cmd_run)
 
     p_chk = sub.add_parser("check-gradient",

@@ -8,7 +8,7 @@ sections.  Unknown sections or keys are errors.
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -242,9 +242,10 @@ def parse_config(path=None, text=None, overrides=()):
     if scheme not in ("staggered", "monolithic"):
         raise ConfigError(f"optimizer.scheme: must be staggered or monolithic, "
                           f"got {scheme!r}")
-    optimizer = _validated("optimizer", OptimizerConfig, **{   # one key per field
-        f.name: opt.get(f.name, int if f.type is int else _float, default=f.default)
-        for f in dc_fields(OptimizerConfig)})
+    max_iters = opt.get("max_outer_iters", int,
+                        default=OptimizerConfig.max_outer_iters)
+    optimizer = _validated("optimizer", OptimizerConfig,
+                           max_outer_iters=max_iters)
 
     out = secs["output"]
     output_dir = out.get("directory", default="out")

@@ -61,12 +61,12 @@ def element_strains(mesh, u):
     return e if u.ndim == 3 else e[0]
 
 
-def assemble_stiffness(mesh, design, phases, fixed_dofs=None):
+def assemble_stiffness(mesh, design, phases, fixed_dofs):
     """Global stiffness K = sum_T int sum_i a(rho_i) C_i e(.) : e(.).
 
-    With ``fixed_dofs`` the constrained rows/columns are eliminated
-    symmetrically and replaced by a unit diagonal, so the operator stays
-    SPD on the free subspace.
+    The rows/columns of ``fixed_dofs`` are eliminated symmetrically and
+    replaced by a unit diagonal, so the operator stays SPD on the free
+    subspace.
     """
     check_nodal(mesh, design.rho2, "rho2")
     abar = quadrature.element_integrals(                          # (3, M)
@@ -93,8 +93,6 @@ class _OperatorMap:
         tri, nn, m = mesh.triangles, mesh.n_nodes, mesh.n_triangles
         n = 2 * nn
         fixed = np.zeros(n, dtype=bool)
-        if fixed_dofs is None:
-            fixed_dofs = np.empty(0, dtype=np.int64)
         fixed[fixed_dofs] = True
         # element entry e = 6i + j = (2a + xa) * 6 + 2b + yb couples the
         # dofs edof[i], edof[j]; its key row * n + col sorts in CSR order.
@@ -153,12 +151,11 @@ class _OperatorMap:
 
 def _operator_map(mesh, fixed_dofs):
     """The mesh's _OperatorMap for ``fixed_dofs``, built on first use."""
-    if fixed_dofs is not None:
-        fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
-        if fixed_dofs.size and (fixed_dofs[0] < 0
-                                or fixed_dofs[-1] >= 2 * mesh.n_nodes):
-            raise InvalidParameterError("fixed dof refers to a nonexistent node")
-    key = ("operator", None if fixed_dofs is None else fixed_dofs.tobytes())
+    fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+    if fixed_dofs.size and (fixed_dofs[0] < 0
+                            or fixed_dofs[-1] >= 2 * mesh.n_nodes):
+        raise InvalidParameterError("fixed dof refers to a nonexistent node")
+    key = ("operator", fixed_dofs.tobytes())
     if key not in mesh.cache:
         mesh.cache[key] = _OperatorMap(mesh, fixed_dofs)
     return mesh.cache[key]
@@ -186,8 +183,7 @@ def assemble_stimulus_load(mesh, design, phases, stimulus):
     check_nodal(mesh, stimulus.s.T, "stimulus")
     rule = quadrature.TRI_DEG4
     aw = interp(design.samples(mesh)[1])
-    resp = phases.responsive
-    coef = (resp.beta * 2.0 * resp.bulk                              # (k, M)
+    coef = (phases.responsive.stimulus_stress                        # (k, M)
             * ((aw * stimulus.samples(mesh)) @ rule.weights) * mesh.areas)
     # column y k + j of the (2M, 2k) element values is coef_j on rows
     # 2m + y, so D^T scatters coef_j * d phi_a / dx_y to dof 2a + y of case j

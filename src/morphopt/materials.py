@@ -48,6 +48,11 @@ class Material:
         # kappa = (d*lambda + 2*mu)/d with d = 2
         return self.lame_lambda + self.lame_mu
 
+    @property
+    def stimulus_stress(self):
+        # C (beta s I) = 2 beta kappa s I: the stress per unit stimulus
+        return self.beta * 2.0 * self.bulk
+
 
 @dataclass(frozen=True)
 class PhaseSet:

@@ -139,10 +139,13 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
     g_red_prev = g_red
     alpha0 = INITIAL_STEP
     stall_count = 0
+    beta = 0.0
 
     for k in range(1, cfg.max_outer_iters + 1):
         accepted = False
-        for attempt in (0, 1):  # second attempt restarts with steepest descent
+        # a failed PR+ direction gets one steepest-descent retry; a failed
+        # steepest-descent direction (beta = 0) would only repeat itself
+        for attempt in (0,) if beta == 0.0 else (0, 1):
             if attempt == 1:
                 d = -reduced(g, x)
             if np.dot(g, d) >= 0.0:

@@ -99,15 +99,11 @@ def _traces(strains):
     return strains[..., 0, 0] + strains[..., 1, 1]
 
 
-def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
-                           strains=None):
+def elasticity_design_grad(mesh, design, stimulus, state, strains, phases):
     """sum_j sum_i a'(rho_i) C_i (e(u_j) - beta_i s_j I) : e(lambda_j) phi_i
     as in :func:`perimeter_design_grad` (``strains``: the
-    (n_cases, n_tri, 2, 2) element strains of lambdas, computed here unless
-    given)."""
-    mats, resp = phases.as_tuple(), phases.responsive
-    if strains is None:
-        strains = element_strains(mesh, lambdas)
+    (n_cases, n_tri, 2, 2) element strains of the adjoints lambda_j)."""
+    mats = phases.as_tuple()
     eu = element_strains(mesh, state.u)
     trl = _traces(strains)
     # C_i e(u_j) : e(lambda_j) summed over the cases, one row per phase i
@@ -122,7 +118,7 @@ def elasticity_design_grad(mesh, design, stimulus, state, lambdas, phases,
     lval = np.einsum("jmq,jm->mq", stimulus.samples(mesh), trl)
     g[1] -= hat_integrals(mesh, TRI_DEG4,
                           interp_derivative(design.samples(mesh)[1]) * lval,
-                          resp.beta * 2.0 * resp.bulk * mesh.areas)[0]
+                          phases.responsive.stimulus_stress * mesh.areas)[0]
     return g
 
 
@@ -139,32 +135,29 @@ def link_design_grad(mesh, design, link):
                           mesh.areas * energy)[0]
 
 
-def grad_design(mesh, design, stimulus, state, lambdas, phases, params,
-                link=None, strains=None):
+def grad_design(mesh, design, stimulus, state, strains, phases, params,
+                link=None):
     """Full design gradient (g_rho2, g_rho3) of the reduced objective
-    (``link`` as in :func:`link_design_grad`, needed when link_weight > 0;
-    ``strains`` as in :func:`elasticity_design_grad`)."""
+    (``strains`` as in :func:`elasticity_design_grad`; ``link`` as in
+    :func:`link_design_grad`, needed when link_weight > 0)."""
     check_nodal(mesh, design.rho2, "rho2")
     nu = np.array([[params.nu2], [params.nu3]])
     g = (params.alpha * perimeter_design_grad(mesh, design, params.epsilon)
          + nu * mesh.lumped_node_areas()
          + q_design_grad(mesh, design, stimulus)
-         + elasticity_design_grad(mesh, design, stimulus, state, lambdas,
-                                  phases, strains))
+         + elasticity_design_grad(mesh, design, stimulus, state, strains,
+                                  phases))
     if params.link_weight:
         g = g + params.link_weight * link_design_grad(mesh, design, link)
     return g[0], g[1]
 
 
-def grad_stimulus(mesh, design, stimulus, lambdas, phases, strains=None):
+def grad_stimulus(mesh, design, stimulus, strains, phases):
     """Stimulus gradient, one nodal array per load case (``strains`` as in
     :func:`elasticity_design_grad`)."""
-    resp = phases.responsive
     r2q, r3q = design.samples(mesh)
     bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
-    if strains is None:
-        strains = element_strains(mesh, lambdas)
-    coef = resp.beta * 2.0 * resp.bulk * _traces(strains)            # (k, M)
+    coef = phases.responsive.stimulus_stress * _traces(strains)      # (k, M)
     return hat_integrals(mesh, TRI_DEG4, 2.0 * bq * stimulus.samples(mesh)
                          - interp(r3q) * coef[:, :, None], mesh.areas)
 
@@ -213,9 +206,8 @@ class Evaluation:
         # the adjoint strains serve both gradients
         strains = element_strains(self.mesh, self.lambdas)
         g2, g3 = grad_design(self.mesh, self.design, self.stimulus, self.state,
-                             self.lambdas, self.phases, self.params, self.link,
-                             strains)
-        gs = grad_stimulus(self.mesh, self.design, self.stimulus, self.lambdas,
-                           self.phases, strains)
+                             strains, self.phases, self.params, self.link)
+        gs = grad_stimulus(self.mesh, self.design, self.stimulus, strains,
+                           self.phases)
         return Gradient(g2, g3, gs)
 

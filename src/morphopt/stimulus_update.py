@@ -39,9 +39,8 @@ def minimize_stimulus_field(mesh, design, lambdas, phases):
     """Closed-form stimulus minimizer of every case at every node, for the
     (n_cases, n_nodes, 2) adjoints: tr(e(lambda_j)) is piecewise constant
     for P1 and is recovered at the nodes by area-weighted averaging."""
-    resp = phases.responsive
     el = element_strains(mesh, lambdas)
     tr = nodal_average_from_elements(mesh, el[..., 0, 0] + el[..., 1, 1])
-    c = interp(design.rho3) * resp.beta * 2.0 * resp.bulk * tr      # (k, n)
+    c = interp(design.rho3) * phases.responsive.stimulus_stress * tr  # (k, n)
     B = design.rho1() ** 2 + design.rho2 ** 2
     return StimulusField(optimal_stimulus_pointwise(c, B))

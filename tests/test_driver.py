@@ -140,8 +140,9 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tiny_cfg.parent / "out").exists()
 
-    # the removed line-search settings, restart_period and solver_tol stay
-    # listed: as unknown keys they must still exit 2 naming the key
+    # the removed line-search settings, restart_period, solver_tol and the
+    # three tolerances (grad_rtol, grad_atol, obj_rtol) stay listed: as
+    # unknown keys they must still exit 2 naming the key
     @pytest.mark.parametrize("override", [
         "optimizer.max_outer_iters=-3", "optimizer.restart_period=0",
         "optimizer.max_ls_trials=0", "optimizer.obj_stall_window=0",
@@ -611,16 +612,33 @@ def test_write_ppm_equals_per_pixel_reference(tmp_path_factory, image):
 
 
 class TestCli:
-    def test_run_subcommand_seed_free(self, tiny_cfg, tmp_path, capsys):
+    def test_run_subcommand(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "cli_out"
-        code = cli.main(["run", "--config", str(tiny_cfg), "--out", str(out),
-                         "--seed-free"])
+        code = cli.main(["run", "--config", str(tiny_cfg), "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr().out
         assert "status," in captured
         scale = float(captured.split("composite_scale_case1,")[1].split()[0])
         assert 0.0 < scale <= 1.0
         assert (out / "history.csv").exists()
+
+    def test_run_forbids_numpy_random(self, tiny_cfg, tmp_path, capsys,
+                                      monkeypatch):
+        # run is always guarded: a stage that draws randomness fails it
+        inner = optimizer.minimize_stimulus_field
+
+        def drawing(*args):
+            np.random.default_rng(0)
+            return inner(*args)
+        monkeypatch.setattr(optimizer, "minimize_stimulus_field", drawing)
+        out = tmp_path / "cli_out"
+        code = cli.main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "randomness" in lines[0]
+        # the guard is lifted after the run
+        np.random.default_rng(0)
 
     def test_run_with_override(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "cli_out2"

@@ -72,7 +72,7 @@ class TestStiffness:
         mesh = single_triangle_mesh()
         design = DesignField.constant(3, 1.0, 0.0)   # pure passive
         phases = PhaseSet(Material(1.0, 0.0), Material(1.0, 0.0, 1.0))
-        K = assemble_stiffness(mesh, design, phases).toarray()
+        K = assemble_stiffness(mesh, design, phases, []).toarray()
         oracle = element_stiffness_bmatrix_oracle(
             [(0, 0), (1, 0), (0, 1)], 1, 0)
         np.testing.assert_allclose(K, oracle, rtol=1e-13, atol=1e-15)
@@ -86,7 +86,7 @@ class TestStiffness:
                     np.array([], dtype=int), 1.0)
         design = DesignField.constant(3, 1.0, 0.0)
         phases = PhaseSet(Material(5.0, 0.3), Material(5.0, 0.3, 1.0))
-        K = assemble_stiffness(mesh, design, phases).toarray()
+        K = assemble_stiffness(mesh, design, phases, []).toarray()
         oracle = element_stiffness_bmatrix_oracle(
             coords, 5, Fraction(3, 10))
         np.testing.assert_allclose(K, oracle, rtol=1e-12)
@@ -95,9 +95,9 @@ class TestStiffness:
         mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
         n = mesh.n_nodes
         k_void = assemble_stiffness(
-            mesh, DesignField.constant(n, 0.0, 0.0), PHASES).toarray()
+            mesh, DesignField.constant(n, 0.0, 0.0), PHASES, []).toarray()
         k_pass = assemble_stiffness(
-            mesh, DesignField.constant(n, 1.0, 0.0), PHASES).toarray()
+            mesh, DesignField.constant(n, 1.0, 0.0), PHASES, []).toarray()
         np.testing.assert_allclose(k_void, PHASES.eta * k_pass, rtol=1e-12)
 
     def test_rigid_translation_in_kernel(self):
@@ -106,7 +106,7 @@ class TestStiffness:
         n = mesh.n_nodes
         design = project_design(DesignField(rng.uniform(0, 1, n),
                                             rng.uniform(0, 1, n)))
-        K = assemble_stiffness(mesh, design, PHASES)
+        K = assemble_stiffness(mesh, design, PHASES, [])
         t = np.tile([0.7, -0.3], n)
         scale = np.abs(K.data).max()
         assert np.max(np.abs(K @ t)) <= 1e-12 * scale
@@ -117,7 +117,7 @@ class TestStiffness:
         n = mesh.n_nodes
         design = project_design(DesignField(rng.uniform(0, 1, n),
                                             rng.uniform(0, 1, n)))
-        K = assemble_stiffness(mesh, design, PHASES)
+        K = assemble_stiffness(mesh, design, PHASES, [])
         diff = (K - K.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 

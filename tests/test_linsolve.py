@@ -416,8 +416,7 @@ def reference_operator(mesh, wmu, wlam, fixed_dofs):
     vals = ke.ravel()
     n = 2 * mesh.n_nodes
     fixed = np.zeros(n, dtype=bool)
-    if fixed_dofs is not None:
-        fixed[fixed_dofs] = True
+    fixed[fixed_dofs] = True
     keep = ~(fixed[rows] | fixed[cols])
     rows = np.concatenate([rows[keep], np.flatnonzero(fixed)])
     cols = np.concatenate([cols[keep], np.flatnonzero(fixed)])
@@ -447,7 +446,7 @@ class TestDirichletElimination:
         pytest.param(hexagon_mesh, Mesh.dirichlet_dofs, id="hexagon_mesh"),
         pytest.param(lambda: build_rect_mesh(1.0, 1.0, 0.1, "left", None),
                      dilation_pins, id="dilation_pins"),
-        pytest.param(desk_mesh, lambda mesh: None, id="no_fixed_dofs")])
+        pytest.param(desk_mesh, lambda mesh: [], id="no_fixed_dofs")])
     def test_operator_maps_match_reference_assembly(self, make_mesh, constrain,
                                                     monkeypatch):
         # stiffness and link operator both pass through _assemble_isotropic
@@ -466,7 +465,7 @@ class TestDirichletElimination:
         assemble_link_operator(mesh, design)
         assert len(calls) == 2
         for K, ref, fixed in calls:
-            fixed = np.asarray([] if fixed is None else fixed, dtype=np.int64)
+            fixed = np.asarray(fixed, dtype=np.int64)
             assert K.nnz == ref.nnz
             assert np.array_equal(K.indptr, ref.indptr)
             assert np.array_equal(K.indices, ref.indices)

@@ -7,8 +7,8 @@ from morphopt.functional import RegularizationParams
 from morphopt.materials import Material, PhaseSet
 from morphopt.mesh import build_hexagon_mesh, build_rect_mesh, \
     hexagon_rotation_permutation
-from morphopt.optimizer import (OptimizerConfig, bncg_minimize,
-                                run_monolithic, run_staggered)
+from morphopt.optimizer import (MAX_LS_TRIALS, OptimizerConfig,
+                                bncg_minimize, run_monolithic, run_staggered)
 from morphopt.sensitivity import Evaluation
 
 PHASES = PhaseSet(Material(5.0, 0.3, 0.0), Material(5.0, 0.3, 1.0))
@@ -99,6 +99,51 @@ class TestBncg:
                             np.array([1.0]), OptimizerConfig())
         assert res.status == "stalled"
         assert res.value == pytest.approx(0.49)
+
+    def test_steepest_descent_stall_is_not_repeated(self):
+        # wrong gradient sign at iterate 1, where the direction already is
+        # steepest descent: one line search, not the same one twice
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return float(np.sum(x ** 2))
+
+        def fg(x):
+            return float(np.sum(x ** 2)), -2.0 * x
+
+        res = bncg_minimize(f, fg, np.array([0.7, 0.3, -0.5]), -np.ones(3),
+                            np.ones(3), OptimizerConfig())
+        assert res.status == "stalled" and res.iterations == 0
+        assert res.value == pytest.approx(0.83)
+        assert 0 < len(calls) <= MAX_LS_TRIALS
+
+    def test_failed_pr_direction_retries_steepest_descent(self):
+        # iterate 2's PR+ direction (beta = 100) leaves the kink at
+        # x0 = 0.8 and fails every trial; steepest descent then succeeds
+        calls = []
+
+        def value(x):
+            return float(x[1] + 0.1 * x[0] + 10.0 * max(0.0, 0.8 - x[0]))
+
+        def f(x):
+            calls.append(x.copy())
+            return value(x)
+
+        grads = iter([np.array([0.1, 0.0]), np.array([0.0, 1.0]),
+                      np.zeros(2)])
+
+        def fg(x):
+            return value(x), next(grads)
+
+        res = bncg_minimize(f, fg, np.array([0.9, 0.5]), np.zeros(2),
+                            np.ones(2), OptimizerConfig())
+        assert res.status == "converged-grad" and res.iterations == 2
+        # iterate 1's trial, the failed PR+ search, the retry's first trial
+        assert len(calls) == 1 + MAX_LS_TRIALS + 1
+        assert all(x[0] < 0.8 for x in calls[1:-1])
+        np.testing.assert_allclose(calls[-1], [0.8, 0.0])
+        np.testing.assert_allclose(res.x, [0.8, 0.0])
 
     def test_objective_stall_termination(self):
         # flat function: relative decrease is zero, stall window triggers
@@ -434,7 +479,8 @@ class TestEquivariance:
         targets = np.array([[1.0, 0.0], [-0.5, s32], [-0.5, -s32]])
         params = RegularizationParams(2 * mesh.cell_size, 3.5e-4, 0.7, 0.03)
         phases = PhaseSet(Material(5e-2, 0.3, 0.0), Material(5e-3, 0.3, 1.0))
-        from morphopt.elasticity import solve_adjoint, solve_state
+        from morphopt.elasticity import (element_strains, solve_adjoint,
+                                         solve_state)
         from morphopt.sensitivity import grad_design
         from morphopt.stimulus_update import minimize_stimulus_field
 
@@ -446,7 +492,8 @@ class TestEquivariance:
         stim = minimize_stimulus_field(mesh, design, lams0, phases)
         state = solve_state(mesh, design, phases, stim)
         lams = solve_adjoint(mesh, state, targets)
-        g2, g3 = grad_design(mesh, design, stim, state, lams, phases, params)
+        g2, g3 = grad_design(mesh, design, stim, state,
+                             element_strains(mesh, lams), phases, params)
         scale = max(np.max(np.abs(g2)), np.max(np.abs(g3)))
         assert np.max(np.abs(g2[perm] - g2)) <= 1e-10 * scale
         assert np.max(np.abs(g3[perm] - g3)) <= 1e-10 * scale

@@ -26,8 +26,8 @@ from test_driver import TINY_CFG
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 # keys of removed settings (solver_tol, stimulus_mode, the line-search
-# constants, restart_period, q_weight) stay in the draw: they must be
-# rejected as unknown keys
+# constants, restart_period, the three tolerances, q_weight) stay in the
+# draw: they must be rejected as unknown keys
 KEYS = (["optimizer." + k for k in (
     "scheme", "solver_tol", "grad_rtol", "grad_atol", "obj_rtol",
     "max_outer_iters", "armijo_c", "backtrack_factor", "max_ls_trials",
