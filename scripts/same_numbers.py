@@ -12,9 +12,11 @@ the bytes differ, the largest relative difference of the numbers in
 found on one side only of a text artifact (``config_resolved.cfg``,
 ``summary.txt``; ``-`` base, ``+`` change), or ``differs`` for any other
 file.  The standard output of ``morphopt profile-oracle`` (with its
-defaults and with ``--potential double``) and of ``morphopt check-gradient
---h 0.1 --trials 2`` is compared the same way, line by line.  Exit status
-1 when an artifact or an output differs or is missing on one side.
+defaults and with ``--potential double``), of ``morphopt check-gradient
+--h 0.1 --trials 2`` and of ``morphopt mesh-info`` on every config shipped
+with the change, at its shipped cell size, is compared the same way, line
+by line.  Exit status 1 when an artifact or an output differs or is
+missing on one side.
 """
 
 import argparse
@@ -141,7 +143,11 @@ def main():
             run(src, config, overrides, dirs[-1])
         print(f"{label}:")
         same = compare(*dirs) and same
-    for cmd in OUTPUTS:
+    shipped = os.path.join(args.change, "morphopt", "configs")
+    mesh_info = [["mesh-info", "--config", name[:-4]]
+                 for name in sorted(os.listdir(shipped))
+                 if name.endswith(".cfg")]
+    for cmd in [*OUTPUTS, *mesh_info]:
         base, change = (morphopt(src, cmd) for src in (args.base, args.change))
         if base == change:
             print(f"{' '.join(cmd)}: identical")

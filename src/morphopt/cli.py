@@ -19,18 +19,19 @@ from .render import composite_export, fold_free_scale
 
 @contextlib.contextmanager
 def forbid_numpy_random():
-    """Assert that no numpy randomness is drawn inside the block."""
+    """Assert that no numpy randomness is drawn inside the block: every
+    callable of ``numpy.random.__all__`` raises until the block exits."""
     def raiser(*args, **kwargs):
         raise MorphoptError("randomness requested during a run")
 
-    saved = (np.random.default_rng, np.random.seed, np.random.RandomState)
-    np.random.default_rng = raiser
-    np.random.seed = raiser
-    np.random.RandomState = raiser
+    saved = {name: getattr(np.random, name) for name in np.random.__all__}
+    for name in saved:
+        setattr(np.random, name, raiser)
     try:
         yield
     finally:
-        np.random.default_rng, np.random.seed, np.random.RandomState = saved
+        for name, value in saved.items():
+            setattr(np.random, name, value)
 
 
 def _load_spec(args):

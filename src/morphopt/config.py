@@ -1,8 +1,10 @@
-"""Problem configuration: INI-style files, validation, echo, and the
-registry of shipped example problems.
+"""Problem configuration: INI-style files, echo, and the registry of
+shipped example problems.
 
 The grammar is documented in the README; ``SECTIONS`` lists its
-sections.  Unknown sections or keys are errors.
+sections.  Unknown sections or keys are errors.  The parser resolves the
+values; the mesh builders and the parameter classes that use them check
+their ranges (sizes, the clamped side, the target inside the domain).
 """
 
 import configparser
@@ -114,13 +116,6 @@ def _vector2(raw):
     return (_float(parts[0]), _float(parts[1]))
 
 
-def _positive(raw):
-    v = _float(raw)
-    if v <= 0:
-        raise ValueError("must be positive")
-    return v
-
-
 def _validated(section, cls, **kwargs):
     """``cls(**kwargs)``; an InvalidParameterError, whose message starts
     with the field name, becomes a ConfigError naming ``section.field``."""
@@ -167,36 +162,24 @@ def parse_config(path=None, text=None, overrides=()):
     domain_type = dom.get("type")
     kwargs = {}
     if domain_type == "rect":
-        kwargs["lx"] = dom.get("lx", _positive)
-        kwargs["ly"] = dom.get("ly", _positive)
-        side = dom.get("dirichlet_side", default="left")
-        if side not in ("left", "right", "bottom", "top"):
-            raise ConfigError(f"domain.dirichlet_side: invalid value {side!r}")
-        kwargs["dirichlet_side"] = side
+        kwargs["lx"] = dom.get("lx", _float)
+        kwargs["ly"] = dom.get("ly", _float)
+        kwargs["dirichlet_side"] = dom.get("dirichlet_side", default="left")
     elif domain_type == "hexagon":
-        kwargs["edge"] = dom.get("edge", _positive)
-        orient = dom.get("clamp_orientation", default="odd")
-        if orient not in ("odd", "even"):
-            raise ConfigError(
-                f"domain.clamp_orientation: must be odd or even, got {orient!r}")
-        kwargs["clamp_orientation"] = orient
+        kwargs["edge"] = dom.get("edge", _float)
+        kwargs["clamp_orientation"] = dom.get("clamp_orientation",
+                                              default="odd")
     else:
         raise ConfigError(f"domain.type: must be rect or hexagon, got {domain_type!r}")
 
-    h = secs["mesh"].get("h", _positive)
+    h = secs["mesh"].get("h", _float)
 
     tgt = secs["target"]
     if domain_type == "rect":
-        box = tuple(tgt.get(k, _float) for k in ("x0", "y0", "x1", "y1"))
-        if not (0 <= box[0] <= box[2] <= kwargs["lx"]
-                and 0 <= box[1] <= box[3] <= kwargs["ly"]):
-            raise ConfigError("target box must sit inside the domain")
-        kwargs["target_box"] = box
+        kwargs["target_box"] = tuple(tgt.get(k, _float)
+                                     for k in ("x0", "y0", "x1", "y1"))
     else:
-        te = tgt.get("edge", _positive)
-        if te >= kwargs["edge"]:
-            raise ConfigError("target.edge must be smaller than domain.edge")
-        kwargs["target_edge"] = te
+        kwargs["target_edge"] = tgt.get("edge", _float)
 
     disp = secs["displacements"]
     count = disp.get("count", int)
@@ -215,13 +198,13 @@ def parse_config(path=None, text=None, overrides=()):
     phase_set = _validated(
         "phases", PhaseSet, passive=material("phases.passive"),
         responsive=material("phases.responsive", responsive=True),
-        eta=secs["phases"].get("eta", _float, default=1e-4))
+        eta=secs["phases"].get("eta", _float, default=PhaseSet.eta))
 
     reg = secs["regularization"]
     params = _validated(
         "regularization", RegularizationParams,
-        epsilon=reg.get("epsilon", _positive),
-        alpha=reg.get("alpha", _positive),
+        epsilon=reg.get("epsilon", _float),
+        alpha=reg.get("alpha", _float),
         nu2=reg.get("nu2", _float),
         nu3=reg.get("nu3", _float),
     )

@@ -197,8 +197,6 @@ def target_mass_apply(mesh, w):
     w = check_nodal(mesh, w, "misfit")
     out = np.zeros(w.shape)
     te = mesh.target_elements
-    if len(te) == 0:
-        return out
     tri = mesh.triangles[te]
     we = w[tri]                                                 # (Mt, 3, ...)
     a = mesh.areas[te].reshape((-1,) + (1,) * w.ndim)

@@ -83,8 +83,6 @@ def tracking(mesh, state_u, targets):
     check_nodal(mesh, u[0], "displacement")
     w = u - check_targets(targets, len(u))[:, None, :]
     te = mesh.target_elements
-    if len(te) == 0:
-        return 0.0
     we = w[:, mesh.triangles[te]]                                # (k, Mt, 3, 2)
     # C order and one sum per case keep each case's order of additions
     dots = np.einsum("jmax,jmbx->jmab", we, we, order="C")

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import functional, sensitivity
 from .errors import InvalidParameterError, NonFiniteValueError
-from .fields import (INITIAL_RHO2, INITIAL_RHO3, DesignField, StimulusField,
-                     project_design, project_stimulus)
+from .fields import INITIAL_RHO2, INITIAL_RHO3, DesignField, StimulusField
 from .stimulus_update import minimize_stimulus_field
 
 
@@ -287,8 +286,8 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
     lower = np.concatenate([np.zeros(2 * nn), -np.ones(n_cases * nn)])
     upper = np.ones(2 * nn + n_cases * nn)
     result = evals.minimize(z0, lower, upper, cfg)
-    return (project_design(evals.accepted.design),
-            project_stimulus(evals.accepted.stimulus), evals.history, result)
+    return (evals.accepted.design, evals.accepted.stimulus, evals.history,
+            result)
 
 
 def run_staggered(mesh, phases, params, targets, cfg, design0=None,
@@ -335,5 +334,5 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
     z0 = np.concatenate([design0.rho2, design0.rho3])
     result = evals.minimize(z0, np.zeros(2 * nn), np.ones(2 * nn), cfg,
                             post_accept)
-    return (project_design(evals.accepted.design),
-            evals.accepted.stimulus, evals.history, result)
+    return (evals.accepted.design, evals.accepted.stimulus, evals.history,
+            result)

@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -854,3 +856,110 @@ class TestCli:
                 np.random.default_rng(0)
         # restored afterwards
         np.random.default_rng(0)
+
+    # the module-level legacy draws are guarded too
+    @pytest.mark.parametrize("draw", [
+        lambda: np.random.rand(2), lambda: np.random.uniform(),
+        lambda: np.random.normal(), lambda: np.random.random(),
+        lambda: np.random.choice(3)],
+        ids=["rand", "uniform", "normal", "random", "choice"])
+    def test_guard_blocks_legacy_draws(self, draw):
+        with pytest.raises(MorphoptError, match="randomness"):
+            with cli.forbid_numpy_random():
+                draw()
+        # restored afterwards
+        draw()
+
+    # sizes, the clamped side or orientation and the target are checked
+    # once, by the mesh builders and RegularizationParams, before any
+    # output is written
+    @pytest.mark.parametrize("command", ["mesh-info", "run"])
+    @pytest.mark.parametrize("name, override", [
+        ("cantilever_desk_staggered", "domain.dirichlet_side=middle"),
+        ("cantilever_desk_staggered", "target.x1=2.0"),
+        ("cantilever_desk_staggered", "target.x0=-0.1"),
+        ("cantilever_desk_staggered", "mesh.h=0"),
+        ("cantilever_desk_staggered", "mesh.h=-0.5"),
+        ("cantilever_desk_staggered", "domain.lx=0"),
+        ("cantilever_desk_staggered", "domain.ly=-1"),
+        ("cantilever_desk_staggered", "regularization.epsilon=0"),
+        ("cantilever_desk_staggered", "regularization.alpha=-1"),
+        ("hexagon_contrast5", "domain.clamp_orientation=both"),
+        ("hexagon_contrast5", "target.edge=0.35"),
+        ("hexagon_contrast5", "target.edge=0"),
+        ("hexagon_contrast5", "domain.edge=-1"),
+        ("hexagon_contrast5", "mesh.h=0")])
+    def test_bad_geometry_or_size_exits_2(self, tmp_path, capsys, command,
+                                          name, override):
+        argv = [command, "--config", name, "--override", override]
+        if command == "run":
+            argv += ["--override", "optimizer.max_outer_iters=1", "--out",
+                     str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+# The grammar sweep: every resolved key of two shipped configs, at a coarse
+# cell size, set to each of SWEEP_VALUES.  Every call exits 0, or 2 with
+# one error: line and no output directory.
+SWEEP_BASES = {
+    "cantilever_desk_staggered": ("mesh.h=0.1", "regularization.epsilon=0.2"),
+    "hexagon_contrast5": ("mesh.h=0.05", "regularization.epsilon=0.1")}
+SWEEP_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "abc", "",
+                "2", "0.5", "-0.5", "3")
+
+
+def sweep_overrides(name):
+    """section.key=value for every resolved key of the base problem and
+    every sweep value."""
+    spec = load_shipped_config(name, overrides=SWEEP_BASES[name])
+    return [f"{section}.{key}={value}"
+            for section, values in spec.resolved.items()
+            for key in values for value in SWEEP_VALUES]
+
+
+SWEEP = {name: sweep_overrides(name) for name in SWEEP_BASES}
+
+
+def exit_fault(command, name, overrides, out=None):
+    """None if ``morphopt COMMAND`` on the shipped problem ``name`` exits
+    0, or 2 with one error: line and ``out`` not created; else the fault."""
+    argv = [command, "--config", name]
+    for item in overrides:
+        argv += ["--override", item]
+    if out is not None:
+        argv += ["--out", str(out)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # unresolved-interface warnings
+        code = cli.main(argv)
+    lines = stderr.getvalue().strip().splitlines()
+    if code == 0 or (code == 2 and len(lines) == 1
+                     and lines[0].startswith("error:")
+                     and not (out is not None and out.exists())):
+        return None
+    return f"{overrides[-1]}: exit {code}, stderr {stderr.getvalue()!r}"
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_grammar_sweep_mesh_info(name):
+    faults = [exit_fault("mesh-info", name, [*SWEEP_BASES[name], item])
+              for item in SWEEP[name]]
+    assert [f for f in faults if f] == []
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_grammar_sweep_run(name, tmp_path_factory, data):
+    # the swept value comes last, so it wins over the one-iterate cap
+    item = data.draw(st.sampled_from(SWEEP[name]))
+    out = tmp_path_factory.mktemp("sweep") / "out"
+    assert exit_fault("run", name, [*SWEEP_BASES[name],
+                                    "optimizer.max_outer_iters=1", item],
+                      out) is None
