@@ -7,15 +7,20 @@ design with a uniform stimulus of 1 (a nonzero load), and times the mesh
 build, the first stiffness assembly (which builds any per-mesh data), a
 second assembly and one ``solve_state``.  When the library has
 ``elasticity.factorize`` the factorization inside the solve is timed on its
-own.  After the peak resident memory is read, the gradient of one
-``sensitivity.Evaluation`` on the same design, operator and factor is
-timed (adjoint solve and both gradient kernels; ``gradient_error`` holds
-the message when the adjoint solve raises SolverFailureError), and the shipped
-``hexagon_contrast5`` mesh is built at the same h and timed.  Prints one
-JSON line with the times, the CG iterations, the relative residual, the
-peak resident memory and ``mesh_cache_mib``: the bytes of every array held
-in ``Mesh.cache`` after the gradient step (the gradient and quadrature
-operators, the operator maps), read from whatever the cache holds.
+own, and where the factor keeps its inverse level blocks in ``linv``,
+``factor_mib`` gives their bytes, ``factor_levels`` and
+``factor_max_level`` the number and largest size of the levels, and
+``factor_twist`` the level where its two elimination chains meet (null
+for a one-directional factor).  After the peak resident memory is read,
+the gradient of one ``sensitivity.Evaluation`` on the same design,
+operator and factor is timed (adjoint solve and both gradient kernels;
+``gradient_error`` holds the message when the adjoint solve raises
+SolverFailureError), and the shipped ``hexagon_contrast5`` mesh is built
+at the same h and timed.  Prints one JSON line with the times, the CG
+iterations, the relative residual, the peak resident memory and
+``mesh_cache_mib``: the bytes of every array held in ``Mesh.cache`` after
+the gradient step (the gradient and quadrature operators, the operator
+maps), read from whatever the cache holds.
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
 comparable numbers.
@@ -103,6 +108,13 @@ def main():
                                               stim)[:, 0]
     f[fixed] = 0.0
     u = state.u[0].ravel()
+    factor = state.factor
+    if hasattr(factor, "linv"):
+        sizes = np.diff(factor.level_ptr)
+        out.update(factor_mib=_nbytes(factor.linv, set()) / 2 ** 20,
+                   factor_levels=len(sizes),
+                   factor_max_level=int(sizes.max()),
+                   factor_twist=getattr(factor.blocks, "twist", None))
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
                cg_iterations=len(iters),
                relative_residual=float(np.linalg.norm(K @ u - f)

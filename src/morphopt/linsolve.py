@@ -6,9 +6,15 @@ vertex of the sparsity graph (George and Liu, ACM TOMS 5, 1979).  Every
 edge of the graph joins two vertices of the same or of adjacent levels,
 so the permuted matrix is block tridiagonal and its Cholesky factor has
 the same block profile.  It is factored level by level with dense LAPACK
-Cholesky; only the inverse diagonal factors L_i^{-1} are kept, and the
-sparse coupling blocks are applied on the fly.  A sweep solves for k
-right-hand sides at once, so its per-level work is paid once for all k.
+Cholesky, from both ends of the level sequence towards a twist level
+(Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): the two chains are
+independent, and the lower one runs on a worker thread, since LAPACK and
+BLAS release the interpreter lock.  Only the inverse diagonal factors
+L_i^{-1} are kept, in one buffer, and the sparse coupling blocks are
+applied on the fly.  A sweep solves for k right-hand sides at once, so its
+per-level work is paid once for all k.  It stays in one thread: a level
+step takes tens of microseconds, too short to gain from a second thread
+that hands work over and contends for the lock at every step.
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order) and so indefiniteness is detected
@@ -16,6 +22,9 @@ through the failed factorization or the curvature p'Ap rather than
 discovered as silent non-convergence.  With the exact factor a solve
 takes one iteration; the loop then only certifies the true residual.
 """
+
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,19 +98,19 @@ def level_structure(indptr, indices):
     return np.concatenate(order), np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _lower_inverse(L):
-    """Inverse of a lower-triangular L by halving,
+def _lower_inverse(L, out):
+    """Write the inverse of a lower-triangular L into ``out`` by halving,
     [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]:
     above about 48 rows this beats np.linalg.inv, an LU-based inverse."""
     n = len(L)
     if n <= 48:
-        return np.linalg.inv(L)
+        out[...] = np.linalg.inv(L)
+        return
     h = n // 2
-    out = np.zeros_like(L)
-    out[:h, :h] = _lower_inverse(L[:h, :h])
-    out[h:, h:] = _lower_inverse(L[h:, h:])
+    _lower_inverse(L[:h, :h], out[:h, :h])
+    _lower_inverse(L[h:, h:], out[h:, h:])
+    out[:h, h:] = 0.0
     out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
-    return out
 
 
 class LevelBlocks:
@@ -112,6 +121,13 @@ class LevelBlocks:
     diagonal block D_i, and the K.data positions, local rows and local
     columns of the coupling block C_i (rows of level i + 1, columns of
     level i).
+
+    ``twist`` is the level m at which BlockCholesky's two elimination
+    chains meet, and ``outer[i]`` lists the adjacent levels eliminated
+    before level i: those farther from m.  m is the last level when no
+    level has more than 48 unknowns; such levels are bound by per-level
+    Python work, and one chain is cheaper.  Otherwise m is the first level
+    at which the running sum of n_i^3 reaches half of the total.
     Raises InvalidParameterError if the pattern couples two levels that
     are not adjacent.
     """
@@ -152,6 +168,14 @@ class LevelBlocks:
                          for a, b in zip(lptr[:-1], lptr[1:])]
         self._lanes = {1: [(rows, cols) for _, rows, cols in self.coupling]}
 
+        last = len(sizes) - 1
+        work = np.cumsum(sizes ** 3)
+        self.twist = m = (last if sizes.max() <= 48
+                          else int(np.searchsorted(2 * work, work[-1])))
+        self.outer = [[j for j in (i - 1, i + 1)
+                       if 0 <= j <= last and abs(j - m) > abs(i - m)]
+                      for i in range(last + 1)]
+
     def lanes(self, k):
         """Per coupling block, the bincount targets of its rows and of its
         columns for k right-hand sides stored row-major (local row i, lane
@@ -170,43 +194,105 @@ class LevelBlocks:
         return cls(A.indptr, A.indices, *level_structure(A.indptr, A.indices))
 
 
+def _run_here(fn, items):
+    """``fn`` called on each of ``items`` in this thread, as a finished
+    Future holding the first exception raised."""
+    future = Future()
+    try:
+        future.set_result(list(map(fn, items)))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _start_worker():
+    # an executor starts its thread on the first submit; a forked child
+    # inherits the executor but not its thread, so it gets a new one
+    global _worker
+    _worker = ThreadPoolExecutor(1, "linsolve")
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
+
+
+def _submit(fn, items):
+    """``fn`` called on each of ``items`` on the worker thread, or in this
+    thread when there are none or this process may use only one CPU;
+    returns the Future."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not items or cpus < 2:
+        return _run_here(fn, items)
+    return _worker.submit(list, map(fn, items))
+
+
 class BlockCholesky:
     """Exact factor of an SPD CSR matrix A in the level order of ``blocks``
-    (LevelBlocks.of_matrix(A) when omitted).
+    (LevelBlocks.of_matrix(A) when omitted), eliminated from both ends
+    towards the twist level m = ``blocks.twist``.
 
-    With S_0 = D_0 and S_{i+1} = D_{i+1} - C_i S_i^{-1} C_i^T, S_i = L_i L_i^T;
-    ``solve`` runs the block forward and backward sweeps.  A factorization
-    that breaks down raises MatrixNotSPDError.
+    With D_i the diagonal and C_i the coupling blocks, the upper chain
+    S_0 = D_0, S_i = D_i - C_{i-1} S_{i-1}^{-1} C_{i-1}^T runs for i < m in
+    the calling thread, the lower chain S_{N-1} = D_{N-1},
+    S_i = D_i - C_i^T S_{i+1}^{-1} C_i for i > m on the worker thread (in
+    the calling thread when the process may use one CPU: the same
+    arithmetic, so the same bytes), and S_m takes both updates last.
+    ``linv[i]`` is L_i^{-1} for S_i = L_i L_i^T.  ``solve`` sweeps forward
+    from both ends into m, then back outwards.  A breakdown in either chain
+    or at m raises MatrixNotSPDError naming the level once both chains
+    have stopped.
     """
 
     def __init__(self, A, blocks=None):
         blocks = LevelBlocks.of_matrix(A) if blocks is None else blocks
         if A.shape != (blocks.n, blocks.n) or A.nnz != blocks.nnz:
             raise InvalidParameterError("level blocks built for another pattern")
-        data = A.data
         self.blocks = blocks
         self.order, self.level_ptr = blocks.order, blocks.level_ptr
         sizes = np.diff(self.level_ptr)
-        self.linv = []
+        last, m = len(sizes) - 1, blocks.twist
+        # every L_i^{-1} in one buffer of this thread, so the worker's
+        # allocator arena holds only its temporaries
+        ends = np.cumsum(sizes ** 2)
+        buffer = np.empty(ends[-1])
+        self.linv = [buffer[e - n * n:e].reshape(n, n)
+                     for n, e in zip(sizes, ends)]
         # coupling block i as (rows, columns, values), applied by bincount
-        self.coupling = [(rows, cols, data[src])
+        self.coupling = [(rows, cols, A.data[src])
                          for src, rows, cols in blocks.coupling]
-        for i, (src, flat) in enumerate(blocks.diagonal):
-            S = np.zeros(sizes[i] * sizes[i])
-            S[flat] = data[src]
-            S = S.reshape(sizes[i], sizes[i])
-            if i:
-                rows, cols, vals = self.coupling[i - 1]
-                C = np.zeros((sizes[i], sizes[i - 1]))
-                C[rows, cols] = vals
-                W = C @ self.linv[-1].T                  # C_{i-1} L_{i-1}^{-T}
-                S -= W @ W.T
-            try:
-                L = np.linalg.cholesky(S)
-            except np.linalg.LinAlgError as exc:
-                raise MatrixNotSPDError(
-                    f"block Cholesky broke down in level {i}: {exc}") from None
-            self.linv.append(_lower_inverse(L))
+        lower = _submit(lambda i: self._eliminate(A.data, i),
+                        range(last, m, -1))
+        try:
+            for i in range(m):
+                self._eliminate(A.data, i)
+        finally:
+            wait([lower])
+        lower.result()
+        self._eliminate(A.data, m)
+
+    def _eliminate(self, data, i):
+        """L_i^{-1} of S_i = D_i - sum_j C_ij S_j^{-1} C_ij^T, j outer."""
+        src, flat = self.blocks.diagonal[i]
+        n = len(self.linv[i])
+        S = np.zeros(n * n)
+        S[flat] = data[src]
+        S = S.reshape(n, n)
+        for j in self.blocks.outer[i]:
+            rows, cols, vals = self.coupling[min(i, j)]
+            if j > i:
+                rows, cols = cols, rows
+            C = np.zeros((n, len(self.linv[j])))
+            C[rows, cols] = vals
+            W = C @ self.linv[j].T                       # C_ij L_j^{-T}
+            S -= W @ W.T
+        try:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError as exc:
+            raise MatrixNotSPDError(
+                f"block Cholesky broke down in level {i}: {exc}") from None
+        _lower_inverse(L, self.linv[i])
 
     def solve(self, b):
         """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""
@@ -214,23 +300,32 @@ class BlockCholesky:
         lanes = self.blocks.lanes(k)
         bp = b[self.order].reshape(-1, k)
         u = np.empty_like(bp)
-        ptr = self.level_ptr
-        for i, linv in enumerate(self.linv):
+        ptr = self.level_ptr.tolist()           # Python ints index faster
+        m, outer = self.blocks.twist, self.blocks.outer
+        last = len(outer) - 1
+
+        def coupled(i, j):
+            # C_ij u_j: level j's term in the equations of level i
+            if j < i:
+                _, gather, vals = self.coupling[j]
+                lane = lanes[j][0]
+            else:
+                gather, _, vals = self.coupling[i]
+                lane = lanes[i][1]
+            return np.bincount(
+                lane, (vals[:, None] * u[ptr[j]:ptr[j + 1]][gather]).ravel(),
+                minlength=len(self.linv[i]) * k).reshape(-1, k)
+
+        # forward from both ends into m, then back outwards from m
+        for i in [*range(m), *range(last, m - 1, -1)]:
             r = bp[ptr[i]:ptr[i + 1]]
-            if i:
-                _, cols, vals = self.coupling[i - 1]
-                r = r - np.bincount(
-                    lanes[i - 1][0],
-                    (vals[:, None] * u[ptr[i - 1]:ptr[i]][cols]).ravel(),
-                    minlength=r.size).reshape(r.shape)
-            u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
-        for i in range(len(self.linv) - 2, -1, -1):
+            for j in outer[i]:
+                r = r - coupled(i, j)
             linv = self.linv[i]
-            rows, _, vals = self.coupling[i]
-            v = np.bincount(
-                lanes[i][1],
-                (vals[:, None] * u[ptr[i + 1]:ptr[i + 2]][rows]).ravel(),
-                minlength=len(linv) * k).reshape(-1, k)
+            u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
+        for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
+            linv = self.linv[i]
+            v = coupled(i, i + 1 if i < m else i - 1)
             u[ptr[i]:ptr[i + 1]] -= linv.T @ (linv @ v)
         x = np.empty_like(u)
         x[self.order] = u

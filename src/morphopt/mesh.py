@@ -199,7 +199,8 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
     (x0, y0, x1, y1) and selects triangles by centroid.
     """
     if lx <= 0 or ly <= 0 or h <= 0:
-        raise InvalidParameterError("lx, ly, h must be positive")
+        raise InvalidParameterError(
+            f"lx, ly, h must be positive, got lx={lx!r}, ly={ly!r}, h={h!r}")
     nx, ny = round(lx / h, 0), round(ly / h, 0)
     _check_node_count((nx + 1) * (ny + 1), h)
     nx, ny = int(nx), int(ny)
@@ -221,7 +222,9 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
         "top": nodes[:, 1] == ly,
     }
     if dirichlet_side not in sides:
-        raise InvalidParameterError(f"unknown dirichlet_side {dirichlet_side!r}")
+        raise InvalidParameterError(
+            f"unknown dirichlet_side {dirichlet_side!r}, expected one of "
+            f"{', '.join(sides)}")
     dirichlet = np.nonzero(sides[dirichlet_side])[0]
 
     if target_box is None:
@@ -261,9 +264,12 @@ def build_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
     whose centroid lies in the centered hexagon with edge ``target_edge``.
     """
     if edge <= 0 or h <= 0:
-        raise InvalidParameterError("edge and h must be positive")
+        raise InvalidParameterError(
+            f"edge and h must be positive, got edge={edge!r}, h={h!r}")
     if not 0 < target_edge < edge:
-        raise InvalidParameterError("target_edge must lie in (0, edge)")
+        raise InvalidParameterError(
+            f"target_edge must lie in (0, edge), got target_edge="
+            f"{target_edge!r}, edge={edge!r}")
     if clamp_orientation not in ("odd", "even"):
         raise InvalidParameterError(
             f"clamp_orientation must be 'odd' or 'even', got {clamp_orientation!r}")

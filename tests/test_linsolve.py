@@ -1,10 +1,14 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphopt import elasticity
+from morphopt import elasticity, linsolve
 from morphopt.elasticity import (assemble_link_operator, assemble_stiffness,
                                  factorize, point_constraint_dofs,
                                  solve_adjoint, solve_state)
@@ -563,3 +567,106 @@ class TestIndefiniteOperator:
             solve_state(mesh, random_design(mesh.n_nodes, 7), PHASES,
                         StimulusField(np.ones((1, mesh.n_nodes))),
                         operator=K)
+
+
+def hexagon_factor_system(seed=11):
+    """The h = 0.01 hexagon (largest level 142 unknowns), a random stiffness
+    and three loads zero on the clamp."""
+    mesh = hexagon_mesh()
+    fixed = mesh.dirichlet_dofs()
+    K = assemble_stiffness(mesh, random_design(mesh.n_nodes, seed), PHASES,
+                           fixed)
+    B = np.random.default_rng(seed).normal(size=(K.shape[0], 3))
+    B[fixed] = 0.0
+    return mesh, K, fixed, B
+
+
+class TestTwoSidedFactor:
+    """Levels 0..m-1 eliminated upward, N-1..m+1 downward on the worker
+    thread, level m last."""
+
+    def test_hexagon_twists_at_an_interior_level(self):
+        mesh, K, fixed, B = hexagon_factor_system()
+        blocks = factorize(mesh, K, fixed).blocks
+        sizes = np.diff(blocks.level_ptr)
+        m, last = blocks.twist, len(sizes) - 1
+        assert sizes.max() == 142
+        assert 0 < m < last                      # both chains non-empty
+        work = np.cumsum(sizes ** 3)
+        assert 2 * work[m] >= work[-1] > 2 * work[m - 1]
+        assert blocks.outer[m] == [m - 1, m + 1]
+        assert blocks.outer[0] == [] and blocks.outer[last] == []
+        assert all(blocks.outer[i] == [i - 1] for i in range(1, m))
+        assert all(blocks.outer[i] == [i + 1] for i in range(m + 1, last))
+
+    def test_two_factorizations_solve_identically_to_rounding(self):
+        mesh, K, fixed, B = hexagon_factor_system()
+        first = factorize(mesh, K, fixed).solve(B)
+        second = factorize(mesh, K, fixed).solve(B)
+        assert first.tobytes() == second.tobytes()
+        for j in range(B.shape[1]):
+            assert (np.linalg.norm(K @ first[:, j] - B[:, j])
+                    <= 1e-11 * np.linalg.norm(B[:, j]))
+
+    def test_worker_and_inline_lower_chain_agree_bytewise(self, monkeypatch):
+        mesh, K, fixed, B = hexagon_factor_system()
+        threads = []
+        submit = linsolve._submit
+
+        def recorded(fn, items):
+            def step(i):
+                threads.append(threading.current_thread())
+                return fn(i)
+            return submit(step, items)
+        monkeypatch.setattr(linsolve, "_submit", recorded)
+        worker = factorize(mesh, K, fixed)
+        monkeypatch.setattr(linsolve, "_submit", linsolve._run_here)
+        inline = factorize(mesh, K, fixed)
+        last = len(worker.linv) - 1
+        assert len(threads) == last - worker.blocks.twist
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            assert threading.main_thread() not in threads
+        for a, b in zip(worker.linv, inline.linv):
+            assert a.tobytes() == b.tobytes()
+        assert worker.solve(B).tobytes() == inline.solve(B).tobytes()
+
+    @pytest.mark.parametrize("where", ["upper", "lower", "twist"])
+    def test_breakdown_names_its_level_and_the_next_factor_works(self, where):
+        mesh, K, fixed, B = hexagon_factor_system()
+        blocks = elasticity._operator_map(mesh, fixed).blocks
+        m, last = blocks.twist, len(blocks.level_ptr) - 2
+        level = {"upper": m // 2, "lower": (m + last) // 2, "twist": m}[where]
+        dofs = blocks.order[blocks.level_ptr[level]:blocks.level_ptr[level + 1]]
+        dof = np.setdiff1d(dofs, fixed)[0]
+        bad = K.copy()
+        bad[dof, dof] = -bad[dof, dof]
+        with pytest.raises(MatrixNotSPDError, match=f"in level {level}:"):
+            factorize(mesh, bad, fixed)
+        X = factorize(mesh, K, fixed).solve(B)
+        assert np.linalg.norm(K @ X - B) <= 1e-11 * np.linalg.norm(B)
+
+    def test_desk_is_eliminated_from_the_first_level_only(self):
+        mesh = desk_mesh()
+        blocks = elasticity._operator_map(mesh, mesh.dirichlet_dofs()).blocks
+        sizes = np.diff(blocks.level_ptr)
+        assert sizes.max() <= 48
+        assert blocks.twist == len(sizes) - 1
+        assert blocks.outer == [[]] + [[i - 1] for i in range(1, len(sizes))]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_factors_after_the_parent_did(self):
+        # the child inherits the worker's executor but not its thread
+        mesh, K, fixed, B = hexagon_factor_system()
+        expected = factorize(mesh, K, fixed).solve(B)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(
+            factorize(mesh, K, fixed).solve(B).tobytes()))
+        child.start()
+        try:
+            assert results.get(timeout=30) == expected.tobytes()
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0

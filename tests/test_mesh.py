@@ -25,9 +25,12 @@ def reference_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
     coordinates, one call per grid point, and the clamped nodes found by a
     geometric edge test: the oracle of build_hexagon_mesh."""
     if edge <= 0 or h <= 0:
-        raise InvalidParameterError("edge and h must be positive")
+        raise InvalidParameterError(
+            f"edge and h must be positive, got edge={edge!r}, h={h!r}")
     if not 0 < target_edge < edge:
-        raise InvalidParameterError("target_edge must lie in (0, edge)")
+        raise InvalidParameterError(
+            f"target_edge must lie in (0, edge), got target_edge="
+            f"{target_edge!r}, edge={edge!r}")
     if clamp_orientation not in ("odd", "even"):
         raise InvalidParameterError(
             f"clamp_orientation must be 'odd' or 'even', got {clamp_orientation!r}")
@@ -193,6 +196,16 @@ class TestRectMesh:
     def test_unknown_side_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_rect_mesh(1.0, 1.0, 0.5, "north", None)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.5, -0.1, "left"),
+         "lx, ly, h must be positive, got lx=1.0, ly=0.5, h=-0.1"),
+        ((1.0, 0.5, 0.1, "middle"), "unknown dirichlet_side 'middle', "
+         "expected one of left, right, bottom, top")])
+    def test_messages_give_the_values_and_choices(self, args, message):
+        with pytest.raises(InvalidParameterError) as info:
+            build_rect_mesh(*args)
+        assert str(info.value) == message
 
     def test_area_tiles_domain(self):
         mesh = build_rect_mesh(0.7, 0.4, 0.05, "top", None)
