@@ -11,7 +11,11 @@ own, and where the factor keeps its inverse level blocks in ``linv``,
 ``factor_mib`` gives their bytes, ``factor_levels`` and
 ``factor_max_level`` the number and largest size of the levels, and
 ``factor_twist`` the level where its two elimination chains meet (null
-for a one-directional factor).  After the peak resident memory is read,
+for a one-directional factor).  ``solve_spd_ms`` is the time of the
+``solve_spd`` call inside the state solve.  After the peak resident memory
+is read, ``sweep_ms`` gives the median of five one-column (``k1``) and
+five three-column (``k3``) sweeps of the factor (its ``solve``, where it
+has one) on random loads zero at the fixed dofs; then
 the gradient of one ``sensitivity.Evaluation`` on the same design,
 operator and factor is timed (adjoint solve and both gradient kernels;
 ``gradient_error`` holds the message when the adjoint solve raises
@@ -79,12 +83,15 @@ def main():
     t2 = time.perf_counter()
     out.update(first_assembly_s=t1 - t0, assembly_s=t2 - t1, K_nnz=int(K.nnz))
 
-    iters = []
+    iters, solve_spd_s = [], []
     solve = elasticity.solve_spd
 
     def counted(*a, **kw):
         kw["callback"] = lambda it, r: iters.append(r)
-        return solve(*a, **kw)
+        t = time.perf_counter()
+        result = solve(*a, **kw)
+        solve_spd_s.append(time.perf_counter() - t)
+        return result
     elasticity.solve_spd = counted
     factor_s = []
     if hasattr(elasticity, "factorize"):
@@ -116,11 +123,23 @@ def main():
                    factor_max_level=int(sizes.max()),
                    factor_twist=getattr(factor.blocks, "twist", None))
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
+               solve_spd_ms=1e3 * solve_spd_s[0],
                cg_iterations=len(iters),
                relative_residual=float(np.linalg.norm(K @ u - f)
                                        / np.linalg.norm(f)),
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                / 1024.0)
+    if hasattr(factor, "solve"):
+        B = np.random.default_rng(0).normal(size=(K.shape[0], 3))
+        B[fixed] = 0.0
+        out["sweep_ms"] = {}
+        for k in (1, 3):
+            times = []
+            for _ in range(5):
+                t = time.perf_counter()
+                factor.solve(B[:, :k])
+                times.append(time.perf_counter() - t)
+            out["sweep_ms"][f"k{k}"] = 1e3 * float(np.median(times))
     evaluation = sensitivity.Evaluation(
         mesh, design, stim, spec.phases, spec.params, spec.target_array(),
         operator=K, factor=state.factor)

@@ -11,16 +11,22 @@ Cholesky, from both ends of the level sequence towards a twist level
 independent, and the lower one runs on a worker thread, since LAPACK and
 BLAS release the interpreter lock.  Only the inverse diagonal factors
 L_i^{-1} are kept, in one buffer, and the sparse coupling blocks are
-applied on the fly.  A sweep solves for k right-hand sides at once, so its
-per-level work is paid once for all k.  It stays in one thread: a level
-step takes tens of microseconds, too short to gain from a second thread
-that hands work over and contends for the lock at every step.
+applied on the fly, each as one take, one multiply and one bincount over
+its entries and the k lanes.  A sweep solves for k right-hand sides at
+once, so its per-level work is paid once for all k.  It stays in one
+thread: a level step takes tens of microseconds, too short to gain from a
+second thread that hands work over and contends for the lock at every
+step (a two-thread sweep measured slower on a 2-vCPU VM: 2.83 -> 3.59 ms
+for the h = 0.01 hexagon with k = 3, 0.84 -> 1.16 ms on the h = 1/60
+desk mesh).
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order) and so indefiniteness is detected
 through the failed factorization or the curvature p'Ap rather than
-discovered as silent non-convergence.  With the exact factor a solve
-takes one iteration; the loop then only certifies the true residual.
+discovered as silent non-convergence.  Iteration 0 is the factor's answer
+x0 = M^{-1} b, certified on its true residual b - A x0: with the exact
+factor a solve costs one sweep and one product with A, and PCG runs from
+x0 only for the columns that miss the tolerance.
 """
 
 import os
@@ -33,15 +39,18 @@ from .errors import InvalidParameterError, MatrixNotSPDError, SolverFailureError
 
 # relative residual ||A x - b|| / ||b|| every solve of the package meets
 SOLVER_TOL = 1e-10
-# CG iterations before SolverFailureError; with the exact preconditioner
-# more than a few only happen when rounding keeps the residual above tol
+# iterations before SolverFailureError, the factor's answer counted; with
+# the exact preconditioner more than a few only happen when rounding keeps
+# the residual above tol
 MAX_ITERATIONS = 50
 
 
 def _dots(a, b):
     # column inner products of (n, k) arrays by numpy reduction:
-    # deterministic, not delegated to threaded BLAS
-    return np.sum(a * b, axis=0)
+    # deterministic, not delegated to threaded BLAS.  Each column is summed
+    # contiguously, the pairwise sum of a one-column solve; a reduction
+    # down the strided axis would add row by row, in another order
+    return np.ascontiguousarray((a * b).T).sum(axis=1)
 
 
 def _neighbours(indptr, indices, frontier):
@@ -189,9 +198,21 @@ class LevelBlocks:
 
     @classmethod
     def of_matrix(cls, A):
-        """Blocks of A's own sparsity graph (symmetric pattern assumed)."""
-        A = sp.csr_matrix(A)
+        """Blocks of A's own sparsity graph (symmetric pattern assumed), in
+        its canonical CSR form."""
+        A = _canonical_csr(A)
         return cls(A.indptr, A.indices, *level_structure(A.indptr, A.indices))
+
+
+def _canonical_csr(A):
+    """A as CSR with sorted column indices and no duplicate entries: a CSR
+    view of A's own arrays when A already is one, else a converted copy
+    with duplicates summed.  The caller's matrix is not modified."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 def _run_here(fn, items):
@@ -242,10 +263,12 @@ class BlockCholesky:
     ``linv[i]`` is L_i^{-1} for S_i = L_i L_i^T.  ``solve`` sweeps forward
     from both ends into m, then back outwards.  A breakdown in either chain
     or at m raises MatrixNotSPDError naming the level once both chains
-    have stopped.
+    have stopped.  A of another sparse format, or a CSR with unsorted or
+    duplicate entries, is factored in its canonical CSR form.
     """
 
     def __init__(self, A, blocks=None):
+        A = _canonical_csr(A)
         blocks = LevelBlocks.of_matrix(A) if blocks is None else blocks
         if A.shape != (blocks.n, blocks.n) or A.nnz != blocks.nnz:
             raise InvalidParameterError("level blocks built for another pattern")
@@ -259,9 +282,11 @@ class BlockCholesky:
         buffer = np.empty(ends[-1])
         self.linv = [buffer[e - n * n:e].reshape(n, n)
                      for n, e in zip(sizes, ends)]
-        # coupling block i as (rows, columns, values), applied by bincount
+        # coupling block i as (rows, columns, values); the sweep takes the
+        # values repeated per lane, built once per number of lanes k
         self.coupling = [(rows, cols, A.data[src])
                          for src, rows, cols in blocks.coupling]
+        self._lane_values = {1: [vals for _, _, vals in self.coupling]}
         lower = _submit(lambda i: self._eliminate(A.data, i),
                         range(last, m, -1))
         try:
@@ -298,23 +323,26 @@ class BlockCholesky:
         """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""
         k = 1 if b.ndim == 1 else b.shape[1]
         lanes = self.blocks.lanes(k)
+        if k not in self._lane_values:
+            self._lane_values[k] = [np.repeat(vals, k)
+                                    for vals in self._lane_values[1]]
+        values = self._lane_values[k]
         bp = b[self.order].reshape(-1, k)
         u = np.empty_like(bp)
+        flat = u.reshape(-1)                     # u row-major: i k + l
         ptr = self.level_ptr.tolist()           # Python ints index faster
         m, outer = self.blocks.twist, self.blocks.outer
         last = len(outer) - 1
 
         def coupled(i, j):
-            # C_ij u_j: level j's term in the equations of level i
-            if j < i:
-                _, gather, vals = self.coupling[j]
-                lane = lanes[j][0]
-            else:
-                gather, _, vals = self.coupling[i]
-                lane = lanes[i][1]
-            return np.bincount(
-                lane, (vals[:, None] * u[ptr[j]:ptr[j + 1]][gather]).ravel(),
-                minlength=len(self.linv[i]) * k).reshape(-1, k)
+            # C_ij u_j: level j's term in the equations of level i, one
+            # product per entry and lane, summed in entry order
+            c = min(i, j)
+            rows, cols = lanes[c]
+            src, dst = (cols, rows) if j < i else (rows, cols)
+            terms = flat[ptr[j] * k:ptr[j + 1] * k].take(src) * values[c]
+            return np.bincount(dst, terms,
+                               minlength=len(self.linv[i]) * k).reshape(-1, k)
 
         # forward from both ends into m, then back outwards from m
         for i in [*range(m), *range(last, m - 1, -1)]:
@@ -338,15 +366,19 @@ def solve_spd(A, b, tol=SOLVER_TOL, maxit=MAX_ITERATIONS, callback=None,
     block Cholesky ``factor`` (built here when omitted).
 
     ``b`` is one right-hand side (n,) or k of them (n, k); x has b's
-    shape.  The columns iterate together, one factor sweep per iteration
-    for all columns still above the tolerance, and each column leaves the
-    loop once its own residual is certified.  Guarantees
-    ||A x_j - b_j|| <= tol * ||b_j|| for every column j on return, checked
-    on the true residual.  Raises MatrixNotSPDError when the
-    factorization breaks down or on nonpositive curvature,
-    SolverFailureError (with the largest column residual) when maxit
-    iterations do not reach the tolerance.  ``callback(it, rnorm)`` sees
-    every iteration's largest recursive residual norm.
+    shape.  Iteration 0 takes the factor's answer x0 = M^{-1} b and
+    certifies each column on its true residual b - A x0: with the exact
+    factor a solve costs one sweep and one product with A.  The columns
+    that miss run PCG from x0 together, one factor sweep per iteration for
+    all columns still above the tolerance, and each column leaves the loop
+    once its own residual is certified.  ``maxit`` counts iteration 0.
+    Guarantees ||A x_j - b_j|| <= tol * ||b_j|| for every column j on
+    return, checked on the true residual.  Raises MatrixNotSPDError when
+    the factorization breaks down or on nonpositive curvature,
+    SolverFailureError (with the largest column residual, the largest
+    ||b_j|| when maxit is 0) when maxit iterations do not reach the
+    tolerance.  ``callback(it, rnorm)`` sees every iteration's largest
+    residual norm: the true one at iteration 0, the recursive one after.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -366,47 +398,54 @@ def solve_spd(A, b, tol=SOLVER_TOL, maxit=MAX_ITERATIONS, callback=None,
         return x.reshape(b.shape)
     if factor is None:
         factor = BlockCholesky(A)
-    r = B[:, live]
-    xl = np.zeros_like(r)
+    r = B if live.size == B.shape[1] else B[:, live]
     rnorm, tl = bnorm[live], target[live]
     p = None
     for it in range(maxit):
         z = factor.solve(r)
-        rz_new = _dots(r, z)
-        if p is None:
-            p = z
+        if it == 0:
+            # the factor's answer x0 = M^{-1} b and its true residual
+            xl = z
+            r = r - A @ xl
         else:
-            p = z + (rz_new / rz) * p
-            p[:, restart] = z[:, restart]
-        rz = rz_new
-        q = A @ p
-        curvature = _dots(p, q)
-        if np.any(curvature <= 0.0):
-            raise MatrixNotSPDError(
-                f"nonpositive curvature p'Ap = {float(curvature.min())!r} "
-                f"at iteration {it}")
-        alpha = rz / curvature
-        xl += alpha * p
-        r -= alpha * q
+            rz_new = _dots(r, z)
+            if p is None:
+                p = z
+            else:
+                p = z + (rz_new / rz) * p
+                p[:, restart] = z[:, restart]
+            rz = rz_new
+            q = A @ p
+            curvature = _dots(p, q)
+            if np.any(curvature <= 0.0):
+                raise MatrixNotSPDError(
+                    f"nonpositive curvature p'Ap = {float(curvature.min())!r} "
+                    f"at iteration {it}")
+            alpha = rz / curvature
+            xl += alpha * p
+            r -= alpha * q
         rnorm = np.sqrt(_dots(r, r))
         if callback is not None:
             callback(it, float(rnorm.max()))
-        # the recursion drifts from b - A x: certify the true residual of
-        # the columns below target, restart those that miss from it
+        # iteration 0's residual is the true one; later the recursion
+        # drifts from b - A x: certify the true residual of the columns
+        # below target, restart those that miss from it
         restart = rnorm <= tl
-        if restart.any():
+        if it > 0 and restart.any():
             c = np.flatnonzero(restart)
             r[:, c] = B[:, live[c]] - A @ xl[:, c]
             rnorm[c] = np.sqrt(_dots(r[:, c], r[:, c]))
-            done = np.zeros_like(restart)
-            done[c[rnorm[c] <= tl[c]]] = True
+        done = rnorm <= tl
+        if done.any():
             x[:, live[done]] = xl[:, done]
             if done.all():
                 return x.reshape(b.shape)
             keep = ~done
-            live, tl, rnorm, rz, restart = (
-                v[keep] for v in (live, tl, rnorm, rz, restart))
-            r, xl, p = (v[:, keep] for v in (r, xl, p))
+            live, tl, rnorm, restart = (
+                v[keep] for v in (live, tl, rnorm, restart))
+            r, xl = r[:, keep], xl[:, keep]
+            if p is not None:
+                rz, p = rz[keep], p[:, keep]
     worst = np.argmax(rnorm)
     raise SolverFailureError(
         f"CG did not converge in {maxit} iterations (residual "

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -128,7 +129,8 @@ class TestSolveSPD:
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(MatrixNotSPDError):
             solve_spd(A, np.array([1.0, -1.0]))
-        # without the factorization the curvature p'Ap = -2 catches it
+        # without the factorization, from x0 = b the curvature p'Ap = -8
+        # catches it
         with pytest.raises(MatrixNotSPDError):
             solve_spd(A, np.array([1.0, -1.0]), factor=IdentityFactor())
 
@@ -170,6 +172,32 @@ class TestSolveSPD:
         with pytest.raises(InvalidParameterError):
             solve_spd(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
 
+    @pytest.mark.parametrize("form", ["coo", "csr_duplicates", "lil", "dok"])
+    def test_sparse_formats_are_factored_in_canonical_form(self, form):
+        # entries out of CSR order, duplicates (halves summing to the
+        # entry exactly) and the other formats factor like the CSR itself
+        A = sp.csr_matrix(random_spd(30, seed=31))
+        if form == "coo":
+            coo = A.tocoo()
+            perm = np.random.default_rng(32).permutation(coo.nnz)
+            M = sp.coo_matrix((coo.data[perm], (coo.row[perm], coo.col[perm])),
+                              shape=A.shape)
+        elif form == "csr_duplicates":
+            M = sp.csr_matrix((np.repeat(0.5 * A.data, 2),
+                               np.repeat(A.indices, 2), 2 * A.indptr),
+                              shape=A.shape)
+        else:
+            M = A.asformat(form)
+        before = pickle.dumps(M)
+        b = np.random.default_rng(33).normal(size=30)
+        assert np.array_equal(BlockCholesky(M).solve(b),
+                              BlockCholesky(A).solve(b))
+        seen = []
+        x = solve_spd(M, b, callback=lambda it, r: seen.append(it))
+        assert seen == [0]
+        assert np.linalg.norm(A @ x - b) <= SOLVER_TOL * np.linalg.norm(b)
+        assert pickle.dumps(M) == before
+
 
 def spectral_spd(n, seed):
     """An SPD matrix with eigenvalues 1..100 and its eigenvectors."""
@@ -180,7 +208,11 @@ def spectral_spd(n, seed):
 
 def hexagon_system(seed, k):
     """The clamped hexagon operator, its factor and k random loads."""
-    mesh = hexagon_mesh()
+    return clamped_system(hexagon_mesh(), seed, k)
+
+
+def clamped_system(mesh, seed, k):
+    """The clamped operator of ``mesh``, its factor and k random loads."""
     fixed = mesh.dirichlet_dofs()
     K = assemble_stiffness(mesh, random_design(mesh.n_nodes, seed), PHASES,
                            fixed)
@@ -190,19 +222,26 @@ def hexagon_system(seed, k):
 
 
 def reference_solve_spd(A, b, tol, maxit, factor, callback):
-    """The one-column CG the blocked solve replaced, without its input
-    checks: the oracle of a 1-D b."""
+    """The one-column CG of the blocked solve, without its input checks:
+    the oracle of a 1-D b.  Iteration 0 is the factor's answer, certified
+    on its true residual; PCG starts from it."""
     def dot(u, v):
         return float(np.sum(u * v))
-    x = np.zeros(len(b))
     bnorm = np.sqrt(dot(b, b))
     target = tol * bnorm
     if bnorm <= target:
+        return np.zeros(len(b))
+    if maxit == 0:
+        raise SolverFailureError("no convergence", residual=bnorm,
+                                 iterations=maxit)
+    x = factor.solve(b)
+    r = b - A @ x
+    rnorm = np.sqrt(dot(r, r))
+    callback(0, rnorm)
+    if rnorm <= target:
         return x
-    r = b.copy()
-    rnorm = bnorm
     p = None
-    for it in range(maxit):
+    for it in range(1, maxit):
         z = factor.solve(r)
         rz_new = dot(r, z)
         p = z if p is None else z + (rz_new / rz) * p
@@ -293,7 +332,8 @@ class TestBlockedSolve:
 
     def test_columns_leave_at_their_own_iteration(self):
         # unpreconditioned: a load in 2 (3) eigenvectors converges in 2 (3)
-        # iterations, a random one takes longer; each meets its tolerance
+        # iterations after iteration 0, a random one takes longer; each
+        # meets its tolerance
         A, q = spectral_spd(12, seed=3)
         rng = np.random.default_rng(4)
         B = np.column_stack([q[:, :3] @ [1.0, -2.0, 0.5], rng.normal(size=12),
@@ -336,10 +376,11 @@ class TestBlockedSolve:
             solve_spd(A, B)
 
     def test_indefinite_curvature_rejected(self):
-        # p'Ap = 6, -2, 2 on the three columns: the second one fails
+        # from x0 = b the residuals are (-2, -2), (2, -2), (0, -2) and
+        # p'Ap = 24, -8, 4 on the three columns: the second one fails
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         B = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-        with pytest.raises(MatrixNotSPDError, match="-2.0"):
+        with pytest.raises(MatrixNotSPDError, match="-8.0"):
             solve_spd(A, B, factor=IdentityFactor())
 
     def test_zero_iterations_report_the_largest_rhs_norm(self):
@@ -399,6 +440,96 @@ class TestOneSweepForAllCases:
         assert len(calls) == 2
         assert len(sweeps) == len(iterations) >= 2
         assert sweeps[0] == (2 * n, 3)
+
+
+class CountedOperator:
+    """An operator whose products with a vector or a block are counted."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.products = A, A.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def reference_sweep(factor, b):
+    """The sweep whose coupling step gathers (nnz, k) rows of u, multiplies
+    them by the values broadcast over k and bincounts the ravelled
+    products: the oracle of BlockCholesky.solve."""
+    k = 1 if b.ndim == 1 else b.shape[1]
+    lanes = factor.blocks.lanes(k)
+    bp = b[factor.order].reshape(-1, k)
+    u = np.empty_like(bp)
+    ptr = factor.level_ptr.tolist()
+    m, outer = factor.blocks.twist, factor.blocks.outer
+    last = len(outer) - 1
+
+    def coupled(i, j):
+        if j < i:
+            _, gather, vals = factor.coupling[j]
+            lane = lanes[j][0]
+        else:
+            gather, _, vals = factor.coupling[i]
+            lane = lanes[i][1]
+        return np.bincount(
+            lane, (vals[:, None] * u[ptr[j]:ptr[j + 1]][gather]).ravel(),
+            minlength=len(factor.linv[i]) * k).reshape(-1, k)
+
+    for i in [*range(m), *range(last, m - 1, -1)]:
+        r = bp[ptr[i]:ptr[i + 1]]
+        for j in outer[i]:
+            r = r - coupled(i, j)
+        linv = factor.linv[i]
+        u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
+    for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
+        linv = factor.linv[i]
+        v = coupled(i, i + 1 if i < m else i - 1)
+        u[ptr[i]:ptr[i + 1]] -= linv.T @ (linv @ v)
+    x = np.empty_like(u)
+    x[factor.order] = u
+    return x.reshape(b.shape)
+
+
+SYSTEMS = {"desk": desk_mesh, "hexagon": hexagon_mesh}
+
+
+class TestOneSweepPerCertifiedSolve:
+    """With the exact factor, iteration 0's answer meets the tolerance."""
+
+    @pytest.mark.parametrize("name, k", [("hexagon", 3), ("desk", 1)])
+    def test_one_sweep_and_one_product(self, name, k, monkeypatch):
+        K, factor, B = clamped_system(SYSTEMS[name](), 17, k)
+        sweeps, seen = [], []
+        inner = BlockCholesky.solve
+
+        def counted(self, b):
+            sweeps.append(b.shape)
+            return inner(self, b)
+        monkeypatch.setattr(BlockCholesky, "solve", counted)
+        A = CountedOperator(K)
+        X = solve_spd(A, B if k > 1 else B[:, 0], factor=factor,
+                      callback=lambda it, r: seen.append(it))
+        assert sweeps == [(K.shape[0], k)]
+        assert A.products == 1 and seen == [0]
+        R = K @ X.reshape(-1, k) - B
+        assert np.all(np.linalg.norm(R, axis=0)
+                      <= SOLVER_TOL * np.linalg.norm(B, axis=0))
+
+    @pytest.mark.parametrize("name", ["desk", "hexagon"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sweep_equals_reference_bytewise(self, name, k):
+        _, factor, B = clamped_system(SYSTEMS[name](), 19, 3)
+        b = B[:, 0] if k == 1 else B
+        assert np.array_equal(factor.solve(b), reference_sweep(factor, b))
+
+    @pytest.mark.parametrize("n", [2562, 7562])
+    def test_column_dots_are_one_column_sums(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, n, 3))
+        got = linsolve._dots(a, b)
+        for j in range(3):
+            assert got[j] == np.sum(a[:, j] * b[:, j])
 
 
 def reference_operator(mesh, wmu, wlam, fixed_dofs):
