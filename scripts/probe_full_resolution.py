@@ -7,11 +7,14 @@ design with a uniform stimulus of 1 (a nonzero load), and times the mesh
 build, the first stiffness assembly (which builds any per-mesh data), a
 second assembly and one ``solve_state``.  When the library has
 ``elasticity.factorize`` the factorization inside the solve is timed on its
-own, and where the factor keeps its inverse level blocks in ``linv``,
-``factor_mib`` gives their bytes, ``factor_levels`` and
-``factor_max_level`` the number and largest size of the levels, and
+own, and where the factor keeps its inverse level blocks (``sinv``, or
+``linv`` in older trees), ``factor_mib`` gives their bytes,
+``factor_levels``, ``factor_max_level`` and ``factor_sum_n3`` the
+number, largest size and sum of cubed sizes of the levels,
 ``factor_twist`` the level where its two elimination chains meet (null
-for a one-directional factor).  ``solve_spd_ms`` is the time of the
+for a one-directional factor) and ``factor_root`` the root candidate its
+operator map chose (null where the map does not choose).
+``solve_spd_ms`` is the time of the
 ``solve_spd`` call inside the state solve.  After the peak resident memory
 is read, ``sweep_ms`` gives the median of five one-column (``k1``) and
 five three-column (``k3``) sweeps of the factor (its ``solve``, where it
@@ -24,7 +27,9 @@ at the same h and timed.  Prints one JSON line with the times, the CG
 iterations, the relative residual, the peak resident memory and
 ``mesh_cache_mib``: the bytes of every array held in ``Mesh.cache`` after
 the gradient step (the gradient and quadrature operators, the operator
-maps), read from whatever the cache holds.
+maps), read from whatever the cache holds, and ``mesh_cache_entries_mib``
+the same per cache entry (an array shared by two entries counts in the
+first).
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
 comparable numbers.
@@ -54,6 +59,17 @@ def _nbytes(obj, seen):
     if isinstance(obj, (list, tuple)):
         return sum(_nbytes(v, seen) for v in obj)
     return sum(_nbytes(v, seen) for v in getattr(obj, "__dict__", {}).values())
+
+
+def _cache_name(key):
+    """A readable name of a ``Mesh.cache`` key: the key itself, or its
+    first item and the rule degree or fixed-dof count that follows."""
+    if not isinstance(key, tuple):
+        return str(key)
+    tag, detail = key[0], key[1]
+    if isinstance(detail, bytes):
+        return f"{tag} {len(detail) // 8} fixed dofs"
+    return f"{tag} degree {getattr(detail, 'degree', detail)}"
 
 
 def main():
@@ -116,12 +132,16 @@ def main():
     f[fixed] = 0.0
     u = state.u[0].ravel()
     factor = state.factor
-    if hasattr(factor, "linv"):
-        sizes = np.diff(factor.level_ptr)
-        out.update(factor_mib=_nbytes(factor.linv, set()) / 2 ** 20,
+    blocks = getattr(factor, "sinv", getattr(factor, "linv", None))
+    if blocks is not None:
+        sizes = np.diff(factor.level_ptr).astype(np.int64)
+        operator_map = elasticity._operator_map(mesh, fixed)
+        out.update(factor_mib=_nbytes(blocks, set()) / 2 ** 20,
                    factor_levels=len(sizes),
                    factor_max_level=int(sizes.max()),
-                   factor_twist=getattr(factor.blocks, "twist", None))
+                   factor_sum_n3=int(np.sum(sizes ** 3)),
+                   factor_twist=getattr(factor.blocks, "twist", None),
+                   factor_root=getattr(operator_map, "root", None))
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
                solve_spd_ms=1e3 * solve_spd_s[0],
                cg_iterations=len(iters),
@@ -151,6 +171,10 @@ def main():
         out["gradient_error"] = str(exc)
     out["gradient_s"] = time.perf_counter() - t
     out["mesh_cache_mib"] = _nbytes(mesh.cache, set()) / 2 ** 20
+    seen = set()
+    out["mesh_cache_entries_mib"] = {
+        _cache_name(key): _nbytes(value, seen) / 2 ** 20
+        for key, value in mesh.cache.items()}
     hexagon = config.load_shipped_config("hexagon_contrast5",
                                          overrides=[f"mesh.h={args.h!r}"])
     t = time.perf_counter()

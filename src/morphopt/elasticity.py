@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from . import quadrature
 from .errors import InvalidParameterError
 from .fields import check_nodal, check_targets
-from .linsolve import BlockCholesky, LevelBlocks, level_structure, solve_spd
+from .linsolve import (BlockCholesky, LevelBlocks, cheapest_level_structure,
+                       connected_pieces, solve_spd)
 from .materials import Material, interp
 
 # the virtual material of the link problem and its void stand-in
@@ -86,7 +87,10 @@ class _OperatorMap:
     of element m at their CSR slots.  Entries in a fixed row or column are
     dropped, so the elimination is built into the pattern.  ``blocks``
     place the pattern in the breadth-first level order of the mesh's node
-    graph, the same for every set of fixed dofs.
+    graph, both dofs of a node in its level.  The levels are rooted where
+    the factor's cost model is least (``linsolve.cheapest_level_structure``)
+    among a pseudo-peripheral node, each connected piece of the clamped
+    nodes and all of them; ``root`` names the one taken.
     """
 
     def __init__(self, mesh, fixed_dofs):
@@ -132,12 +136,20 @@ class _OperatorMap:
             sp.csc_matrix((vals.ravel(), eslot, col_ptr),
                           shape=(len(keys), m)) for vals in (emu, elam))
 
-        # the node graph, the same for every set of fixed dofs
+        # the node graph and the candidate roots of its levels
         pairs = np.unique((tri[:, :, None] * nn + tri[:, None, :]).ravel())
         row_node, col_node = np.divmod(pairs, nn)
         node_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(row_node, minlength=nn))])
-        node_order, node_levels = level_structure(node_ptr, col_node)
+        clamped = np.unique(fixed_dofs // 2)
+        pieces = connected_pieces(node_ptr, col_node, clamped)
+        candidates = {"peripheral": None}
+        candidates.update((f"clamped piece {i}", piece)
+                          for i, piece in enumerate(pieces))
+        if len(pieces) > 1:
+            candidates["clamped"] = clamped
+        self.root, node_order, node_levels = cheapest_level_structure(
+            node_ptr, col_node, candidates, unknowns=2)
         self.blocks = LevelBlocks(
             self.indptr, self.indices,
             np.column_stack([2 * node_order, 2 * node_order + 1]).ravel(),

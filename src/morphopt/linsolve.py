@@ -1,24 +1,27 @@
 """Sparse SPD linear algebra: conjugate gradients preconditioned by an exact
 level-set block Cholesky factor.
 
-The unknowns are ordered by breadth-first level from a pseudo-peripheral
-vertex of the sparsity graph (George and Liu, ACM TOMS 5, 1979).  Every
-edge of the graph joins two vertices of the same or of adjacent levels,
-so the permuted matrix is block tridiagonal and its Cholesky factor has
-the same block profile.  It is factored level by level with dense LAPACK
-Cholesky, from both ends of the level sequence towards a twist level
-(Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): the two chains are
-independent, and the lower one runs on a worker thread, since LAPACK and
-BLAS release the interpreter lock.  Only the inverse diagonal factors
-L_i^{-1} are kept, in one buffer, and the sparse coupling blocks are
-applied on the fly, each as one take, one multiply and one bincount over
-its entries and the k lanes.  A sweep solves for k right-hand sides at
-once, so its per-level work is paid once for all k.  It stays in one
-thread: a level step takes tens of microseconds, too short to gain from a
-second thread that hands work over and contends for the lock at every
-step (a two-thread sweep measured slower on a 2-vCPU VM: 2.83 -> 3.59 ms
-for the h = 0.01 hexagon with k = 3, 0.84 -> 1.16 ms on the h = 1/60
-desk mesh).
+The unknowns are ordered by breadth-first level (George and Liu, ACM TOMS
+5, 1979).  Every edge of the graph joins two vertices of the same or of
+adjacent levels, so the permuted matrix is block tridiagonal and its
+Cholesky factor has the same block profile.  The root of the levels, a
+pseudo-peripheral vertex or a vertex set the caller names (cf. Gibbs,
+Poole and Stockmeyer, SIAM J. Numer. Anal. 13, 1976), is chosen by one
+cost model, sum n_i^3 + LEVEL_COST per level, which also places the twist
+level.  The blocks are eliminated with dense LAPACK Cholesky, from both
+ends of the level sequence towards the twist level (Meurant, SIAM J.
+Matrix Anal. Appl. 13, 1992): the two chains are independent, and the
+lower one runs on a worker thread, since LAPACK and BLAS release the
+interpreter lock.  Only the inverse Schur complements S_i^{-1} are kept,
+in one buffer, so a sweep makes one dense product per level and pass; the
+sparse coupling blocks are applied on the fly, each as one take, one
+multiply and one bincount over its entries and the k lanes.  A sweep
+solves for k right-hand sides at once, so its per-level work is paid once
+for all k.  It stays in one thread: a level step takes tens of
+microseconds, too short to gain from a second thread that hands work over
+and contends for the lock at every step (a two-thread sweep measured
+slower on a 2-vCPU VM: 2.83 -> 3.59 ms for the h = 0.01 hexagon with
+k = 3, 0.84 -> 1.16 ms on the h = 1/60 desk mesh).
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order) and so indefiniteness is detected
@@ -61,11 +64,12 @@ def _neighbours(indptr, indices, frontier):
     return indices[offsets + np.arange(offsets.size)]
 
 
-def _bfs_levels(indptr, indices, root, visited):
-    """Breadth-first levels of the component of ``root``; marks it in
-    ``visited`` and returns the list of sorted level arrays."""
-    levels = [np.array([root])]
-    visited[root] = True
+def _bfs_levels(indptr, indices, roots, visited):
+    """Breadth-first levels from the vertex set ``roots`` (level 0) over
+    the vertices not yet ``visited``; marks them in ``visited`` and returns
+    the list of sorted level arrays."""
+    levels = [np.unique(np.asarray(roots, dtype=np.int64))]
+    visited[levels[0]] = True
     while True:
         nxt = np.unique(_neighbours(indptr, indices, levels[-1]))
         nxt = nxt[~visited[nxt]]
@@ -75,13 +79,15 @@ def _bfs_levels(indptr, indices, root, visited):
         levels.append(nxt)
 
 
-def level_structure(indptr, indices):
+def level_structure(indptr, indices, roots=None):
     """Vertex order and level pointers of a symmetric sparsity graph.
 
-    Each connected component is rooted at a pseudo-peripheral vertex found
-    by the George-Liu iteration: start anywhere, re-root at a vertex of
-    minimum degree in the last level while that lengthens the structure.
-    Returns ``(order, level_ptr)``: the vertices of level i are
+    Level 0 is the vertex set ``roots`` when given, and the breadth-first
+    levels from it cover its components.  Every other connected component
+    is rooted at a pseudo-peripheral vertex found by the George-Liu
+    iteration: start anywhere, re-root at a vertex of minimum degree in
+    the last level while that lengthens the structure.  Returns
+    ``(order, level_ptr)``: the vertices of level i are
     ``order[level_ptr[i]:level_ptr[i + 1]]``.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
@@ -89,15 +95,16 @@ def level_structure(indptr, indices):
     n = len(indptr) - 1
     degree = np.diff(indptr)
     visited = np.zeros(n, dtype=bool)
-    order = []
+    order = [] if roots is None else _bfs_levels(indptr, indices, roots,
+                                                 visited)
     for start in range(n):
         if visited[start]:
             continue
-        levels = _bfs_levels(indptr, indices, start, visited.copy())
+        levels = _bfs_levels(indptr, indices, [start], visited.copy())
         while len(levels) > 1:
             last = levels[-1]
             candidate = last[np.argmin(degree[last])]
-            trial = _bfs_levels(indptr, indices, candidate, visited.copy())
+            trial = _bfs_levels(indptr, indices, [candidate], visited.copy())
             if len(trial) <= len(levels):
                 break
             levels = trial
@@ -105,6 +112,48 @@ def level_structure(indptr, indices):
         order += levels
     sizes = [len(level) for level in order]
     return np.concatenate(order), np.concatenate([[0], np.cumsum(sizes)])
+
+
+def connected_pieces(indptr, indices, vertices):
+    """The connected pieces of the subgraph on ``vertices``, each a sorted
+    vertex array, in the order of their least vertex."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    outside = np.ones(len(indptr) - 1, dtype=bool)
+    outside[vertices] = False
+    pieces = []
+    for v in vertices:
+        if not outside[v]:
+            pieces.append(np.sort(np.concatenate(
+                _bfs_levels(indptr, indices, [v], outside))))
+    return pieces
+
+
+# the factor's cost model: a level of n unknowns costs n^3 plus
+# LEVEL_COST, the per-level Python and numpy wrapper work in the same
+# units.  Fitted to one-chain factor times of the desk and h = 0.01
+# hexagon meshes under three roots each (one BLAS thread): 3.5e5 to 7.3e5
+# by relative or absolute least squares.  Any value from 3.9e4 to 1.1e7
+# picks the same roots on the shipped meshes
+LEVEL_COST = 4e5
+
+
+def level_costs(sizes):
+    """Model cost n_i^3 + LEVEL_COST of eliminating each level of
+    ``sizes`` unknowns."""
+    return np.asarray(sizes, dtype=float) ** 3 + LEVEL_COST
+
+
+def cheapest_level_structure(indptr, indices, candidates, unknowns=1):
+    """The level structure of least model cost among the named root
+    ``candidates`` (name -> vertex set, or None for a pseudo-peripheral
+    vertex), for ``unknowns`` unknowns per vertex; the first of equal
+    cost wins.  Returns ``(name, order, level_ptr)``."""
+    structures = [(name, *level_structure(indptr, indices, roots))
+                  for name, roots in candidates.items()]
+    return min(structures, key=lambda structure: level_costs(
+        unknowns * np.diff(structure[2])).sum())
 
 
 def _lower_inverse(L, out):
@@ -133,12 +182,12 @@ class LevelBlocks:
 
     ``twist`` is the level m at which BlockCholesky's two elimination
     chains meet, and ``outer[i]`` lists the adjacent levels eliminated
-    before level i: those farther from m.  m is the last level when no
-    level has more than 48 unknowns; such levels are bound by per-level
-    Python work, and one chain is cheaper.  Otherwise m is the first level
-    at which the running sum of n_i^3 reaches half of the total.
-    Raises InvalidParameterError if the pattern couples two levels that
-    are not adjacent.
+    before level i: those farther from m.  m minimizes the modelled time
+    of a factor whose chains run at once, max(cost of the levels before
+    m, cost of those after m) + cost of m, each level costed by
+    ``level_costs``; the first such level wins.  Raises
+    InvalidParameterError if the pattern couples two levels that are not
+    adjacent.
     """
 
     def __init__(self, indptr, indices, order, level_ptr):
@@ -178,9 +227,10 @@ class LevelBlocks:
         self._lanes = {1: [(rows, cols) for _, rows, cols in self.coupling]}
 
         last = len(sizes) - 1
-        work = np.cumsum(sizes ** 3)
-        self.twist = m = (last if sizes.max() <= 48
-                          else int(np.searchsorted(2 * work, work[-1])))
+        cost = level_costs(sizes)
+        before = np.cumsum(cost) - cost
+        after = np.cumsum(cost[::-1])[::-1] - cost
+        self.twist = m = int(np.argmin(np.maximum(before, after) + cost))
         self.outer = [[j for j in (i - 1, i + 1)
                        if 0 <= j <= last and abs(j - m) > abs(i - m)]
                       for i in range(last + 1)]
@@ -260,10 +310,16 @@ class BlockCholesky:
     S_i = D_i - C_i^T S_{i+1}^{-1} C_i for i > m on the worker thread (in
     the calling thread when the process may use one CPU: the same
     arithmetic, so the same bytes), and S_m takes both updates last.
-    ``linv[i]`` is L_i^{-1} for S_i = L_i L_i^T.  ``solve`` sweeps forward
-    from both ends into m, then back outwards.  A breakdown in either chain
-    or at m raises MatrixNotSPDError naming the level once both chains
-    have stopped.  A of another sparse format, or a CSR with unsorted or
+    ``sinv[i]`` is S_i^{-1}, symmetric to the bit: up to 48 rows the
+    symmetrized LU inverse of S_i, which costs what the inverse of its
+    Cholesky factor L_i would; above that L_i^{-T} L_i^{-1} from the
+    halving inverse of L_i.  The Schur update from a neighbour j is W W^T
+    with W = C_ij L_j^{-T} when level j has more than 48 rows, else
+    (C_ij S_j^{-1}) C_ij^T.  ``solve`` sweeps forward from both ends into
+    m, then back outwards, one product with S_i^{-1} per level and pass.
+    A breakdown of the Cholesky factorization of S_i in either chain or at
+    m raises MatrixNotSPDError naming the level once both chains have
+    stopped.  A of another sparse format, or a CSR with unsorted or
     duplicate entries, is factored in its canonical CSR form.
     """
 
@@ -276,17 +332,21 @@ class BlockCholesky:
         self.order, self.level_ptr = blocks.order, blocks.level_ptr
         sizes = np.diff(self.level_ptr)
         last, m = len(sizes) - 1, blocks.twist
-        # every L_i^{-1} in one buffer of this thread, so the worker's
+        # every S_i^{-1} in one buffer of this thread, so the worker's
         # allocator arena holds only its temporaries
         ends = np.cumsum(sizes ** 2)
         buffer = np.empty(ends[-1])
-        self.linv = [buffer[e - n * n:e].reshape(n, n)
+        self.sinv = [buffer[e - n * n:e].reshape(n, n)
                      for n, e in zip(sizes, ends)]
         # coupling block i as (rows, columns, values); the sweep takes the
         # values repeated per lane, built once per number of lanes k
         self.coupling = [(rows, cols, A.data[src])
                          for src, rows, cols in blocks.coupling]
         self._lane_values = {1: [vals for _, _, vals in self.coupling]}
+        # L_j^{-1} of a level above 48 rows, kept until the next level of
+        # its chain has taken its Schur update from it; the chains use
+        # their own keys
+        self._linv = {}
         lower = _submit(lambda i: self._eliminate(A.data, i),
                         range(last, m, -1))
         try:
@@ -298,9 +358,10 @@ class BlockCholesky:
         self._eliminate(A.data, m)
 
     def _eliminate(self, data, i):
-        """L_i^{-1} of S_i = D_i - sum_j C_ij S_j^{-1} C_ij^T, j outer."""
+        """S_i^{-1} of S_i = D_i - sum_j C_ij S_j^{-1} C_ij^T, j outer."""
         src, flat = self.blocks.diagonal[i]
-        n = len(self.linv[i])
+        out = self.sinv[i]
+        n = len(out)
         S = np.zeros(n * n)
         S[flat] = data[src]
         S = S.reshape(n, n)
@@ -308,16 +369,28 @@ class BlockCholesky:
             rows, cols, vals = self.coupling[min(i, j)]
             if j > i:
                 rows, cols = cols, rows
-            C = np.zeros((n, len(self.linv[j])))
+            C = np.zeros((n, len(self.sinv[j])))
             C[rows, cols] = vals
-            W = C @ self.linv[j].T                       # C_ij L_j^{-T}
-            S -= W @ W.T
+            linv = self._linv.pop(j, None)
+            if linv is None:
+                S -= (C @ self.sinv[j]) @ C.T
+            else:
+                W = C @ linv.T                       # C_ij L_j^{-T}
+                S -= W @ W.T
         try:
             L = np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
             raise MatrixNotSPDError(
                 f"block Cholesky broke down in level {i}: {exc}") from None
-        _lower_inverse(L, self.linv[i])
+        if n <= 48:
+            X = np.linalg.inv(S)
+            np.add(X, X.T, out=out)
+            out *= 0.5
+        else:
+            _lower_inverse(L, L)
+            np.matmul(L.T, L, out=out)        # syrk: symmetric to the bit
+            if i != self.blocks.twist:
+                self._linv[i] = L
 
     def solve(self, b):
         """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""
@@ -342,19 +415,17 @@ class BlockCholesky:
             src, dst = (cols, rows) if j < i else (rows, cols)
             terms = flat[ptr[j] * k:ptr[j + 1] * k].take(src) * values[c]
             return np.bincount(dst, terms,
-                               minlength=len(self.linv[i]) * k).reshape(-1, k)
+                               minlength=len(self.sinv[i]) * k).reshape(-1, k)
 
         # forward from both ends into m, then back outwards from m
         for i in [*range(m), *range(last, m - 1, -1)]:
             r = bp[ptr[i]:ptr[i + 1]]
             for j in outer[i]:
                 r = r - coupled(i, j)
-            linv = self.linv[i]
-            u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
+            u[ptr[i]:ptr[i + 1]] = self.sinv[i] @ r
         for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
-            linv = self.linv[i]
             v = coupled(i, i + 1 if i < m else i - 1)
-            u[ptr[i]:ptr[i + 1]] -= linv.T @ (linv @ v)
+            u[ptr[i]:ptr[i + 1]] -= self.sinv[i] @ v
         x = np.empty_like(u)
         x[self.order] = u
         return x.reshape(b.shape)

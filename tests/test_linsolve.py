@@ -456,7 +456,8 @@ class CountedOperator:
 def reference_sweep(factor, b):
     """The sweep whose coupling step gathers (nnz, k) rows of u, multiplies
     them by the values broadcast over k and bincounts the ravelled
-    products: the oracle of BlockCholesky.solve."""
+    products, one product with S_i^{-1} per level and pass: the oracle of
+    BlockCholesky.solve."""
     k = 1 if b.ndim == 1 else b.shape[1]
     lanes = factor.blocks.lanes(k)
     bp = b[factor.order].reshape(-1, k)
@@ -474,18 +475,16 @@ def reference_sweep(factor, b):
             lane = lanes[i][1]
         return np.bincount(
             lane, (vals[:, None] * u[ptr[j]:ptr[j + 1]][gather]).ravel(),
-            minlength=len(factor.linv[i]) * k).reshape(-1, k)
+            minlength=len(factor.sinv[i]) * k).reshape(-1, k)
 
     for i in [*range(m), *range(last, m - 1, -1)]:
         r = bp[ptr[i]:ptr[i + 1]]
         for j in outer[i]:
             r = r - coupled(i, j)
-        linv = factor.linv[i]
-        u[ptr[i]:ptr[i + 1]] = linv.T @ (linv @ r)
+        u[ptr[i]:ptr[i + 1]] = factor.sinv[i] @ r
     for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
-        linv = factor.linv[i]
         v = coupled(i, i + 1 if i < m else i - 1)
-        u[ptr[i]:ptr[i + 1]] -= linv.T @ (linv @ v)
+        u[ptr[i]:ptr[i + 1]] -= factor.sinv[i] @ v
     x = np.empty_like(u)
     x[factor.order] = u
     return x.reshape(b.shape)
@@ -530,6 +529,44 @@ class TestOneSweepPerCertifiedSolve:
         got = linsolve._dots(a, b)
         for j in range(3):
             assert got[j] == np.sum(a[:, j] * b[:, j])
+
+
+def block_tridiagonal_spd(sizes, seed):
+    """A random sparse SPD matrix, diagonally dominant, whose pattern
+    couples only unknowns of equal or adjacent levels of ``sizes``
+    consecutive unknowns."""
+    rng = np.random.default_rng(seed)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(level)
+    near = np.abs(level[:, None] - level[None, :]) <= 1
+    m = np.where(near & (rng.uniform(size=(n, n)) < 0.2),
+                 rng.normal(size=(n, n)), 0.0)
+    m = m + m.T
+    m += np.diag(np.abs(m).sum(axis=1) + 1.0)
+    return sp.csr_matrix(m)
+
+
+class TestKeptInverses:
+    def test_each_block_is_its_schur_complement_inverse(self):
+        # levels above 48 rows on both sides of the twist and at its
+        # neighbours, levels up to 48 rows at both ends
+        sizes = [6, 50, 60, 4, 55, 9]
+        A = block_tridiagonal_spd(sizes, seed=5)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = LevelBlocks(A.indptr, A.indices, np.arange(ptr[-1]), ptr)
+        factor = BlockCholesky(A, blocks)
+        m, dense = blocks.twist, A.toarray()
+        assert max(sizes[:m]) > 48 and max(sizes[m + 1:]) > 48
+        for i, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+            # S_i^{-1} is level i's block of the inverse of the levels
+            # eliminated into it: those before it, after it, or all
+            lo, hi = (0 if i <= m else a), (b if i < m else ptr[-1])
+            inverse = np.linalg.inv(dense[lo:hi, lo:hi])
+            ref = inverse[a - lo:b - lo, a - lo:b - lo]
+            kept = factor.sinv[i]
+            assert np.array_equal(kept, kept.T)
+            np.testing.assert_allclose(kept, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
 
 
 def reference_operator(mesh, wmu, wlam, fixed_dofs):
@@ -672,6 +709,86 @@ class TestLevelOrdering:
         assert sorted(order) == [0, 1, 2, 3, 4]
         assert order[1] == 1                      # peripheral root: 0 or 2
 
+    def test_desk_levels_start_at_the_clamped_column(self):
+        mesh = desk_mesh()
+        fixed = mesh.dirichlet_dofs()
+        operator_map = elasticity._operator_map(mesh, fixed)
+        blocks = operator_map.blocks
+        assert operator_map.root == "clamped piece 0"
+        assert len(blocks.level_ptr) - 1 == 61
+        assert np.array_equal(np.sort(blocks.order[:blocks.level_ptr[1]]),
+                              fixed)
+        assert len(fixed) == 42
+
+    def test_hexagon_levels_start_at_one_clamped_side(self):
+        mesh = hexagon_mesh()
+        fixed = mesh.dirichlet_dofs()
+        operator_map = elasticity._operator_map(mesh, fixed)
+        blocks = operator_map.blocks
+        sizes = np.diff(blocks.level_ptr)
+        first = blocks.order[:sizes[0]]
+        assert operator_map.root == "clamped piece 0"
+        assert sizes[0] == 72 and np.isin(first, fixed).all()
+        side = mesh.nodes[np.unique(first // 2)]
+        assert np.linalg.matrix_rank(side - side.mean(axis=0), tol=1e-12) == 1
+        assert len(sizes) == 71
+        assert np.sum(sizes.astype(np.int64) ** 3) == 95_316_488
+
+    def test_long_side_clamp_keeps_the_peripheral_root(self):
+        # the clamped bottom side gives 21 levels of 122 dofs: more n^3
+        # than 81 levels from a corner
+        mesh = build_rect_mesh(1.0, 1.0 / 3.0, 1.0 / 60.0, "bottom")
+        operator_map = elasticity._operator_map(mesh, mesh.dirichlet_dofs())
+        assert operator_map.root == "peripheral"
+        assert len(operator_map.blocks.level_ptr) - 1 == 81
+
+    @pytest.mark.parametrize("make_mesh", [desk_mesh, hexagon_mesh],
+                             ids=["desk", "hexagon"])
+    def test_two_builds_give_the_same_order(self, make_mesh):
+        first, second = (
+            elasticity._operator_map(mesh, mesh.dirichlet_dofs())
+            for mesh in (make_mesh(), make_mesh()))
+        assert first is not second and first.root == second.root
+        assert first.blocks.order.tobytes() == second.blocks.order.tobytes()
+        assert np.array_equal(first.blocks.level_ptr, second.blocks.level_ptr)
+        assert first.blocks.twist == second.blocks.twist
+
+    def test_levels_from_a_root_set_and_pieces(self):
+        # the path 0-1-2-3-4 and the separate edge 5-6
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]
+        rows, cols = np.array(edges + [(b, a) for a, b in edges]).T
+        A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(7, 7))
+        order, level_ptr = level_structure(A.indptr, A.indices, [4, 2])
+        assert [list(order[a:b]) for a, b in zip(level_ptr[:-1], level_ptr[1:])
+                ][:3] == [[2, 4], [1, 3], [0]]
+        assert sorted(order[5:]) == [5, 6]         # its own root
+        pieces = linsolve.connected_pieces(A.indptr, A.indices, [6, 0, 1, 3, 5])
+        assert [list(p) for p in pieces] == [[0, 1], [3], [5, 6]]
+
+    def test_cheapest_structure_and_first_of_equal_cost(self):
+        # a 4 x 4 grid graph rooted at a corner, a side or its mirror side
+        n = 4
+        grid = np.arange(n * n).reshape(n, n)
+        edges = np.concatenate([
+            np.column_stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()]),
+            np.column_stack([grid[:-1].ravel(), grid[1:].ravel()])])
+        rows, cols = np.concatenate([edges, edges[:, ::-1]]).T
+        A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                          shape=(n * n, n * n))
+        candidates = {"peripheral": None, "left": grid[:, 0],
+                      "right": grid[:, -1]}
+        # corner: 7 levels of at most 4 vertices; side: 4 levels of 4
+        for unknowns, name in [(1, "left"), (40, "peripheral")]:
+            got, order, level_ptr = linsolve.cheapest_level_structure(
+                A.indptr, A.indices, candidates, unknowns)
+            assert got == name
+            sizes = unknowns * np.diff(level_ptr)
+            for roots in candidates.values():
+                other = unknowns * np.diff(
+                    level_structure(A.indptr, A.indices, roots)[1])
+                assert (linsolve.level_costs(sizes).sum()
+                        <= linsolve.level_costs(other).sum())
+
     def test_non_adjacent_coupling_rejected(self):
         A = sp.csr_matrix(random_spd(3, seed=1))
         with pytest.raises(InvalidParameterError):
@@ -723,8 +840,12 @@ class TestTwoSidedFactor:
         m, last = blocks.twist, len(sizes) - 1
         assert sizes.max() == 142
         assert 0 < m < last                      # both chains non-empty
-        work = np.cumsum(sizes ** 3)
-        assert 2 * work[m] >= work[-1] > 2 * work[m - 1]
+        # m minimizes the modelled time of the two chains run at once
+        cost = [float(n) ** 3 + linsolve.LEVEL_COST for n in sizes]
+        span = [max(sum(cost[:i]), sum(cost[i + 1:])) + cost[i]
+                for i in range(last + 1)]
+        assert span[m] == pytest.approx(min(span), rel=1e-12)
+        assert min(span[:m]) > span[m] * (1 + 1e-12)
         assert blocks.outer[m] == [m - 1, m + 1]
         assert blocks.outer[0] == [] and blocks.outer[last] == []
         assert all(blocks.outer[i] == [i - 1] for i in range(1, m))
@@ -753,11 +874,11 @@ class TestTwoSidedFactor:
         worker = factorize(mesh, K, fixed)
         monkeypatch.setattr(linsolve, "_submit", linsolve._run_here)
         inline = factorize(mesh, K, fixed)
-        last = len(worker.linv) - 1
+        last = len(worker.sinv) - 1
         assert len(threads) == last - worker.blocks.twist
         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             assert threading.main_thread() not in threads
-        for a, b in zip(worker.linv, inline.linv):
+        for a, b in zip(worker.sinv, inline.sinv):
             assert a.tobytes() == b.tobytes()
         assert worker.solve(B).tobytes() == inline.solve(B).tobytes()
 
@@ -776,13 +897,16 @@ class TestTwoSidedFactor:
         X = factorize(mesh, K, fixed).solve(B)
         assert np.linalg.norm(K @ X - B) <= 1e-11 * np.linalg.norm(B)
 
-    def test_desk_is_eliminated_from_the_first_level_only(self):
+    def test_desk_twists_at_its_middle_level(self):
+        # 61 levels of 42 unknowns: 30 in each chain
         mesh = desk_mesh()
         blocks = elasticity._operator_map(mesh, mesh.dirichlet_dofs()).blocks
         sizes = np.diff(blocks.level_ptr)
-        assert sizes.max() <= 48
-        assert blocks.twist == len(sizes) - 1
-        assert blocks.outer == [[]] + [[i - 1] for i in range(1, len(sizes))]
+        assert list(sizes) == [42] * 61
+        assert blocks.twist == 30
+        assert blocks.outer == ([[]] + [[i - 1] for i in range(1, 30)]
+                                + [[29, 31]]
+                                + [[i + 1] for i in range(31, 60)] + [[]])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_factors_after_the_parent_did(self):

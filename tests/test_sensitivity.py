@@ -241,6 +241,36 @@ class TestOneFactor:
             solve_adjoint(self.mesh, ev.state, TARGETS)
 
 
+class TestEmptyDesignIsKKT:
+    """At rho2 = rho3 = s = 0 the stimulus load a(rho3) s vanishes, so
+    u = 0 and every elastic term of the gradient with it; the volume
+    gradient is positive at every node, so no feasible direction descends
+    and the projected gradient is 0, whatever the target."""
+
+    @pytest.mark.parametrize("name, overrides, total_value", [
+        ("cantilever_desk_staggered", [], 1 / 450),
+        ("hexagon_contrast5", ["mesh.h=0.01", "regularization.epsilon=0.02"],
+         4.676537180435967e-3)], ids=["desk", "hexagon"])
+    def test_empty_design_is_a_kkt_point(self, name, overrides, total_value):
+        from morphopt.config import load_shipped_config
+        spec = load_shipped_config(name, overrides=overrides)
+        mesh = spec.build_mesh()
+        n, targets = mesh.n_nodes, spec.target_array()
+        ev = Evaluation(mesh, DesignField.constant(n, 0.0, 0.0),
+                        StimulusField.zeros(len(targets), n), spec.phases,
+                        spec.params, targets)
+        g = ev.gradient
+        assert np.all(ev.state.u == 0.0)
+        assert g.g_rho2.min() > 0.0 and g.g_rho3.min() > 0.0
+        assert np.all(g.g_s == 0.0)
+        # the projection onto the box of run_monolithic's variable
+        x = np.zeros(2 * n + g.g_s.size)
+        grad = np.concatenate([g.g_rho2, g.g_rho3, g.g_s.ravel()])
+        lower = np.concatenate([np.zeros(2 * n), -np.ones(g.g_s.size)])
+        assert np.all(x - np.clip(x - grad, lower, 1.0) == 0.0)
+        assert ev.breakdown.total == total_value
+
+
 class TestLoadCases:
     @pytest.mark.parametrize("targets, n_cases", [
         ([[0.0, 1.0], [1.0, 0.0]], 1), ([[0.0, 1.0]], 2)],
