@@ -18,7 +18,10 @@ operator map chose (null where the map does not choose).
 ``solve_spd`` call inside the state solve.  After the peak resident memory
 is read, ``sweep_ms`` gives the median of five one-column (``k1``) and
 five three-column (``k3``) sweeps of the factor (its ``solve``, where it
-has one) on random loads zero at the fixed dofs; then
+has one) on random loads zero at the fixed dofs, and ``factor_ms`` the
+median of five more factorizations of the same operator (where
+``elasticity.factorize`` exists; ``factor_s`` times only the one inside
+the solve); then
 the gradient of one ``sensitivity.Evaluation`` on the same design,
 operator and factor is timed (adjoint solve and both gradient kernels;
 ``gradient_error`` holds the message when the adjoint solve raises
@@ -160,6 +163,13 @@ def main():
                 factor.solve(B[:, :k])
                 times.append(time.perf_counter() - t)
             out["sweep_ms"][f"k{k}"] = 1e3 * float(np.median(times))
+    if factor_s:
+        times = []
+        for _ in range(5):
+            t = time.perf_counter()
+            factorize(mesh, K, fixed)
+            times.append(time.perf_counter() - t)
+        out["factor_ms"] = 1e3 * float(np.median(times))
     evaluation = sensitivity.Evaluation(
         mesh, design, stim, spec.phases, spec.params, spec.target_array(),
         operator=K, factor=state.factor)

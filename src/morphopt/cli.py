@@ -115,7 +115,7 @@ def _load_artifacts(path):
 def _cmd_render(args):
     data = _load_artifacts(args.artifacts)
     mesh = Mesh(data["nodes"], data["triangles"], data["dirichlet_nodes"],
-                data["target_elements"], float(data["cell_size"]))
+                data["target_elements"], data["cell_size"])
     design = DesignField(data["rho2"], data["rho3"])
     j = args.case - 1
     s = data["s"]

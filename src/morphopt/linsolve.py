@@ -33,7 +33,7 @@ x0 only for the columns that miss the tolerance.
 """
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,17 +265,6 @@ def _canonical_csr(A):
     return A
 
 
-def _run_here(fn, items):
-    """``fn`` called on each of ``items`` in this thread, as a finished
-    Future holding the first exception raised."""
-    future = Future()
-    try:
-        future.set_result(list(map(fn, items)))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
 def _start_worker():
     # an executor starts its thread on the first submit; a forked child
     # inherits the executor but not its thread, so it gets a new one
@@ -288,17 +277,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_worker)
 
 
-def _submit(fn, items):
-    """``fn`` called on each of ``items`` on the worker thread, or in this
-    thread when there are none or this process may use only one CPU;
-    returns the Future."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if not items or cpus < 2:
-        return _run_here(fn, items)
-    return _worker.submit(list, map(fn, items))
-
-
 class BlockCholesky:
     """Exact factor of an SPD CSR matrix A in the level order of ``blocks``
     (LevelBlocks.of_matrix(A) when omitted), eliminated from both ends
@@ -307,20 +285,16 @@ class BlockCholesky:
     With D_i the diagonal and C_i the coupling blocks, the upper chain
     S_0 = D_0, S_i = D_i - C_{i-1} S_{i-1}^{-1} C_{i-1}^T runs for i < m in
     the calling thread, the lower chain S_{N-1} = D_{N-1},
-    S_i = D_i - C_i^T S_{i+1}^{-1} C_i for i > m on the worker thread (in
-    the calling thread when the process may use one CPU: the same
-    arithmetic, so the same bytes), and S_m takes both updates last.
-    ``sinv[i]`` is S_i^{-1}, symmetric to the bit: up to 48 rows the
-    symmetrized LU inverse of S_i, which costs what the inverse of its
-    Cholesky factor L_i would; above that L_i^{-T} L_i^{-1} from the
-    halving inverse of L_i.  The Schur update from a neighbour j is W W^T
-    with W = C_ij L_j^{-T} when level j has more than 48 rows, else
-    (C_ij S_j^{-1}) C_ij^T.  ``solve`` sweeps forward from both ends into
-    m, then back outwards, one product with S_i^{-1} per level and pass.
-    A breakdown of the Cholesky factorization of S_i in either chain or at
-    m raises MatrixNotSPDError naming the level once both chains have
-    stopped.  A of another sparse format, or a CSR with unsorted or
-    duplicate entries, is factored in its canonical CSR form.
+    S_i = D_i - C_i^T S_{i+1}^{-1} C_i for i > m on the worker thread, and
+    S_m takes both updates last.  Every level is eliminated alike: L_i =
+    chol(S_i) and its halving inverse give ``sinv[i]`` = S_i^{-1} =
+    L_i^{-T} L_i^{-1}, symmetric to the bit, and the Schur update W W^T,
+    W = C_ji L_i^{-T}, of the next level j.  ``solve`` sweeps forward from
+    both ends into m, then back outwards, one product with S_i^{-1} per
+    level and pass.  A breakdown of chol(S_i) raises MatrixNotSPDError
+    naming the level once both chains have stopped.  A of another sparse
+    format, or a CSR with unsorted or duplicate entries, is factored in
+    its canonical CSR form.
     """
 
     def __init__(self, A, blocks=None):
@@ -343,54 +317,47 @@ class BlockCholesky:
         self.coupling = [(rows, cols, A.data[src])
                          for src, rows, cols in blocks.coupling]
         self._lane_values = {1: [vals for _, _, vals in self.coupling]}
-        # L_j^{-1} of a level above 48 rows, kept until the next level of
-        # its chain has taken its Schur update from it; the chains use
-        # their own keys
-        self._linv = {}
-        lower = _submit(lambda i: self._eliminate(A.data, i),
-                        range(last, m, -1))
+
+        def chain(levels):
+            # each level's L_i^{-1} goes to the next level only
+            linvs = []
+            for i in levels:
+                linvs = [self._eliminate(A.data, i, linvs)]
+            return linvs
+
+        lower = _worker.submit(chain, range(last, m, -1))
         try:
-            for i in range(m):
-                self._eliminate(A.data, i)
+            upper = chain(range(m))
         finally:
             wait([lower])
-        lower.result()
-        self._eliminate(A.data, m)
+        self._eliminate(A.data, m, upper + lower.result())
 
-    def _eliminate(self, data, i):
-        """S_i^{-1} of S_i = D_i - sum_j C_ij S_j^{-1} C_ij^T, j outer."""
+    def _eliminate(self, data, i, linvs):
+        """L_i^{-1} of S_i = D_i - sum_j W_j W_j^T, W_j = C_ij L_j^{-T}, with
+        ``linvs`` the L_j^{-1} of the levels j of ``blocks.outer[i]``;
+        keeps S_i^{-1} = L_i^{-T} L_i^{-1} in ``sinv[i]``."""
         src, flat = self.blocks.diagonal[i]
         out = self.sinv[i]
         n = len(out)
         S = np.zeros(n * n)
         S[flat] = data[src]
         S = S.reshape(n, n)
-        for j in self.blocks.outer[i]:
+        for j, linv in zip(self.blocks.outer[i], linvs):
             rows, cols, vals = self.coupling[min(i, j)]
             if j > i:
                 rows, cols = cols, rows
-            C = np.zeros((n, len(self.sinv[j])))
+            C = np.zeros((n, len(linv)))
             C[rows, cols] = vals
-            linv = self._linv.pop(j, None)
-            if linv is None:
-                S -= (C @ self.sinv[j]) @ C.T
-            else:
-                W = C @ linv.T                       # C_ij L_j^{-T}
-                S -= W @ W.T
+            W = C @ linv.T                       # C_ij L_j^{-T}
+            S -= W @ W.T
         try:
             L = np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
             raise MatrixNotSPDError(
                 f"block Cholesky broke down in level {i}: {exc}") from None
-        if n <= 48:
-            X = np.linalg.inv(S)
-            np.add(X, X.T, out=out)
-            out *= 0.5
-        else:
-            _lower_inverse(L, L)
-            np.matmul(L.T, L, out=out)        # syrk: symmetric to the bit
-            if i != self.blocks.twist:
-                self._linv[i] = L
+        _lower_inverse(L, L)
+        np.matmul(L.T, L, out=out)        # syrk: symmetric to the bit
+        return L
 
     def solve(self, b):
         """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""

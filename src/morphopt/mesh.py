@@ -71,13 +71,26 @@ class Mesh:
                         default_factory=dict)
 
     def __post_init__(self):
-        self.nodes = np.array(self.nodes, dtype=float)
-        self.triangles = np.array(self.triangles, dtype=np.int64)
+        nodes, tris = np.asarray(self.nodes), np.asarray(self.triangles)
+        cell = np.asarray(self.cell_size)
+        finite = [a.dtype.kind in "iuf" and np.isfinite(a).all()
+                  for a in (nodes, tris, cell)]
+        if not (finite[0] and nodes.shape[1:] == (2,)):
+            raise InvalidParameterError(
+                f"nodes must be a finite (n, 2) array, got shape {nodes.shape}")
+        if not (finite[1] and tris.shape[1:] == (3,) and np.all(
+                (tris == np.round(tris)) & (tris >= 0) & (tris < len(nodes)))):
+            raise InvalidParameterError(
+                f"triangles must be an (m, 3) array of node indices, got "
+                f"{tris.dtype} of shape {tris.shape}")
+        if not (finite[2] and cell.shape == () and cell > 0):
+            raise InvalidParameterError(
+                f"cell_size must be one finite positive number, got {cell!r}")
+        self.nodes = np.array(nodes, dtype=float)
+        self.triangles = np.array(tris, dtype=np.int64)
+        self.cell_size = float(cell)
         self.dirichlet_nodes = np.unique(np.asarray(self.dirichlet_nodes, dtype=np.int64))
         self.target_elements = np.unique(np.asarray(self.target_elements, dtype=np.int64))
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= len(self.nodes)):
-            raise InvalidParameterError("triangle refers to a nonexistent node")
         if self.target_elements.size and (
                 self.target_elements[0] < 0
                 or self.target_elements[-1] >= len(self.triangles)):
@@ -86,7 +99,7 @@ class Mesh:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(signed <= 0.0):
+        if not np.all(signed > 0.0):
             raise InvalidParameterError("mesh contains a degenerate or clockwise triangle")
         self.areas = signed
         # P1 shape-function gradients: grad N_a = perp(p_{a+2} - p_{a+1}) / (2A)

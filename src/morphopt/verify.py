@@ -250,12 +250,14 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
 
 def profile_coefficient(epsilons, n_intervals=4000, span_factor=40.0,
                         potential="triple"):
-    """Converged 1D interface energies for a decreasing list of epsilons.
+    """Converged 1D interface energies for a nonempty, decreasing eps list.
 
     The limit approximates twice the geodesic distance between the two
     wells; for the shipped multi-well it must not exceed the straight-edge
     bound 2/3.
     """
+    if len(epsilons) == 0:
+        raise InvalidParameterError("epsilon list is empty")
     out = []
     for eps in epsilons:
         if not (math.isfinite(eps) and eps > 0):

@@ -613,6 +613,17 @@ def test_write_ppm_equals_per_pixel_reference(tmp_path_factory, image):
     assert (out / "new.ppm").read_bytes() == (out / "ref.ppm").read_bytes()
 
 
+def render_mesh():
+    """The mesh of the render input tests: 5 x 3 nodes, clamped left."""
+    return build_rect_mesh(1.0, 0.5, 0.25, "left", None)
+
+
+def nan_last_node(n):
+    nodes = render_mesh().nodes.copy()
+    nodes[n - 1] = np.nan
+    return nodes
+
+
 class TestCli:
     def test_run_subcommand(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "cli_out"
@@ -700,7 +711,8 @@ class TestCli:
         pytest.param(["--intervals", "-3"], "n_intervals",
                      id="negative-intervals"),
         pytest.param(["--span", "nan"], "span_factor", id="nan-span"),
-        pytest.param(["--span", "0"], "span_factor", id="zero-span")])
+        pytest.param(["--span", "0"], "span_factor", id="zero-span"),
+        pytest.param(["--epsilons", ","], "epsilon", id="empty-eps")])
     def test_profile_oracle_rejects_bad_input(self, capsys, args, name):
         code = cli.main(["profile-oracle", "--epsilons", "0.05", *args])
         assert code == 2
@@ -755,23 +767,33 @@ class TestCli:
         pytest.param(0.1, [], "u has shape", {"u": lambda n: np.zeros((n, 2))},
                      id="u-without-case-axis"),
         pytest.param(0.1, [], "u has shape",
-                     {"u": lambda n: np.zeros((0, n, 2))}, id="zero-case-u")])
+                     {"u": lambda n: np.zeros((0, n, 2))}, id="zero-case-u"),
+        pytest.param(0.1, [], "nodes", {"nodes": nan_last_node},
+                     id="nan-node"),
+        pytest.param(0.1, [], "nodes", {"nodes": lambda n: np.zeros((n, 3))},
+                     id="three-column-nodes"),
+        pytest.param(0.1, [], "cell_size",
+                     {"cell_size": lambda n: np.array([0.25, 0.25])},
+                     id="two-cell-sizes"),
+        pytest.param(0.1, [], "triangles",
+                     {"triangles": lambda n: render_mesh().triangles + 0.5},
+                     id="half-integer-triangles")])
     def test_render_rejects_bad_input(self, tmp_path, u_value, args, name,
                                       bad):
         # in a child process with a timeout: a rejection that turns into a
         # hang fails here instead of stalling the suite
-        mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", None)
+        mesh = render_mesh()
         n = mesh.n_nodes
         u = np.zeros((1, n, 2))
         u[0, -1, 1] = u_value
-        arrays = dict(rho2=np.full(n, 0.5), rho3=np.full(n, 0.5),
-                      s=np.zeros((1, n)), u=u)
+        arrays = dict(nodes=mesh.nodes, triangles=mesh.triangles,
+                      dirichlet_nodes=mesh.dirichlet_nodes,
+                      target_elements=mesh.target_elements,
+                      cell_size=mesh.cell_size, rho2=np.full(n, 0.5),
+                      rho3=np.full(n, 0.5), s=np.zeros((1, n)), u=u)
         arrays.update({key: make(n) for key, make in bad.items()})
         fields = tmp_path / "final_fields.npz"
-        np.savez(fields, nodes=mesh.nodes, triangles=mesh.triangles,
-                 dirichlet_nodes=mesh.dirichlet_nodes,
-                 target_elements=mesh.target_elements,
-                 cell_size=mesh.cell_size, **arrays)
+        np.savez(fields, **arrays)
         img = tmp_path / "render.ppm"
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

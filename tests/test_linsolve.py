@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -548,8 +549,9 @@ def block_tridiagonal_spd(sizes, seed):
 
 class TestKeptInverses:
     def test_each_block_is_its_schur_complement_inverse(self):
-        # levels above 48 rows on both sides of the twist and at its
-        # neighbours, levels up to 48 rows at both ends
+        # levels above 48 rows, which _lower_inverse halves, on both sides
+        # of the twist and at its neighbours; levels up to 48 rows, its base
+        # case, at both ends
         sizes = [6, 50, 60, 4, 55, 9]
         A = block_tridiagonal_spd(sizes, seed=5)
         ptr = np.concatenate([[0], np.cumsum(sizes)])
@@ -862,22 +864,32 @@ class TestTwoSidedFactor:
 
     def test_worker_and_inline_lower_chain_agree_bytewise(self, monkeypatch):
         mesh, K, fixed, B = hexagon_factor_system()
-        threads = []
-        submit = linsolve._submit
+        threads = {}
+        eliminate = BlockCholesky._eliminate
 
-        def recorded(fn, items):
-            def step(i):
-                threads.append(threading.current_thread())
-                return fn(i)
-            return submit(step, items)
-        monkeypatch.setattr(linsolve, "_submit", recorded)
+        def recorded(self, data, i, linvs):
+            threads[i] = threading.current_thread()
+            return eliminate(self, data, i, linvs)
+        monkeypatch.setattr(BlockCholesky, "_eliminate", recorded)
         worker = factorize(mesh, K, fixed)
-        monkeypatch.setattr(linsolve, "_submit", linsolve._run_here)
+        m, last = worker.blocks.twist, len(worker.sinv) - 1
+        main = threading.main_thread()
+        assert sorted(threads) == list(range(last + 1))
+        assert all(threads[i] is main for i in range(m + 1))
+        assert all(threads[i] is not main for i in range(m + 1, last + 1))
+
+        class CallingThread:
+            """An executor that runs each submitted call at once, here."""
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+        monkeypatch.setattr(linsolve, "_worker", CallingThread())
+        threads.clear()
         inline = factorize(mesh, K, fixed)
-        last = len(worker.sinv) - 1
-        assert len(threads) == last - worker.blocks.twist
-        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            assert threading.main_thread() not in threads
+        assert sorted(threads) == list(range(last + 1))
+        assert all(thread is main for thread in threads.values())
         for a, b in zip(worker.sinv, inline.sinv):
             assert a.tobytes() == b.tobytes()
         assert worker.solve(B).tobytes() == inline.solve(B).tobytes()

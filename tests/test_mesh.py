@@ -517,6 +517,38 @@ class TestMeshValidation:
                  np.array([[0, 1, 7]]), np.array([], dtype=int),
                  np.array([], dtype=int), 1.0)
 
+    @pytest.mark.parametrize("nodes,triangles,cell_size,name", [
+        pytest.param([[0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]], 1.0, "nodes",
+                     id="nan-node"),
+        pytest.param([[0, 0], [1, 0], [np.inf, 1]], [[0, 1, 2]], 1.0, "nodes",
+                     id="inf-node"),
+        pytest.param([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], 1.0,
+                     "nodes", id="three-column-nodes"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [[0.5, 1.5, 2.5]], 1.0,
+                     "triangles", id="half-integer-triangles"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [[0, 1, np.nan]], 1.0,
+                     "triangles", id="nan-triangle"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [0, 1, 2], 1.0, "triangles",
+                     id="flat-triangles"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [1.0, 1.0],
+                     "cell_size", id="two-cell-sizes"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], np.nan,
+                     "cell_size", id="nan-cell-size"),
+        pytest.param([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], 0.0, "cell_size",
+                     id="zero-cell-size")])
+    def test_malformed_geometry_rejected(self, nodes, triangles, cell_size,
+                                         name):
+        with pytest.raises(InvalidParameterError, match=name):
+            Mesh(np.array(nodes, dtype=float), np.array(triangles),
+                 np.array([], dtype=int), np.array([], dtype=int), cell_size)
+
+    def test_whole_float_triangles_and_integer_cell_size_accepted(self):
+        mesh = Mesh(np.array([[0, 0], [1, 0], [0, 1]]),
+                    np.array([[0.0, 1.0, 2.0]]), np.array([], dtype=int),
+                    np.array([], dtype=int), np.int64(2))
+        assert mesh.triangles.dtype == np.int64 and mesh.nodes.dtype == float
+        assert type(mesh.cell_size) is float and mesh.cell_size == 2.0
+
     @pytest.mark.parametrize("target", [-1, 10 ** 6])
     def test_target_element_off_mesh_rejected(self, target):
         mesh = build_rect_mesh(1.0, 1.0, 0.25, "left", None)
