@@ -29,7 +29,7 @@ SolverFailureError), and the shipped ``hexagon_contrast5`` mesh is built
 at the same h and timed.  Prints one JSON line with the times, the CG
 iterations, the relative residual, the peak resident memory and
 ``mesh_cache_mib``: the bytes of every array held in ``Mesh.cache`` after
-the gradient step (the gradient and quadrature operators, the operator
+the gradient step (the gradient operator and the elasticity operator
 maps), read from whatever the cache holds, and ``mesh_cache_entries_mib``
 the same per cache entry (an array shared by two entries counts in the
 first).

@@ -48,10 +48,8 @@ class _Derived:
 
 def _sample(nodal, mesh, rule):
     """The k nodal arrays ``nodal`` at ``rule``'s points, (k, n_tri, nq),
-    read-only: one product with the rule's operator."""
-    X = np.stack(nodal, axis=1)                       # (n_nodes, k), C order
-    out = np.ascontiguousarray((mesh.quadrature_operator(rule) @ X).T)
-    out = out.reshape(len(nodal), mesh.n_triangles, -1)
+    read-only."""
+    out = quadrature.sample(mesh, rule, np.asarray(nodal))
     out.setflags(write=False)
     return out
 

@@ -50,8 +50,8 @@ class Mesh:
     cell_size : characteristic edge length h
     areas, grads : triangle areas and P1 shape-function gradients
     area : total area
-    cache : per-mesh derived data, filled on first use (the gradient and
-        quadrature operators; elasticity keeps its operator maps there)
+    cache : per-mesh derived data, filled on first use (the gradient
+        operator; elasticity keeps its operator maps there)
 
     Every array is read-only.
     """
@@ -73,8 +73,10 @@ class Mesh:
     def __post_init__(self):
         nodes, tris = np.asarray(self.nodes), np.asarray(self.triangles)
         cell = np.asarray(self.cell_size)
+        markers = {"dirichlet_nodes": np.asarray(self.dirichlet_nodes),
+                   "target_elements": np.asarray(self.target_elements)}
         finite = [a.dtype.kind in "iuf" and np.isfinite(a).all()
-                  for a in (nodes, tris, cell)]
+                  for a in (nodes, tris, cell, *markers.values())]
         if not (finite[0] and nodes.shape[1:] == (2,)):
             raise InvalidParameterError(
                 f"nodes must be a finite (n, 2) array, got shape {nodes.shape}")
@@ -89,8 +91,12 @@ class Mesh:
         self.nodes = np.array(nodes, dtype=float)
         self.triangles = np.array(tris, dtype=np.int64)
         self.cell_size = float(cell)
-        self.dirichlet_nodes = np.unique(np.asarray(self.dirichlet_nodes, dtype=np.int64))
-        self.target_elements = np.unique(np.asarray(self.target_elements, dtype=np.int64))
+        for ok, (name, a) in zip(finite[3:], markers.items()):
+            if not (ok and a.ndim == 1 and np.all(a == np.round(a))):
+                raise InvalidParameterError(
+                    f"{name} must be a 1-D array of whole indices, got "
+                    f"{a.dtype} of shape {a.shape}")
+            setattr(self, name, np.unique(a.astype(np.int64)))
         if self.target_elements.size and (
                 self.target_elements[0] < 0
                 or self.target_elements[-1] >= len(self.triangles)):
@@ -153,36 +159,22 @@ class Mesh:
         return self._lumped_areas
 
     def gradient_operator(self):
-        """The P1 gradient D, a (2 n_tri, n_nodes) CSR matrix built on
-        first use: row 2m + d holds d/dx_d on triangle m.  ``D @ nodal``
-        gives the per-triangle gradients of nodal fields, ``D.T`` scatters
-        element values to the nodes."""
-        return self._triangle_rows("gradient", self.grads.transpose(0, 2, 1))
-
-    def quadrature_operator(self, rule):
-        """The P1 sampling map Q of a quadrature rule with nq points, an
-        (n_tri nq, n_nodes) CSR matrix built on first use: row m nq + q
-        evaluates a nodal field at point q of triangle m.  ``Q @ nodal``
-        samples nodal fields, ``Q.T`` scatters point values to the nodes."""
-        return self._triangle_rows(
-            ("quadrature", rule),
-            np.broadcast_to(rule.points, (self.n_triangles,) + rule.points.shape))
-
-    def _triangle_rows(self, key, values):
-        """The read-only CSR matrix kept in ``cache[key]``, built on first
-        use from ``values`` (n_tri, r, 3): row m r + i holds values[m, i]
-        at the nodes of triangle m, in local-node order."""
-        if key not in self.cache:
-            m, r = values.shape[:2]
-            A = sp.csr_matrix(
-                (values.ravel(),
-                 np.repeat(self.triangles, r, axis=0).ravel().astype(np.int32),
-                 np.arange(0, 3 * m * r + 1, 3, dtype=np.int32)),
-                shape=(m * r, self.n_nodes))
-            for arr in (A.data, A.indices, A.indptr):
+        """The P1 gradient D, a (2 n_tri, n_nodes) read-only CSR matrix
+        kept in ``cache["gradient"]``, built on first use: row 2m + d holds
+        d/dx_d on triangle m at its nodes, in local-node order.  ``D @
+        nodal`` gives the per-triangle gradients of nodal fields, ``D.T``
+        scatters element values to the nodes."""
+        if "gradient" not in self.cache:
+            m = self.n_triangles
+            D = sp.csr_matrix(
+                (self.grads.transpose(0, 2, 1).ravel(),
+                 np.repeat(self.triangles, 2, axis=0).ravel().astype(np.int32),
+                 np.arange(0, 6 * m + 1, 3, dtype=np.int32)),
+                shape=(2 * m, self.n_nodes))
+            for arr in (D.data, D.indices, D.indptr):
                 arr.setflags(write=False)
-            self.cache[key] = A
-        return self.cache[key]
+            self.cache["gradient"] = D
+        return self.cache["gradient"]
 
 
 def _split_cells(n00, n10, n01, n11):
@@ -314,7 +306,7 @@ def build_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
                              cells[:, :-1, 1:], cells[:, 1:, 1:])
     # row iy = m covers edges 1, 3, 5 (outward normals at 90/210/330
     # degrees), column ix = m edges 0, 2, 4
-    dirichlet = grid[:, m] if clamp_orientation == "odd" else grid[:, :, m]
+    dirichlet = (grid[:, m] if clamp_orientation == "odd" else grid[:, :, m]).ravel()
 
     c = nodes[triangles].mean(axis=1)
     target = np.nonzero(points_in_hexagon(c, target_edge))[0]

@@ -3,10 +3,10 @@
 Points are stored as barycentric coordinates, weights sum to one; an
 integral over a physical triangle is ``area * sum_q w_q f(x_q)``.  For P1
 fields the barycentric coordinates double as shape-function values at the
-quadrature points, so the map from nodal fields to the points of a rule is
-one sparse matrix per mesh and rule, ``Mesh.quadrature_operator``: it
-samples fields, and its transpose (:func:`hat_integrals`) integrates point
-values against the hat functions.
+quadrature points, so the rule's (nq, 3) ``points`` table is all that maps
+the three corner values of a triangle to its points: :func:`sample` gathers
+the corners and applies the table, and :func:`hat_integrals` applies its
+transpose and adds the corner integrals to the nodes.
 """
 
 import numpy as np
@@ -60,6 +60,13 @@ TRI_DEG5 = TriangleRule(
 )
 
 
+def sample(mesh, rule, X):
+    """The (k, n_nodes) nodal values ``X`` at ``rule``'s points of every
+    triangle, (k, n_tri, nq): one gather of the corner values and one
+    product with the points table (in C order: numpy's fast path)."""
+    return np.take(X, mesh.triangles, axis=1) @ np.ascontiguousarray(rule.points.T)
+
+
 def hat_integrals(mesh, rule, values, scale):
     """Integrals of point values against the hat functions, one scatter
     for all k columns: the (k, n_nodes) sums over every triangle T of
@@ -67,15 +74,16 @@ def hat_integrals(mesh, rule, values, scale):
     shape (k, n_tri, nq) or (n_tri, nq).
 
     With ``scale`` the triangle areas this is  int_T v phi_a  for the
-    quadrature values v.  It is the transpose of sampling with
-    ``mesh.quadrature_operator(rule)``.
+    quadrature values v.  It is the transpose of :func:`sample`: the
+    weighted values times the points table are the corner integrals of
+    every triangle, and lane j of node a adds up at index j n + a.
     """
-    w = (scale[:, None] * rule.weights).ravel()
-    values = np.reshape(values, (-1, len(w)))
-    # the product reads its k columns from C-ordered rows, one per point
-    cols = np.empty((len(w), len(values)))
-    np.multiply(values, w, out=cols.T)
-    return (mesh.quadrature_operator(rule).T @ cols).T
+    n = mesh.n_nodes
+    w = scale[:, None] * rule.weights
+    corners = (np.reshape(values, (-1,) + w.shape) * w) @ rule.points
+    lanes = np.arange(0, len(corners) * n, n)[:, None, None] + mesh.triangles
+    return np.bincount(lanes.ravel(), corners.ravel(),
+                       minlength=len(corners) * n).reshape(-1, n)
 
 
 def element_integrals(values, rule, areas):

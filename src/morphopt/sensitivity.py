@@ -21,9 +21,9 @@ search shares its stimulus, and ``Evaluation.at_stimulus`` its design.
 
 Each gradient term sums its integrands over the load cases and the phases
 first, applies the void chain rule to the sums, and then scatters once:
-one product with the transpose of the mesh's quadrature operator
-(:func:`morphopt.quadrature.hat_integrals`) or of its gradient operator,
-with both densities, or all cases, as the columns of that product.  A
+one :func:`morphopt.quadrature.hat_integrals` or one product with the
+transpose of the mesh's gradient operator, with both densities, or all
+cases, as the lanes or columns of that scatter.  A
 gradient makes six scatters for any number of cases, seven with the link
 energy on.
 

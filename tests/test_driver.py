@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -215,6 +216,25 @@ class TestConfigParsing:
         bad = TINY_CFG.replace("count = 1\nu1 = 0.0 1.0", "count = 1")
         with pytest.raises(ConfigError, match="displacements.u1"):
             parse_config(text=bad)
+
+    @pytest.mark.parametrize("text,named", [
+        pytest.param(TINY_CFG.replace("[mesh]\nh = 0.1\n", ""),
+                     r"missing required section \[mesh\]",
+                     id="missing-section"),
+        pytest.param(TINY_CFG.replace("h = 0.1", "h = 0.1\nh = 0.2"),
+                     "option 'h' in section 'mesh'", id="repeated-key"),
+        pytest.param(TINY_CFG + "\n[mesh]\nh = 0.2\n", "section 'mesh'",
+                     id="repeated-section")])
+    def test_malformed_layout_names_its_place(self, tmp_path, capsys, text,
+                                              named):
+        with pytest.raises(ConfigError, match=named):
+            parse_config(text=text)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert cli.main(["mesh-info", "--config", str(bad)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert re.search(named, lines[0])
 
     def test_bad_scheme_rejected(self):
         bad = TINY_CFG.replace("scheme = staggered", "scheme = parallel")
@@ -777,7 +797,11 @@ class TestCli:
                      id="two-cell-sizes"),
         pytest.param(0.1, [], "triangles",
                      {"triangles": lambda n: render_mesh().triangles + 0.5},
-                     id="half-integer-triangles")])
+                     id="half-integer-triangles"),
+        pytest.param(0.1, [], "dirichlet_nodes",
+                     {"dirichlet_nodes":
+                      lambda n: render_mesh().dirichlet_nodes + 0.5},
+                     id="half-integer-dirichlet-nodes")])
     def test_render_rejects_bad_input(self, tmp_path, u_value, args, name,
                                       bad):
         # in a child process with a timeout: a rejection that turns into a

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphopt import quadrature
+from morphopt.config import load_shipped_config
 from morphopt.elasticity import assemble_stimulus_load, element_strains
 from morphopt.errors import InvalidParameterError
 from morphopt.fields import (DesignField, StimulusField,
@@ -13,6 +14,7 @@ from morphopt.materials import Material, PhaseSet, interp
 from morphopt.mesh import (_HEX_VERTS, Mesh, build_hexagon_mesh,
                            build_rect_mesh, hexagon_rotation_permutation,
                            points_in_hexagon)
+from morphopt.sensitivity import Evaluation
 
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
@@ -259,13 +261,14 @@ def reference_p1_gradient(mesh, nodal):
 
 
 def reference_at_quadrature_points(nodal, triangles, rule):
-    """The gather and matmul sampling the quadrature operator replaced:
-    a nodal P1 field at the rule's points on every triangle, (n_tri, nq)."""
+    """One nodal P1 field at the rule's points on every triangle,
+    (n_tri, nq), by a gather and a matmul: the one-field oracle of
+    quadrature.sample."""
     return np.asarray(nodal)[triangles] @ rule.points.T
 
 
 def reference_add_hat_integrals(out, triangles, values, rule, scale):
-    """The np.add.at scatter the quadrature operator replaced: add to
+    """The np.add.at scatter hat_integrals replaced: add to
     ``out`` at node a of every triangle T
     scale_T * sum_q w_q values_Tq phi_a(x_q)."""
     contrib = ((values * rule.weights) @ rule.points) * scale[:, None]
@@ -370,39 +373,7 @@ def assert_close_to_scale(actual, expected):
     assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-LAYOUT_MESHES = {
-    **{f"rect-{side}": (build_rect_mesh, (1.0, 0.5, 0.25, side, None))
-       for side in ("left", "right", "bottom", "top")},
-    **{f"hexagon-{orientation}": (build_hexagon_mesh,
-                                  (1.0, 0.25, 0.3, orientation))
-       for orientation in ("odd", "even")}}
-
-
 class TestQuadratureOperator:
-    @pytest.mark.parametrize("name", LAYOUT_MESHES)
-    def test_layout_and_cache(self, name):
-        build, args = LAYOUT_MESHES[name]
-        mesh = build(*args)
-        m = mesh.n_triangles
-        for rule in QUADRATURE_RULES:
-            nq = len(rule.weights)
-            assert ("quadrature", rule) not in mesh.cache  # built on first use
-            Q = mesh.quadrature_operator(rule)
-            assert mesh.quadrature_operator(rule) is Q
-            assert Q.shape == (m * nq, mesh.n_nodes)
-            assert Q.indices.dtype == np.int32 and Q.indptr.dtype == np.int32
-            # row m nq + q: point q of triangle m, entries in local-node order
-            assert np.array_equal(Q.indptr, np.arange(0, 3 * m * nq + 1, 3))
-            assert np.array_equal(
-                Q.indices.reshape(m, nq, 3),
-                np.broadcast_to(mesh.triangles[:, None], (m, nq, 3)))
-            assert np.array_equal(Q.data.reshape(m, nq, 3),
-                                  np.broadcast_to(rule.points, (m, nq, 3)))
-            for arr in (Q.data, Q.indices, Q.indptr):
-                assert not arr.flags.writeable
-        assert mesh.quadrature_operator(QUADRATURE_RULES[0]) is not \
-            mesh.quadrature_operator(QUADRATURE_RULES[1])
-
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(OPERATOR_MESHES, st.integers(1, 4), st.integers(0, 2 ** 16))
     def test_kernels_equal_reference(self, mesh, k, seed):
@@ -411,19 +382,19 @@ class TestQuadratureOperator:
         X = rng.normal(size=(k, n))
         for rule in QUADRATURE_RULES:
             nq = len(rule.weights)
-            sampled = (mesh.quadrature_operator(rule) @ X.T).T
+            sampled = quadrature.sample(mesh, rule, X)
+            assert sampled.shape == (k, m, nq)
             V = rng.normal(size=(k, m, nq))
             scale = mesh.areas * rng.uniform(-2.0, 2.0, m)
             scattered = quadrature.hat_integrals(mesh, rule, V, scale)
             assert scattered.shape == (k, n)
             for x, q, v, g in zip(X, sampled, V, scattered):
                 assert_close_to_scale(
-                    q.reshape(m, nq),
-                    reference_at_quadrature_points(x, tri, rule))
+                    q, reference_at_quadrature_points(x, tri, rule))
                 expected = np.zeros(n)
                 reference_add_hat_integrals(expected, tri, v, rule, scale)
                 assert_close_to_scale(g, expected)
-        # the fields sample through the same operators
+        # the fields sample through the same kernel
         for x, q in zip(X, StimulusField(X).samples(mesh)):
             assert_close_to_scale(q, reference_at_quadrature_points(
                 x, tri, quadrature.TRI_DEG4))
@@ -442,6 +413,19 @@ class TestQuadratureOperator:
         for row, avg in zip(rows, averaged):
             assert np.array_equal(avg, nodal_average_from_elements(mesh, row))
             assert_close_to_scale(avg, reference_nodal_average(mesh, row))
+
+    def test_gradient_keeps_no_quadrature_data_on_the_mesh(self):
+        # the samples and scatters read each rule's own table: after a
+        # gradient the mesh holds D and the elasticity operator map only
+        spec = load_shipped_config("cantilever_desk_staggered")
+        mesh = spec.build_mesh()
+        n, targets = mesh.n_nodes, spec.target_array()
+        Evaluation(mesh, DesignField.constant(n, 0.3, 0.3),
+                   StimulusField(np.ones((len(targets), n))), spec.phases,
+                   spec.params, targets).gradient
+        assert "gradient" in mesh.cache
+        assert all(key == "gradient" or key[0] == "operator"
+                   for key in mesh.cache), list(mesh.cache)
 
 
 class TestHexagonMesh:
@@ -548,6 +532,39 @@ class TestMeshValidation:
                     np.array([], dtype=int), np.int64(2))
         assert mesh.triangles.dtype == np.int64 and mesh.nodes.dtype == float
         assert type(mesh.cell_size) is float and mesh.cell_size == 2.0
+
+    @pytest.mark.parametrize("name,marker", [
+        pytest.param("dirichlet_nodes", lambda m: m.dirichlet_nodes + 0.5,
+                     id="half-integer-dirichlet"),
+        pytest.param("dirichlet_nodes", lambda m: m.dirichlet_nodes[:, None],
+                     id="column-dirichlet"),
+        pytest.param("dirichlet_nodes", lambda m: np.array([0.0, np.nan]),
+                     id="nan-dirichlet"),
+        pytest.param("target_elements", lambda m: m.target_elements + 0.7,
+                     id="fractional-target"),
+        pytest.param("target_elements",
+                     lambda m: m.target_elements.reshape(2, -1),
+                     id="two-dimensional-target"),
+        pytest.param("target_elements",
+                     lambda m: m.target_elements.astype(bool),
+                     id="boolean-target")])
+    def test_malformed_markers_rejected(self, name, marker):
+        # these were truncated or flattened into other valid markers
+        mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", (0.5, 0.0, 1.0, 0.5))
+        arrays = {"dirichlet_nodes": mesh.dirichlet_nodes,
+                  "target_elements": mesh.target_elements, name: marker(mesh)}
+        with pytest.raises(InvalidParameterError, match=name):
+            Mesh(mesh.nodes, mesh.triangles, cell_size=mesh.cell_size,
+                 **arrays)
+
+    def test_whole_float_markers_accepted(self):
+        mesh = build_rect_mesh(1.0, 0.5, 0.25, "left", (0.5, 0.0, 1.0, 0.5))
+        again = Mesh(mesh.nodes, mesh.triangles,
+                     mesh.dirichlet_nodes.astype(float),
+                     list(mesh.target_elements), mesh.cell_size)
+        for a, b in ((again.dirichlet_nodes, mesh.dirichlet_nodes),
+                     (again.target_elements, mesh.target_elements)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
 
     @pytest.mark.parametrize("target", [-1, 10 ** 6])
     def test_target_element_off_mesh_rejected(self, target):
