@@ -12,7 +12,9 @@ own, and where the factor keeps its inverse level blocks (``sinv``, or
 ``factor_levels``, ``factor_max_level`` and ``factor_sum_n3`` the
 number, largest size and sum of cubed sizes of the levels,
 ``factor_twist`` the level where its two elimination chains meet (null
-for a one-directional factor) and ``factor_root`` the root candidate its
+for a one-directional factor), ``factor_steps`` the number of sweep steps
+that take a pair of levels and of those that take one (null where the
+sweep goes level by level) and ``factor_root`` the root candidate its
 operator map chose (null where the map does not choose).
 ``solve_spd_ms`` is the time of the
 ``solve_spd`` call inside the state solve.  After the peak resident memory
@@ -137,13 +139,20 @@ def main():
     factor = state.factor
     blocks = getattr(factor, "sinv", getattr(factor, "linv", None))
     if blocks is not None:
-        sizes = np.diff(factor.level_ptr).astype(np.int64)
+        level_ptr = getattr(factor, "level_ptr", None)
+        if level_ptr is None:
+            level_ptr = factor.blocks.level_ptr
+        sizes = np.diff(level_ptr).astype(np.int64)
+        steps = getattr(factor.blocks, "steps", None)
         operator_map = elasticity._operator_map(mesh, fixed)
         out.update(factor_mib=_nbytes(blocks, set()) / 2 ** 20,
                    factor_levels=len(sizes),
                    factor_max_level=int(sizes.max()),
                    factor_sum_n3=int(np.sum(sizes ** 3)),
                    factor_twist=getattr(factor.blocks, "twist", None),
+                   factor_steps=None if steps is None else {
+                       "pairs": sum(len(step) == 2 for step in steps),
+                       "singles": sum(len(step) == 1 for step in steps)},
                    factor_root=getattr(operator_map, "root", None))
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
                solve_spd_ms=1e3 * solve_spd_s[0],

@@ -13,15 +13,19 @@ ends of the level sequence towards the twist level (Meurant, SIAM J.
 Matrix Anal. Appl. 13, 1992): the two chains are independent, and the
 lower one runs on a worker thread, since LAPACK and BLAS release the
 interpreter lock.  Only the inverse Schur complements S_i^{-1} are kept,
-in one buffer, so a sweep makes one dense product per level and pass; the
-sparse coupling blocks are applied on the fly, each as one take, one
-multiply and one bincount over its entries and the k lanes.  A sweep
-solves for k right-hand sides at once, so its per-level work is paid once
-for all k.  It stays in one thread: a level step takes tens of
-microseconds, too short to gain from a second thread that hands work over
-and contends for the lock at every step (a two-thread sweep measured
-slower on a 2-vCPU VM: 2.83 -> 3.59 ms for the h = 0.01 hexagon with
-k = 3, 0.84 -> 1.16 ms on the h = 1/60 desk mesh).
+in one buffer.  A sweep steps both chains in lockstep: level p and level
+N - 1 - p are independent in both passes, so when they are of one size
+their S_i^{-1} lie side by side as one (2, n, n) block, and one step makes
+one take, one multiply and one bincount over the sparse coupling entries
+of both levels and the k lanes, and one stacked (2, n, n) @ (2, n, k)
+product.  That halves the numpy calls of a sweep, whose cost they are at
+desk scale.  A sweep solves for k right-hand sides at once, so its
+per-step work is paid once for all k.  It stays in one thread: a step
+takes tens of microseconds, too short to gain from a second thread that
+hands work over and contends for the lock at every step (a two-thread
+sweep, one level per step, measured slower on a 2-vCPU VM: 2.83 -> 3.59
+ms for the h = 0.01 hexagon with k = 3, 0.84 -> 1.16 ms on the h = 1/60
+desk mesh).
 
 The conjugate-gradient loop is written out explicitly so the iteration is
 deterministic (fixed summation order) and so indefiniteness is detected
@@ -156,36 +160,52 @@ def cheapest_level_structure(indptr, indices, candidates, unknowns=1):
         unknowns * np.diff(structure[2])).sum())
 
 
-def _lower_inverse(L, out):
-    """Write the inverse of a lower-triangular L into ``out`` by halving,
+def _lower_inverse(L):
+    """The inverse of a lower-triangular L by halving in place,
     [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]:
-    above about 48 rows this beats np.linalg.inv, an LU-based inverse."""
+    above about 48 rows this beats np.linalg.inv, an LU-based inverse,
+    which gives the smaller blocks as new arrays."""
     n = len(L)
     if n <= 48:
-        out[...] = np.linalg.inv(L)
-        return
+        return np.linalg.inv(L)
     h = n // 2
-    _lower_inverse(L[:h, :h], out[:h, :h])
-    _lower_inverse(L[h:, h:], out[h:, h:])
-    out[:h, h:] = 0.0
-    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
+    L[:h, :h] = _lower_inverse(L[:h, :h])
+    L[h:, h:] = _lower_inverse(L[h:, h:])
+    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    return L
 
 
 class LevelBlocks:
-    """Where the entries of one CSR pattern land in its level blocks.
+    """Where the entries of one CSR pattern land in its level blocks, and
+    the steps in which BlockCholesky sweeps them.
 
-    ``order``/``level_ptr`` give the unknowns level by level.  For level i
-    it records the K.data positions and flat positions of the dense
-    diagonal block D_i, and the K.data positions, local rows and local
-    columns of the coupling block C_i (rows of level i + 1, columns of
-    level i).
+    ``order``/``level_ptr`` give the unknowns level by level.  ``twist`` is
+    the level m at which BlockCholesky's two elimination chains meet, and
+    ``outer[i]`` lists the adjacent levels eliminated before level i: those
+    farther from m.  m minimizes the modelled time of a factor whose chains
+    run at once, max(cost of the levels before m, cost of those after m) +
+    cost of m, each level costed by ``level_costs``; the first such level
+    wins.
 
-    ``twist`` is the level m at which BlockCholesky's two elimination
-    chains meet, and ``outer[i]`` lists the adjacent levels eliminated
-    before level i: those farther from m.  m minimizes the modelled time
-    of a factor whose chains run at once, max(cost of the levels before
-    m, cost of those after m) + cost of m, each level costed by
-    ``level_costs``; the first such level wins.  Raises
+    The sweep walks both chains in lockstep.  ``steps`` lists the levels of
+    each step: level p of the upper chain and level N - 1 - p of the lower
+    one together when they are of one size, else one after the other; then
+    one by one the levels that the longer chain has spare, and m.  ``perm``
+    orders the unknowns step by step, the row layout of the sweep; the
+    S_i^{-1} buffer holds its blocks in the same order.  ``diagonal`` gives
+    the K.data positions of all diagonal-block entries and their flat
+    positions in that buffer, ``coupling`` the K.data positions of the
+    entries below the diagonal blocks, step by step.  Each such entry
+    couples a row of the level nearer m, the target, to a column of the
+    other, the source, and belongs to the step of its target.  ``table``
+    is the int32 lane table of one right-hand side: per entry its target
+    row counted from its step's first row and its source row counted from
+    the first row of the step's sources; the backward step into those
+    sources uses it with the two rows swapped.  ``plan`` holds per step its
+    first row, its number of levels and their size, its sources' rows
+    [a, z) (None with no sources) and its entries [e0, e1).  ``links[i]``
+    holds, per level j of ``outer[i]``, the slice of the entries from j
+    into i and their flat positions in the (n_i, n_j) block C_ij.  Raises
     InvalidParameterError if the pattern couples two levels that are not
     adjacent.
     """
@@ -197,34 +217,20 @@ class LevelBlocks:
         self.order = np.asarray(order, dtype=np.int64)
         self.level_ptr = np.asarray(level_ptr, dtype=np.int64)
         sizes = np.diff(self.level_ptr)
-        pos = np.empty(n, dtype=np.int64)
+        # per entry the level and local index of its row and its column,
+        # in int32, which halves the largest arrays of the build
+        pos = np.empty(n, dtype=np.int32)
         pos[self.order] = np.arange(n)
-        level_of = np.repeat(np.arange(len(sizes)), sizes)
-        rows = pos[np.repeat(np.arange(n), np.diff(indptr))]
-        cols = pos[np.asarray(indices, dtype=np.int64)]
+        level_of = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        rows = pos[np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))]
+        cols = pos[np.asarray(indices)]
         lr, lc = level_of[rows], level_of[cols]
         if np.any(np.abs(lr - lc) > 1):
             raise InvalidParameterError(
                 "ordering is not block tridiagonal for this pattern")
-        rows -= self.level_ptr[lr]
-        cols -= self.level_ptr[lc]
-
-        diag = np.flatnonzero(lr == lc)
-        diag = diag[np.argsort(lr[diag], kind="stable")]
-        dptr = np.searchsorted(lr[diag], np.arange(len(sizes) + 1))
-        flat = rows[diag] * sizes[lr[diag]] + cols[diag]
-        diag, flat = diag.astype(np.int32), flat.astype(np.int32)
-        self.diagonal = [(diag[a:b], flat[a:b])
-                         for a, b in zip(dptr[:-1], dptr[1:])]
-
-        # below the diagonal: the triplets of each coupling block
-        low = np.flatnonzero(lr == lc + 1)
-        low = low[np.argsort(lc[low], kind="stable")]
-        lptr = np.searchsorted(lc[low], np.arange(len(sizes)))
-        low, rows, cols = (v.astype(np.int32) for v in (low, rows[low], cols[low]))
-        self.coupling = [(low[a:b], rows[a:b], cols[a:b])
-                         for a, b in zip(lptr[:-1], lptr[1:])]
-        self._lanes = {1: [(rows, cols) for _, rows, cols in self.coupling]}
+        ptr = self.level_ptr.astype(np.int32)
+        rows -= ptr[lr]
+        cols -= ptr[lc]
 
         last = len(sizes) - 1
         cost = level_costs(sizes)
@@ -235,15 +241,74 @@ class LevelBlocks:
                        if 0 <= j <= last and abs(j - m) > abs(i - m)]
                       for i in range(last + 1)]
 
+        upper, lower = range(m), range(last, m, -1)
+        self.steps = []
+        for i, j in zip(upper, lower):
+            self.steps += [(i, j)] if sizes[i] == sizes[j] else [(i,), (j,)]
+        pairs = min(len(upper), len(lower))
+        self.steps += [(i,) for i in (*upper[pairs:], *lower[pairs:], m)]
+        seq = np.array([i for step in self.steps for i in step])
+        start = np.empty(last + 1, dtype=np.int64)   # first row of level i
+        start[seq] = np.cumsum(sizes[seq]) - sizes[seq]
+        self.perm = np.empty(n, dtype=np.int64)
+        self.perm[start[level_of] + np.arange(n)
+                  - self.level_ptr[level_of]] = self.order
+
+        squares = sizes ** 2
+        offset = np.empty(last + 1, dtype=np.int64)
+        offset[seq] = np.cumsum(squares[seq]) - squares[seq]
+        diag = np.flatnonzero(lr == lc)
+        low = np.flatnonzero(lr == lc + 1)        # rows c + 1, columns c
+        level = lr[diag]
+        self.diagonal = (diag.astype(np.int32), (
+            offset[level] + rows[diag] * sizes[level] + cols[diag]).astype(
+                np.int32 if squares.sum() < 2 ** 31 else np.int64))
+
+        # from here only the entries below the diagonal blocks: each couples
+        # a row of its level nearer m, the target, to a column of the other,
+        # the source; sorted by step, target and source, then in CSR order
+        c = lc[low]
+        up = c < m                                # c + 1 is the target
+        rows, cols = (np.where(up, rows[low], cols[low]),
+                      np.where(up, cols[low], rows[low]))
+        del lr, lc, diag, level
+        block = 2 * c + 1 + up              # 2 target + (source > target)
+        sort = np.argsort(2 * start[c + up] + 1 - up, kind="stable")
+        self.coupling = low[sort].astype(np.int32)
+        counts = np.bincount(block, minlength=2 * last + 2)
+        # per entry its flat position in C_ij, (n_i, n_j); per block where
+        # its target and source levels start among the rows of its step and
+        # of the step's sources
+        flat = (rows * sizes[c + 1 - up] + cols)[sort].astype(np.int32)
+        offsets = np.zeros((2, 2 * last + 2), dtype=np.int64)
+        self.links, self.plan, e = [[] for _ in sizes], [], 0
+        for step in self.steps:
+            r0, e0 = int(start[step[0]]), e
+            js = [j for i in step for j in self.outer[i]]
+            src = ((int(min(start[js])), int(max(start[js] + sizes[js])))
+                   if js else None)
+            for i in step:
+                for j in self.outer[i]:
+                    b = 2 * i + (j > i)
+                    offsets[:, b] = start[i] - r0, start[j] - src[0]
+                    entries = slice(e, e + counts[b])
+                    self.links[i].append((entries, flat[entries]))
+                    e += counts[b]
+            self.plan.append((r0, len(step), int(sizes[step[0]]), src, e0, e))
+        self.table = np.empty((2, len(low)), dtype=np.int32)
+        self.table[0] = (rows + offsets[0, block])[sort]
+        self.table[1] = (cols + offsets[1, block])[sort]
+        self._lanes = {1: [self.table[:, e0:e] for *_, e0, e in self.plan]}
+
     def lanes(self, k):
-        """Per coupling block, the bincount targets of its rows and of its
-        columns for k right-hand sides stored row-major (local row i, lane
-        l -> i k + l); built once per k."""
+        """Per step its lane table for k right-hand sides stored row-major
+        (row r, lane l -> r k + l): the step's columns of ``table`` with
+        each row r as r k + l, one column per entry and lane; built once
+        per k."""
         if k not in self._lanes:
             lane = np.arange(k, dtype=np.int32)
-            self._lanes[k] = [((rows[:, None] * k + lane).ravel(),
-                               (cols[:, None] * k + lane).ravel())
-                              for _, rows, cols in self.coupling]
+            self._lanes[k] = [(self.table[:, e0:e, None] * k + lane
+                               ).reshape(2, -1) for *_, e0, e in self.plan]
         return self._lanes[k]
 
     @classmethod
@@ -286,15 +351,18 @@ class BlockCholesky:
     S_0 = D_0, S_i = D_i - C_{i-1} S_{i-1}^{-1} C_{i-1}^T runs for i < m in
     the calling thread, the lower chain S_{N-1} = D_{N-1},
     S_i = D_i - C_i^T S_{i+1}^{-1} C_i for i > m on the worker thread, and
-    S_m takes both updates last.  Every level is eliminated alike: L_i =
-    chol(S_i) and its halving inverse give ``sinv[i]`` = S_i^{-1} =
-    L_i^{-T} L_i^{-1}, symmetric to the bit, and the Schur update W W^T,
-    W = C_ji L_i^{-T}, of the next level j.  ``solve`` sweeps forward from
-    both ends into m, then back outwards, one product with S_i^{-1} per
-    level and pass.  A breakdown of chol(S_i) raises MatrixNotSPDError
-    naming the level once both chains have stopped.  A of another sparse
-    format, or a CSR with unsorted or duplicate entries, is factored in
-    its canonical CSR form.
+    S_m takes both updates last.  One scatter puts every D_i into the
+    buffer of the S_i^{-1}, laid out by ``blocks.steps``, and one gather
+    takes all coupling values.  Every level is eliminated alike: S_i is
+    formed in place, and L_i = chol(S_i) and its halving inverse give
+    ``sinv[i]`` = S_i^{-1} = L_i^{-T} L_i^{-1}, symmetric to the bit, and
+    the Schur update W W^T, W = C_ji L_i^{-T}, of the next level j.
+    ``solve`` sweeps forward from both ends into m, then back outwards,
+    step by step: one gather, multiply and bincount for the coupling of
+    all the step's levels and one stacked product with their S_i^{-1}.  A
+    breakdown of chol(S_i) raises MatrixNotSPDError naming the level once
+    both chains have stopped.  A of another sparse format, or a CSR with
+    unsorted or duplicate entries, is factored in its canonical CSR form.
     """
 
     def __init__(self, A, blocks=None):
@@ -303,26 +371,31 @@ class BlockCholesky:
         if A.shape != (blocks.n, blocks.n) or A.nnz != blocks.nnz:
             raise InvalidParameterError("level blocks built for another pattern")
         self.blocks = blocks
-        self.order, self.level_ptr = blocks.order, blocks.level_ptr
-        sizes = np.diff(self.level_ptr)
+        sizes = np.diff(blocks.level_ptr)
         last, m = len(sizes) - 1, blocks.twist
         # every S_i^{-1} in one buffer of this thread, so the worker's
-        # allocator arena holds only its temporaries
-        ends = np.cumsum(sizes ** 2)
-        buffer = np.empty(ends[-1])
-        self.sinv = [buffer[e - n * n:e].reshape(n, n)
-                     for n, e in zip(sizes, ends)]
-        # coupling block i as (rows, columns, values); the sweep takes the
-        # values repeated per lane, built once per number of lanes k
-        self.coupling = [(rows, cols, A.data[src])
-                         for src, rows, cols in blocks.coupling]
-        self._lane_values = {1: [vals for _, _, vals in self.coupling]}
+        # allocator arena holds only its temporaries; the stacked levels
+        # of a step side by side
+        ends = np.cumsum([len(step) * sizes[step[0]] ** 2
+                          for step in blocks.steps])
+        buffer = np.zeros(ends[-1])
+        src, dst = blocks.diagonal
+        buffer[dst] = A.data[src]
+        self._stacked = [part.reshape(len(step), sizes[step[0]], -1)
+                         for step, part in zip(blocks.steps,
+                                               np.split(buffer, ends[:-1]))]
+        self.sinv = [None] * len(sizes)
+        for step, stacked in zip(blocks.steps, self._stacked):
+            for i, block in zip(step, stacked):
+                self.sinv[i] = block
+        self.values = A.data[blocks.coupling]
+        self._sweeps = {}
 
         def chain(levels):
             # each level's L_i^{-1} goes to the next level only
             linvs = []
             for i in levels:
-                linvs = [self._eliminate(A.data, i, linvs)]
+                linvs = [self._eliminate(self.values, i, linvs)]
             return linvs
 
         lower = _worker.submit(chain, range(last, m, -1))
@@ -330,71 +403,70 @@ class BlockCholesky:
             upper = chain(range(m))
         finally:
             wait([lower])
-        self._eliminate(A.data, m, upper + lower.result())
+        self._eliminate(self.values, m, upper + lower.result())
 
-    def _eliminate(self, data, i, linvs):
+    def _eliminate(self, values, i, linvs):
         """L_i^{-1} of S_i = D_i - sum_j W_j W_j^T, W_j = C_ij L_j^{-T}, with
-        ``linvs`` the L_j^{-1} of the levels j of ``blocks.outer[i]``;
-        keeps S_i^{-1} = L_i^{-T} L_i^{-1} in ``sinv[i]``."""
-        src, flat = self.blocks.diagonal[i]
+        ``values`` the coupling values in ``blocks.coupling`` order and
+        ``linvs`` the L_j^{-1} of the levels j of ``blocks.outer[i]``; forms
+        S_i over D_i in ``sinv[i]`` and leaves S_i^{-1} = L_i^{-T} L_i^{-1}
+        there."""
         out = self.sinv[i]
-        n = len(out)
-        S = np.zeros(n * n)
-        S[flat] = data[src]
-        S = S.reshape(n, n)
-        for j, linv in zip(self.blocks.outer[i], linvs):
-            rows, cols, vals = self.coupling[min(i, j)]
-            if j > i:
-                rows, cols = cols, rows
-            C = np.zeros((n, len(linv)))
-            C[rows, cols] = vals
+        for linv, (entries, flat) in zip(linvs, self.blocks.links[i]):
+            C = np.zeros((len(out), len(linv)))
+            C.put(flat, values[entries])
             W = C @ linv.T                       # C_ij L_j^{-T}
-            S -= W @ W.T
+            out -= W @ W.T
         try:
-            L = np.linalg.cholesky(S)
+            L = np.linalg.cholesky(out)
         except np.linalg.LinAlgError as exc:
             raise MatrixNotSPDError(
                 f"block Cholesky broke down in level {i}: {exc}") from None
-        _lower_inverse(L, L)
+        L = _lower_inverse(L)
         np.matmul(L.T, L, out=out)        # syrk: symmetric to the bit
         return L
 
     def solve(self, b):
         """A^{-1} b up to rounding, for b of shape (n,) or (n, k)."""
         k = 1 if b.ndim == 1 else b.shape[1]
-        lanes = self.blocks.lanes(k)
-        if k not in self._lane_values:
-            self._lane_values[k] = [np.repeat(vals, k)
-                                    for vals in self._lane_values[1]]
-        values = self._lane_values[k]
-        bp = b[self.order].reshape(-1, k)
+        if k not in self._sweeps:
+            # per step its rows, stacked shape, sources, lanes and values
+            values = self.values if k == 1 else np.repeat(self.values, k)
+            self._sweeps[k] = [
+                (k * r0, k * (r0 + levels * rows), (levels, rows, k),
+                 None if src is None else (k * src[0], k * src[1]),
+                 lane, values[k * e0:k * e], stacked)
+                for (r0, levels, rows, src, e0, e), lane, stacked
+                in zip(self.blocks.plan, self.blocks.lanes(k), self._stacked)]
+        steps = self._sweeps[k]
+        bp = b[self.blocks.perm].reshape(-1)     # row-major: r k + l
         u = np.empty_like(bp)
-        flat = u.reshape(-1)                     # u row-major: i k + l
-        ptr = self.level_ptr.tolist()           # Python ints index faster
-        m, outer = self.blocks.twist, self.blocks.outer
-        last = len(outer) - 1
 
-        def coupled(i, j):
-            # C_ij u_j: level j's term in the equations of level i, one
-            # product per entry and lane, summed in entry order
-            c = min(i, j)
-            rows, cols = lanes[c]
-            src, dst = (cols, rows) if j < i else (rows, cols)
-            terms = flat[ptr[j] * k:ptr[j + 1] * k].take(src) * values[c]
-            return np.bincount(dst, terms,
-                               minlength=len(self.sinv[i]) * k).reshape(-1, k)
-
-        # forward from both ends into m, then back outwards from m
-        for i in [*range(m), *range(last, m - 1, -1)]:
-            r = bp[ptr[i]:ptr[i + 1]]
-            for j in outer[i]:
-                r = r - coupled(i, j)
-            u[ptr[i]:ptr[i + 1]] = self.sinv[i] @ r
-        for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
-            v = coupled(i, i + 1 if i < m else i - 1)
-            u[ptr[i]:ptr[i + 1]] -= self.sinv[i] @ v
-        x = np.empty_like(u)
-        x[self.order] = u
+        # forward from both ends into m: r = b - C u over the step's
+        # sources, one product with the stacked S_i^{-1}
+        for r0, r1, shape, src, lanes, vals, stacked in steps:
+            r = bp[r0:r1]
+            if src is not None:
+                terms = u[src[0]:src[1]].take(lanes[1]) * vals
+                r -= np.bincount(lanes[0], terms, minlength=r1 - r0)
+            np.matmul(stacked, r.reshape(shape), out=u[r0:r1].reshape(shape))
+        # back outwards from m: each step's levels take the terms its inner
+        # step left in v, then leave C^T u in v for their sources.  m comes
+        # first, and the rows of its sources' range that are not its
+        # sources are written again by their own inner steps.  v takes the
+        # place of b, which the forward pass has read
+        v = bp
+        for s, (r0, r1, shape, src, lanes, vals, stacked) in enumerate(
+                reversed(steps)):
+            if s:
+                w = u[r0:r1].reshape(shape)
+                w -= stacked @ v[r0:r1].reshape(shape)
+            if src is not None:
+                terms = u[r0:r1].take(lanes[0]) * vals
+                v[src[0]:src[1]] = np.bincount(lanes[1], terms,
+                                               minlength=src[1] - src[0])
+        x = np.empty((len(bp) // k, k))
+        x[self.blocks.perm] = u.reshape(-1, k)
         return x.reshape(b.shape)
 
 

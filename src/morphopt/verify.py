@@ -45,8 +45,12 @@ def fd_gradient_check(mesh, phases, params, targets, trials=20, delta=1e-6,
     ``corrupt="link"`` scales the link energy's share of the design
     derivative by 1.01; a sound harness must detect either (error above
     1e-5).  ``trials`` must be at least 1 and ``delta`` finite and positive,
-    so the check can never pass without comparing a difference quotient.
+    so the check can never pass without comparing a difference quotient,
+    and ``seed`` a non-negative whole number.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameterError(
+            f"seed must be a non-negative whole number, got {seed!r}")
     if not trials >= 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials!r}")
     if not (np.isfinite(delta) and delta > 0):

@@ -690,7 +690,7 @@ class TestCli:
 
     @pytest.mark.parametrize("arg", [
         "--trials=0", "--trials=-3", "--delta=0", "--delta=-1e-6",
-        "--delta=inf", "--delta=nan"])
+        "--delta=inf", "--delta=nan", "--seed=-1"])
     def test_check_gradient_cannot_pass_vacuously(self, capsys, arg):
         code = cli.main(["check-gradient", "--h", "0.1", arg])
         assert code == 2

@@ -454,40 +454,70 @@ class CountedOperator:
         return self.A @ v
 
 
-def reference_sweep(factor, b):
-    """The sweep whose coupling step gathers (nnz, k) rows of u, multiplies
-    them by the values broadcast over k and bincounts the ravelled
-    products, one product with S_i^{-1} per level and pass: the oracle of
-    BlockCholesky.solve."""
+def reference_sweep(factor, A, b):
+    """The lockstep sweep rebuilt from A's lower triangle and the steps of
+    ``factor.blocks``: each coupling step gathers (entries, k) rows of u,
+    multiplies them by the values broadcast over k and bincounts the
+    ravelled products, the entries of a step's levels in the order of its
+    levels and of their outer levels, each block's in CSR order; each step
+    then takes one product with its levels' S_i^{-1} stacked.  Backward,
+    each level bincounts the terms from its inner level on its own: the
+    oracle of BlockCholesky.solve."""
+    blocks = factor.blocks
     k = 1 if b.ndim == 1 else b.shape[1]
-    lanes = factor.blocks.lanes(k)
-    bp = b[factor.order].reshape(-1, k)
-    u = np.empty_like(bp)
-    ptr = factor.level_ptr.tolist()
-    m, outer = factor.blocks.twist, factor.blocks.outer
-    last = len(outer) - 1
+    ptr, m, outer = blocks.level_ptr, blocks.twist, blocks.outer
+    level = np.empty(blocks.n, dtype=np.int64)
+    level[blocks.order] = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    local = np.empty(blocks.n, dtype=np.int64)
+    local[blocks.order] = np.arange(blocks.n) - ptr[level[blocks.order]]
+    rows = np.repeat(np.arange(blocks.n), np.diff(A.indptr))
+    lane = np.arange(k)
 
-    def coupled(i, j):
-        if j < i:
-            _, gather, vals = factor.coupling[j]
-            lane = lanes[j][0]
-        else:
-            gather, _, vals = factor.coupling[i]
-            lane = lanes[i][1]
-        return np.bincount(
-            lane, (vals[:, None] * u[ptr[j]:ptr[j + 1]][gather]).ravel(),
-            minlength=len(factor.sinv[i]) * k).reshape(-1, k)
+    def entries(i, j):
+        # C_ij as (rows of level i, columns of level j, values)
+        hi, lo = max(i, j), min(i, j)
+        sel = (level[rows] == hi) & (level[A.indices] == lo)
+        r, c = local[rows[sel]], local[A.indices[sel]]
+        return (r, c, A.data[sel]) if i > j else (c, r, A.data[sel])
 
-    for i in [*range(m), *range(last, m - 1, -1)]:
-        r = bp[ptr[i]:ptr[i + 1]]
-        for j in outer[i]:
-            r = r - coupled(i, j)
-        u[ptr[i]:ptr[i + 1]] = factor.sinv[i] @ r
-    for i in [*range(m - 1, -1, -1), *range(m + 1, last + 1)]:
-        v = coupled(i, i + 1 if i < m else i - 1)
-        u[ptr[i]:ptr[i + 1]] -= factor.sinv[i] @ v
-    x = np.empty_like(u)
-    x[factor.order] = u
+    def bincount(pairs, length):
+        # sum of C_ij u_j over (i's row offset, i, j) in order
+        targets, terms = [], []
+        for offset, i, j in pairs:
+            r, c, vals = entries(i, j)
+            targets.append(((offset + r)[:, None] * k + lane).ravel())
+            terms.append((vals[:, None] * u[j][c]).ravel())
+        return np.bincount(np.concatenate(targets), np.concatenate(terms),
+                           minlength=length * k).reshape(-1, k)
+
+    def stacked(step, r):
+        n = len(factor.sinv[step[0]])
+        S = np.stack([factor.sinv[i] for i in step])
+        return (S @ r.reshape(len(step), n, k)).reshape(-1, k)
+
+    B = b.reshape(-1, k)
+    u = {}
+    for step in blocks.steps:
+        sizes = [ptr[i + 1] - ptr[i] for i in step]
+        offsets = np.cumsum([0] + sizes)
+        r = np.concatenate([B[blocks.order[ptr[i]:ptr[i + 1]]] for i in step])
+        pairs = [(o, i, j) for o, i in zip(offsets, step) for j in outer[i]]
+        if pairs:
+            r = r - bincount(pairs, offsets[-1])
+        x = stacked(step, r)
+        for o, n, i in zip(offsets, sizes, step):
+            u[i] = x[o:o + n]
+    for step in blocks.steps[-2::-1]:
+        v = np.concatenate([bincount([(0, i, i + 1 if i < m else i - 1)],
+                                     ptr[i + 1] - ptr[i]) for i in step])
+        x = np.concatenate([u[i] for i in step]) - stacked(step, v)
+        o = 0
+        for i in step:
+            u[i] = x[o:o + len(u[i])]
+            o += len(u[i])
+    x = np.empty_like(B)
+    for i in range(len(ptr) - 1):
+        x[blocks.order[ptr[i]:ptr[i + 1]]] = u[i]
     return x.reshape(b.shape)
 
 
@@ -519,9 +549,27 @@ class TestOneSweepPerCertifiedSolve:
     @pytest.mark.parametrize("name", ["desk", "hexagon"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_sweep_equals_reference_bytewise(self, name, k):
-        _, factor, B = clamped_system(SYSTEMS[name](), 19, 3)
+        K, factor, B = clamped_system(SYSTEMS[name](), 19, 3)
         b = B[:, 0] if k == 1 else B
-        assert np.array_equal(factor.solve(b), reference_sweep(factor, b))
+        assert np.array_equal(factor.solve(b), reference_sweep(factor, K, b))
+
+    @pytest.mark.parametrize("name, pairs, steps", [("desk", 30, 60),
+                                                    ("hexagon", 35, 70)])
+    def test_one_coupling_step_per_step_and_pass(self, name, pairs, steps,
+                                                 monkeypatch):
+        # every level pair is of one size: the pairs, then the twist
+        _, factor, B = clamped_system(SYSTEMS[name](), 23, 3)
+        assert factor.blocks.steps[-1] == (factor.blocks.twist,)
+        assert [len(step) for step in factor.blocks.steps] == [2] * pairs + [1]
+        calls = []
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return bincount(*args, **kwargs)
+        monkeypatch.setattr(np, "bincount", counted)
+        factor.solve(B)
+        assert len(calls) == steps
 
     @pytest.mark.parametrize("n", [2562, 7562])
     def test_column_dots_are_one_column_sums(self, n):
@@ -569,6 +617,33 @@ class TestKeptInverses:
             assert np.array_equal(kept, kept.T)
             np.testing.assert_allclose(kept, ref, rtol=0,
                                        atol=1e-14 * np.abs(ref).max())
+
+
+class TestRaggedSteps:
+    """Level structures whose chains do not pair up level for level."""
+
+    @pytest.mark.parametrize("sizes, steps", [
+        # no pair of one size; the upper chain has level 2 spare
+        ([6, 50, 60, 4, 55, 9], [(0,), (5,), (1,), (4,), (2,), (3,)]),
+        # three pairs of one size; the lower chain has level 4 spare, so the
+        # twist's sources 2 and 4 enclose level 5, as at h = 2e-3
+        ([4, 6, 8, 10, 10, 8, 6, 4], [(0, 7), (1, 6), (2, 5), (4,), (3,)]),
+        # the lower chain has levels 4 and 3 spare, outermost first
+        ([80, 6, 6, 6, 6, 6, 6], [(0,), (6,), (1, 5), (4,), (3,), (2,)])],
+        ids=["unequal-pairs", "lower-chain-longer", "two-spare-levels"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ragged_structure_solves(self, sizes, steps, k):
+        A = block_tridiagonal_spd(sizes, seed=7)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = LevelBlocks(A.indptr, A.indices, np.arange(ptr[-1]), ptr)
+        assert blocks.steps == steps
+        factor = BlockCholesky(A, blocks)
+        b = np.random.default_rng(k).normal(size=(ptr[-1], k))
+        b = b[:, 0] if k == 1 else b
+        x = factor.solve(b)
+        dense = np.linalg.solve(A.toarray(), b)
+        assert np.max(np.abs(x - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.array_equal(x, reference_sweep(factor, A, b))
 
 
 def reference_operator(mesh, wmu, wlam, fixed_dofs):
