@@ -5,26 +5,19 @@
 Builds the shipped ``cantilever_staggered`` mesh, takes the 0.3/0.3 initial
 design with a uniform stimulus of 1 (a nonzero load), and times the mesh
 build, the first stiffness assembly (which builds any per-mesh data), a
-second assembly and one ``solve_state``.  When the library has
-``elasticity.factorize`` the factorization inside the solve is timed on its
-own, and where the factor keeps its inverse level blocks (``sinv``, or
-``linv`` in older trees), ``factor_mib`` gives their bytes,
-``factor_levels``, ``factor_max_level`` and ``factor_sum_n3`` the
-number, largest size and sum of cubed sizes of the levels,
-``factor_twist`` the level where its two elimination chains meet (null
-for a one-directional factor), ``factor_steps`` the number of sweep steps
-that take a pair of levels and of those that take one (null where the
-sweep goes level by level) and ``factor_root`` the root candidate its
-operator map chose (null where the map does not choose).
-``solve_spd_ms`` is the time of the
-``solve_spd`` call inside the state solve.  After the peak resident memory
-is read, ``sweep_ms`` gives the median of five one-column (``k1``) and
-five three-column (``k3``) sweeps of the factor (its ``solve``, where it
-has one) on random loads zero at the fixed dofs, and ``factor_ms`` the
-median of five more factorizations of the same operator (where
-``elasticity.factorize`` exists; ``factor_s`` times only the one inside
-the solve); then
-the gradient of one ``sensitivity.Evaluation`` on the same design,
+second assembly and one ``solve_state``.  The factorization inside the
+solve is timed on its own (``factor_s``); ``factor_mib`` gives the bytes
+of the factor's inverse level blocks ``sinv``, ``factor_levels``,
+``factor_max_level`` and ``factor_sum_n3`` the number, largest size and
+sum of cubed sizes of the levels, ``factor_twist`` the level where its two
+elimination chains meet, ``factor_steps`` the number of sweep steps that
+take a pair of levels and of those that take one, and ``factor_root`` the
+root candidate its operator map chose.  ``solve_spd_ms`` is the time of
+the ``solve_spd`` call inside the state solve.  After the peak resident
+memory is read, ``sweep_ms`` gives the median of five one-column
+(``k1``) and five three-column (``k3``) sweeps of the factor on random
+loads zero at the fixed dofs, and ``factor_ms`` the median of five more
+factorizations of the same operator; then the gradient of one ``sensitivity.Evaluation`` on the same design,
 operator and factor is timed (adjoint solve and both gradient kernels;
 ``gradient_error`` holds the message when the adjoint solve raises
 SolverFailureError), and the shipped ``hexagon_contrast5`` mesh is built
@@ -41,7 +34,6 @@ comparable numbers.
 """
 
 import argparse
-import inspect
 import json
 import resource
 import sys
@@ -115,70 +107,57 @@ def main():
         return result
     elasticity.solve_spd = counted
     factor_s = []
-    if hasattr(elasticity, "factorize"):
-        factorize = elasticity.factorize
+    factorize = elasticity.factorize
 
-        def timed(*a, **kw):
-            t = time.perf_counter()
-            result = factorize(*a, **kw)
-            factor_s.append(time.perf_counter() - t)
-            return result
-        elasticity.factorize = timed
+    def timed(*a, **kw):
+        t = time.perf_counter()
+        result = factorize(*a, **kw)
+        factor_s.append(time.perf_counter() - t)
+        return result
+    elasticity.factorize = timed
     t3 = time.perf_counter()
     state = elasticity.solve_state(mesh, design, spec.phases, stim,
                                    operator=K)
     t4 = time.perf_counter()
-    if "s_j" in inspect.signature(elasticity.assemble_stimulus_load).parameters:
-        f = elasticity.assemble_stimulus_load(mesh, design, spec.phases,
-                                              stim.s[0])
-    else:
-        f = elasticity.assemble_stimulus_load(mesh, design, spec.phases,
-                                              stim)[:, 0]
+    f = elasticity.assemble_stimulus_load(mesh, design, spec.phases,
+                                          stim)[:, 0]
     f[fixed] = 0.0
     u = state.u[0].ravel()
     factor = state.factor
-    blocks = getattr(factor, "sinv", getattr(factor, "linv", None))
-    if blocks is not None:
-        level_ptr = getattr(factor, "level_ptr", None)
-        if level_ptr is None:
-            level_ptr = factor.blocks.level_ptr
-        sizes = np.diff(level_ptr).astype(np.int64)
-        steps = getattr(factor.blocks, "steps", None)
-        operator_map = elasticity._operator_map(mesh, fixed)
-        out.update(factor_mib=_nbytes(blocks, set()) / 2 ** 20,
-                   factor_levels=len(sizes),
-                   factor_max_level=int(sizes.max()),
-                   factor_sum_n3=int(np.sum(sizes ** 3)),
-                   factor_twist=getattr(factor.blocks, "twist", None),
-                   factor_steps=None if steps is None else {
-                       "pairs": sum(len(step) == 2 for step in steps),
-                       "singles": sum(len(step) == 1 for step in steps)},
-                   factor_root=getattr(operator_map, "root", None))
-    out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s) or None,
+    sizes = np.diff(factor.blocks.level_ptr).astype(np.int64)
+    steps = factor.blocks.steps
+    out.update(factor_mib=_nbytes(factor.sinv, set()) / 2 ** 20,
+               factor_levels=len(sizes),
+               factor_max_level=int(sizes.max()),
+               factor_sum_n3=int(np.sum(sizes ** 3)),
+               factor_twist=factor.blocks.twist,
+               factor_steps={
+                   "pairs": sum(len(step) == 2 for step in steps),
+                   "singles": sum(len(step) == 1 for step in steps)},
+               factor_root=elasticity._operator_map(mesh, fixed).root)
+    out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s),
                solve_spd_ms=1e3 * solve_spd_s[0],
                cg_iterations=len(iters),
                relative_residual=float(np.linalg.norm(K @ u - f)
                                        / np.linalg.norm(f)),
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                / 1024.0)
-    if hasattr(factor, "solve"):
-        B = np.random.default_rng(0).normal(size=(K.shape[0], 3))
-        B[fixed] = 0.0
-        out["sweep_ms"] = {}
-        for k in (1, 3):
-            times = []
-            for _ in range(5):
-                t = time.perf_counter()
-                factor.solve(B[:, :k])
-                times.append(time.perf_counter() - t)
-            out["sweep_ms"][f"k{k}"] = 1e3 * float(np.median(times))
-    if factor_s:
+    B = np.random.default_rng(0).normal(size=(K.shape[0], 3))
+    B[fixed] = 0.0
+    out["sweep_ms"] = {}
+    for k in (1, 3):
         times = []
         for _ in range(5):
             t = time.perf_counter()
-            factorize(mesh, K, fixed)
+            factor.solve(B[:, :k])
             times.append(time.perf_counter() - t)
-        out["factor_ms"] = 1e3 * float(np.median(times))
+        out["sweep_ms"][f"k{k}"] = 1e3 * float(np.median(times))
+    times = []
+    for _ in range(5):
+        t = time.perf_counter()
+        factorize(mesh, K, fixed)
+        times.append(time.perf_counter() - t)
+    out["factor_ms"] = 1e3 * float(np.median(times))
     evaluation = sensitivity.Evaluation(
         mesh, design, stim, spec.phases, spec.params, spec.target_array(),
         operator=K, factor=state.factor)

@@ -62,6 +62,8 @@ def _cmd_check_gradient(args):
     else:
         # the desk cantilever at cell size h, interface width 2h, then --override
         h = args.h
+        if not 0 < h < np.inf:
+            raise MorphoptError(f"--h must be finite and > 0, got {h!r}")
         spec = load_shipped_config("cantilever_desk_staggered", overrides=[
             f"mesh.h={h!r}", f"regularization.epsilon={2 * h!r}",
             *(args.override or ())])
@@ -208,7 +210,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MorphoptError as exc:
+    except (MorphoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

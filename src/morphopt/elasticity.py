@@ -75,7 +75,7 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs):
     mats = phases.as_tuple()
     wmu = sum(abar[i] * mats[i].lame_mu for i in range(3))           # (M,)
     wlam = sum(abar[i] * mats[i].lame_lambda for i in range(3))
-    return _assemble_isotropic(mesh, wmu, wlam, fixed_dofs)
+    return _operator_map(mesh, fixed_dofs).assemble(wmu, wlam)
 
 
 class _OperatorMap:
@@ -171,11 +171,6 @@ def _operator_map(mesh, fixed_dofs):
     if key not in mesh.cache:
         mesh.cache[key] = _OperatorMap(mesh, fixed_dofs)
     return mesh.cache[key]
-
-
-def _assemble_isotropic(mesh, wmu, wlam, fixed_dofs):
-    """CSR operator with the per-element integrated Lame weights (wmu, wlam)."""
-    return _operator_map(mesh, fixed_dofs).assemble(wmu, wlam)
 
 
 def factorize(mesh, K, fixed_dofs):
@@ -279,9 +274,8 @@ def assemble_link_operator(mesh, design):
     r2q, r3q = design.samples(mesh)
     kbar = quadrature.element_integrals(link_stiffness(r2q + r3q),
                                         quadrature.TRI_DEG4, mesh.areas)
-    return _assemble_isotropic(mesh, kbar * LINK_MATERIAL.lame_mu,
-                               kbar * LINK_MATERIAL.lame_lambda,
-                               mesh.dirichlet_dofs())
+    return _operator_map(mesh, mesh.dirichlet_dofs()).assemble(
+        kbar * LINK_MATERIAL.lame_mu, kbar * LINK_MATERIAL.lame_lambda)
 
 
 def link_loads(mesh, targets):

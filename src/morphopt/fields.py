@@ -6,9 +6,9 @@ array, case axis first, like the (n_cases, n_nodes) stimuli.  Target
 displacements are one 2-vector per load case.
 
 A field holds read-only copies of its arrays, so what is derived from them
-on a mesh (the quadrature samples every kernel reads, the perimeter
-integrals) is computed once and kept on the field: it lives and dies with
-the field, and every evaluation that shares the field shares it.
+on a mesh (quadrature samples, gradients, squares, perimeter integrals) is
+computed once and kept on the field, read-only: it lives and dies with the
+field, and every evaluation that shares the field shares it.
 """
 
 from dataclasses import dataclass
@@ -34,24 +34,19 @@ class _Derived:
     """Values derived from a field's read-only arrays on one mesh."""
 
     def derived(self, mesh, key, compute):
-        """``compute()`` on first use of ``key``, kept for the last mesh."""
+        """``compute()`` on first use of ``key``, kept for the last mesh
+        (read-only where it is an array)."""
         if self.__dict__.get("_mesh") is not mesh:
             self._mesh, self._derived = mesh, {}
         if key not in self._derived:
-            self._derived[key] = compute()
+            self._derived[key] = value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
         return self._derived[key]
 
     def forget(self):
         """Drop the derived values; they are recomputed on the next use."""
         self._mesh = self._derived = None
-
-
-def _sample(nodal, mesh, rule):
-    """The k nodal arrays ``nodal`` at ``rule``'s points, (k, n_tri, nq),
-    read-only."""
-    out = quadrature.sample(mesh, rule, np.asarray(nodal))
-    out.setflags(write=False)
-    return out
 
 
 @dataclass
@@ -77,13 +72,19 @@ class DesignField(_Derived):
 
     def samples(self, mesh):
         """(rho2, rho3) at the TRI_DEG4 points, (2, n_tri, nq)."""
-        return self.derived(mesh, "deg4", lambda: _sample(
-            (self.rho2, self.rho3), mesh, quadrature.TRI_DEG4))
+        return self.derived(mesh, "deg4", lambda: quadrature.sample(
+            mesh, quadrature.TRI_DEG4, (self.rho2, self.rho3)))
 
     def phase_samples(self, mesh):
         """(rho1, rho2, rho3) at the TRI_DEG2 points, (3, n_tri, nq)."""
-        return self.derived(mesh, "deg2", lambda: _sample(
-            (self.rho1(), self.rho2, self.rho3), mesh, quadrature.TRI_DEG2))
+        return self.derived(mesh, "deg2", lambda: quadrature.sample(
+            mesh, quadrature.TRI_DEG2, (self.rho1(), self.rho2, self.rho3)))
+
+    def gradients(self, mesh):
+        """D [rho2, rho3], (2 n_tri, 2): row 2m + d holds d/dx_d of rho2
+        and of rho3 on triangle m."""
+        return self.derived(mesh, "gradients", lambda: mesh.gradient_operator()
+                            @ np.column_stack([self.rho2, self.rho3]))
 
     @classmethod
     def constant(cls, n_nodes, rho2, rho3):
@@ -112,8 +113,13 @@ class StimulusField(_Derived):
 
     def samples(self, mesh):
         """Every s_j at the TRI_DEG4 points, (n_cases, n_tri, nq)."""
-        return self.derived(mesh, "deg4", lambda: _sample(
-            self.s, mesh, quadrature.TRI_DEG4))
+        return self.derived(mesh, "deg4", lambda: quadrature.sample(
+            mesh, quadrature.TRI_DEG4, self.s))
+
+    def squares(self, mesh):
+        """sum_j s_j^2 at the TRI_DEG4 points, (n_tri, nq)."""
+        return self.derived(mesh, "squares", lambda: sum(
+            sq * sq for sq in self.samples(mesh)))
 
     @classmethod
     def zeros(cls, n_cases, n_nodes):

@@ -107,14 +107,10 @@ def multiwell_derivative(rho):
     return 2.0 * r * (1.0 - r) * (1.0 - 2.0 * r)
 
 
-def stimulus_squares(mesh, stimulus):
-    """sum_j s_j^2 at the degree-4 rule's points, (n_tri, nq)."""
-    return sum(sq * sq for sq in stimulus.samples(mesh))
-
-
-def p1_gradient(mesh, nodal):
-    """Gradient of a nodal P1 field on every triangle, (n_tri, 2)."""
-    return (mesh.gradient_operator() @ nodal).reshape(-1, 2)
+def stimulus_weight(rho2, rho3):
+    """B(rho) = (1 - rho2 - rho3)^2 + rho2^2, the weight of sum_j s_j^2 in
+    the stimulus penalty."""
+    return (1.0 - rho2 - rho3) ** 2 + rho2 ** 2
 
 
 def perimeter_terms(mesh, design):
@@ -132,8 +128,7 @@ def perimeter_terms(mesh, design):
         well = float(np.sum(quadrature.element_integrals(
             wq, quadrature.TRI_DEG4, mesh.areas)))
 
-        g2 = p1_gradient(mesh, design.rho2)
-        g3 = p1_gradient(mesh, design.rho3)
+        g2, g3 = (g.reshape(-1, 2) for g in design.gradients(mesh).T)
         g1 = -g2 - g3
         sq = np.einsum("md,md->m", g1, g1) + np.einsum("md,md->m", g2, g2) \
             + np.einsum("md,md->m", g3, g3)
@@ -169,13 +164,11 @@ def volume_fractions(mesh, design):
 
 
 def stimulus_penalty(mesh, design, stimulus):
-    """int ((1 - rho2 - rho3)^2 + rho2^2) sum_j s_j^2."""
+    """int B(rho) sum_j s_j^2, B as in :func:`stimulus_weight`."""
     check_nodal(mesh, stimulus.s.T, "stimulus")
-    r2q, r3q = design.samples(mesh)
-    bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
     return float(np.sum(quadrature.element_integrals(
-        bq * stimulus_squares(mesh, stimulus), quadrature.TRI_DEG4,
-        mesh.areas)))
+        stimulus_weight(*design.samples(mesh)) * stimulus.squares(mesh),
+        quadrature.TRI_DEG4, mesh.areas)))
 
 
 def link_energy(link):

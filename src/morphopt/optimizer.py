@@ -257,13 +257,14 @@ class _Evaluations:
             self.on_iterate(rec, ev)
 
     def minimize(self, x0, lower, upper, cfg, post_accept=None):
+        """The scheme's (design, stimulus, history, BncgResult)."""
         result = bncg_minimize(self.value, self.value_grad, x0, lower, upper,
                                cfg, on_accept=self.record,
                                post_accept=post_accept)
         self.accepted.release()
         self.trial_x = self.trial = None
-        result.evaluation = self.accepted
-        return result
+        result.evaluation = ev = self.accepted
+        return ev.design, ev.stimulus, self.history, result
 
 
 def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
@@ -285,9 +286,7 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
     z0 = np.concatenate([design0.rho2, design0.rho3, stimulus0.s.ravel()])
     lower = np.concatenate([np.zeros(2 * nn), -np.ones(n_cases * nn)])
     upper = np.ones(2 * nn + n_cases * nn)
-    result = evals.minimize(z0, lower, upper, cfg)
-    return (evals.accepted.design, evals.accepted.stimulus, evals.history,
-            result)
+    return evals.minimize(z0, lower, upper, cfg)
 
 
 def run_staggered(mesh, phases, params, targets, cfg, design0=None,
@@ -332,7 +331,5 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
         return None if candidate is None else evals.accept(candidate)
 
     z0 = np.concatenate([design0.rho2, design0.rho3])
-    result = evals.minimize(z0, np.zeros(2 * nn), np.ones(2 * nn), cfg,
-                            post_accept)
-    return (evals.accepted.design, evals.accepted.stimulus, evals.history,
-            result)
+    return evals.minimize(z0, np.zeros(2 * nn), np.ones(2 * nn), cfg,
+                          post_accept)

@@ -18,6 +18,9 @@ BACKGROUND = np.array([255.0, 255.0, 255.0])
 # temporaries at a few MiB
 PAIR_BUDGET = 1 << 14
 
+# pixels of one image, 4096 x 4096: 176 MiB with its winner array
+MAX_PIXELS = 1 << 24
+
 # image rows formatted at once by write_ppm (about 1 MiB of temporaries at
 # the default width)
 PPM_BLOCK_ROWS = 32
@@ -114,8 +117,9 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
     """
     if not np.isfinite(scale):
         raise InvalidParameterError(f"scale must be finite, got {scale!r}")
-    if width < 1:
-        raise InvalidParameterError(f"width must be >= 1, got {width!r}")
+    if not 1 <= width <= MAX_PIXELS:
+        raise InvalidParameterError(
+            f"width must be in 1..{MAX_PIXELS}, got {width!r}")
     pts = mesh.nodes + scale * _finite_displacement(mesh, displacement)
     check_nodal(mesh, design.rho2, "rho2")
     check_nodal(mesh, stimulus_j, "stimulus")
@@ -133,6 +137,10 @@ def composite_image(mesh, design, stimulus_j, displacement, scale=1.0,
     lo, hi = lo - pad, hi + pad
     span = hi - lo
     height = max(2, int(round(width * span[1] / span[0])))
+    if height * width > MAX_PIXELS:
+        raise InvalidParameterError(
+            f"width {width} makes a {width} x {height} image, above the "
+            f"{MAX_PIXELS} pixels of MAX_PIXELS")
     px = span[0] / width
 
     r1 = np.clip(np.asarray(design.rho1()), 0.0, 1.0)

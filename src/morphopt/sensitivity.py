@@ -13,7 +13,8 @@ gradient, which computes the strains of every u_j and lambda_j once.  The
 states, adjoints and link fields are one array each, case axis first, and
 their strains come from one gradient-operator product per array.  The
 quadrature samples (rho2, rho3 and every s_j at the degree-4 points, the
-three phase densities at the degree-2 points) and the design-only
+three phase densities at the degree-2 points), the density gradients D
+[rho2, rho3], sum_j s_j^2 at the degree-4 points and the design-only
 objective terms (perimeter and volume) are kept on the design and
 stimulus fields, so the assembly, the objective and both gradients share
 them, and so do all evaluations that share a field: every trial of a line
@@ -55,7 +56,7 @@ from .elasticity import (LINK_MATERIAL, element_strains,
                          link_stiffness_derivative, solve_adjoint, solve_link,
                          solve_state)
 from .fields import check_nodal, check_targets
-from .functional import multiwell_derivative, stimulus_squares, total
+from .functional import multiwell_derivative, stimulus_weight, total
 from .materials import interp, interp_derivative
 from .quadrature import TRI_DEG2, TRI_DEG4, hat_integrals
 
@@ -76,11 +77,11 @@ def perimeter_design_grad(mesh, design, epsilon):
         [multiwell_derivative(r2q) - w1, multiwell_derivative(r3q) - w1]),
         mesh.areas / epsilon)
     # 2 eps int D(rho_i - rho1) . D phi_i, both densities as two columns
-    D = mesh.gradient_operator()
-    grads = D @ np.column_stack([design.rho2, design.rho3])       # (2M, 2)
+    grads = design.gradients(mesh)                               # (2M, 2)
     gr1 = -grads[:, 0] - grads[:, 1]
     c = np.repeat(2.0 * epsilon * mesh.areas, 2)
-    return well + (D.T @ (c[:, None] * (grads - gr1[:, None]))).T
+    return well + (mesh.gradient_operator().T
+                   @ (c[:, None] * (grads - gr1[:, None]))).T
 
 
 def q_design_grad(mesh, design, stimulus):
@@ -88,7 +89,7 @@ def q_design_grad(mesh, design, stimulus):
     in :func:`perimeter_design_grad`."""
     r2q, r3q = design.samples(mesh)
     r1q = 1.0 - r2q - r3q
-    s2 = stimulus_squares(mesh, stimulus)
+    s2 = stimulus.squares(mesh)
     return hat_integrals(mesh, TRI_DEG4,
                          np.stack([2.0 * (r2q - r1q) * s2, -2.0 * r1q * s2]),
                          mesh.areas)
@@ -156,7 +157,7 @@ def grad_stimulus(mesh, design, stimulus, strains, phases):
     """Stimulus gradient, one nodal array per load case (``strains`` as in
     :func:`elasticity_design_grad`)."""
     r2q, r3q = design.samples(mesh)
-    bq = (1.0 - r2q - r3q) ** 2 + r2q ** 2
+    bq = stimulus_weight(r2q, r3q)
     coef = phases.responsive.stimulus_stress * _traces(strains)      # (k, M)
     return hat_integrals(mesh, TRI_DEG4, 2.0 * bq * stimulus.samples(mesh)
                          - interp(r3q) * coef[:, :, None], mesh.areas)

@@ -15,6 +15,7 @@ import numpy as np
 from .elasticity import element_strains
 from .errors import InvalidParameterError
 from .fields import StimulusField, nodal_average_from_elements
+from .functional import stimulus_weight
 from .materials import interp
 
 
@@ -42,5 +43,5 @@ def minimize_stimulus_field(mesh, design, lambdas, phases):
     el = element_strains(mesh, lambdas)
     tr = nodal_average_from_elements(mesh, el[..., 0, 0] + el[..., 1, 1])
     c = interp(design.rho3) * phases.responsive.stimulus_stress * tr  # (k, n)
-    B = design.rho1() ** 2 + design.rho2 ** 2
-    return StimulusField(optimal_stimulus_pointwise(c, B))
+    return StimulusField(optimal_stimulus_pointwise(
+        c, stimulus_weight(design.rho2, design.rho3)))

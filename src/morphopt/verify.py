@@ -224,20 +224,13 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
 
     if potential == "triple":
         z0 = np.concatenate([ramp, np.zeros(n_nodes)])
-        lower = np.zeros(2 * n_nodes)
-        upper = np.ones(2 * n_nodes)
-        # clamp the endpoints to the two simplex vertices
-        for arr, vals in ((lower, (0.0, 1.0)), (upper, (0.0, 1.0))):
-            arr[0] = vals[0]
-            arr[n_nodes - 1] = vals[1]
-            arr[n_nodes] = 0.0
-            arr[2 * n_nodes - 1] = 0.0
+        ends, values = [0, n_nodes - 1, n_nodes, -1], [0.0, 1.0, 0.0, 0.0]
     else:
         z0 = ramp.copy()
-        lower = np.zeros(n_nodes)
-        upper = np.ones(n_nodes)
-        lower[0] = upper[0] = 0.0
-        lower[-1] = upper[-1] = 1.0
+        ends, values = [0, -1], [0.0, 1.0]
+    # clamp the endpoints to the two simplex vertices
+    lower, upper = np.zeros(len(z0)), np.ones(len(z0))
+    lower[ends] = upper[ends] = values
 
     def fg(z):
         return _profile_energy_and_grad(z, n_nodes, dx, eps, potential)
@@ -245,11 +238,7 @@ def minimize_profile(eps, n_intervals=4000, span_factor=40.0,
     cfg = OptimizerConfig(grad_rtol=0.0, grad_atol=1e-9, obj_rtol=1e-13,
                           max_outer_iters=PROFILE_MAX_ITERS)
     result = bncg_minimize(lambda z: fg(z)[0], fg, z0, lower, upper, cfg)
-    if potential == "triple":
-        profile = (result.x[:n_nodes], result.x[n_nodes:])
-    else:
-        profile = (result.x,)
-    return result.value, profile
+    return result.value, tuple(result.x.reshape(-1, n_nodes))
 
 
 def profile_coefficient(epsilons, n_intervals=4000, span_factor=40.0,

@@ -638,6 +638,24 @@ def render_mesh():
     return build_rect_mesh(1.0, 0.5, 0.25, "left", None)
 
 
+def write_render_artifacts(path, u_value=0.1, bad=None):
+    """A final_fields.npz of one case on render_mesh, ``u_value`` the y
+    displacement of the last node; ``bad`` maps keys to makers of
+    replacement arrays, called with the node count."""
+    mesh = render_mesh()
+    n = mesh.n_nodes
+    u = np.zeros((1, n, 2))
+    u[0, -1, 1] = u_value
+    arrays = dict(nodes=mesh.nodes, triangles=mesh.triangles,
+                  dirichlet_nodes=mesh.dirichlet_nodes,
+                  target_elements=mesh.target_elements,
+                  cell_size=mesh.cell_size, rho2=np.full(n, 0.5),
+                  rho3=np.full(n, 0.5), s=np.zeros((1, n)), u=u)
+    arrays.update({key: make(n) for key, make in (bad or {}).items()})
+    np.savez(path, **arrays)
+    return path
+
+
 def nan_last_node(n):
     nodes = render_mesh().nodes.copy()
     nodes[n - 1] = np.nan
@@ -690,14 +708,37 @@ class TestCli:
 
     @pytest.mark.parametrize("arg", [
         "--trials=0", "--trials=-3", "--delta=0", "--delta=-1e-6",
-        "--delta=inf", "--delta=nan", "--seed=-1"])
+        "--delta=inf", "--delta=nan", "--seed=-1", "--h=0", "--h=-0.05",
+        "--h=nan", "--h=inf"])
     def test_check_gradient_cannot_pass_vacuously(self, capsys, arg):
         code = cli.main(["check-gradient", "--h", "0.1", arg])
         assert code == 2
         captured = capsys.readouterr()
         name = arg[2:].split("=")[0]
         assert name in captured.err and "Traceback" not in captured.err
+        # --h is named itself, not the epsilon = 2h it would set
+        assert "epsilon" not in captured.err
         assert "design," not in captured.out
+
+    @pytest.mark.parametrize("argv,out", [
+        pytest.param(["render", "--artifacts", "fields.npz"],
+                     os.path.join("missing", "render.ppm"),
+                     id="render-into-missing-directory"),
+        pytest.param(["render", "--artifacts", "fields.npz"], "a_directory",
+                     id="render-onto-directory"),
+        pytest.param(["run", "--config", "tiny.cfg"], "a_file",
+                     id="run-into-file")])
+    def test_output_path_errors_exit_2(self, tiny_cfg, tmp_path, monkeypatch,
+                                       capsys, argv, out):
+        monkeypatch.chdir(tmp_path)
+        write_render_artifacts("fields.npz")
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "a_file").write_text("")
+        assert cli.main([*argv, "--out", out]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert out in lines[0]
+        assert (tmp_path / "a_file").read_text() == ""
 
     @pytest.mark.parametrize("overrides,name", [
         pytest.param(["mesh.h=junk", "nosuch.key=1"], "nosuch",
@@ -771,6 +812,14 @@ class TestCli:
         pytest.param(0.1, ["--scale", "nan"], "scale", {}, id="nan-scale"),
         pytest.param(0.1, ["--width", "-3"], "width", {}, id="negative-width"),
         pytest.param(0.1, ["--width", "0"], "width", {}, id="zero-width"),
+        # a 10^8 x 5 10^7 image would take 15 PiB, a 10^4 x 5 10^3 one
+        # more than render.MAX_PIXELS: refused before allocation
+        pytest.param(0.1, ["--width", "100000000"], "width", {},
+                     id="huge-width"),
+        pytest.param(0.1, ["--width", "10000"], "width", {},
+                     id="width-beyond-pixel-ceiling"),
+        pytest.param(0.1, ["--width", "9" * 400], "width", {},
+                     id="width-beyond-float"),
         pytest.param(0.1, [], "rho2", {"rho2": lambda n: np.full(n - 1, 0.5)},
                      id="short-rho2"),
         pytest.param(0.1, [], "rho3", {"rho3": lambda n: np.full(n - 1, 0.5)},
@@ -806,18 +855,8 @@ class TestCli:
                                       bad):
         # in a child process with a timeout: a rejection that turns into a
         # hang fails here instead of stalling the suite
-        mesh = render_mesh()
-        n = mesh.n_nodes
-        u = np.zeros((1, n, 2))
-        u[0, -1, 1] = u_value
-        arrays = dict(nodes=mesh.nodes, triangles=mesh.triangles,
-                      dirichlet_nodes=mesh.dirichlet_nodes,
-                      target_elements=mesh.target_elements,
-                      cell_size=mesh.cell_size, rho2=np.full(n, 0.5),
-                      rho3=np.full(n, 0.5), s=np.zeros((1, n)), u=u)
-        arrays.update({key: make(n) for key, make in bad.items()})
-        fields = tmp_path / "final_fields.npz"
-        np.savez(fields, **arrays)
+        fields = write_render_artifacts(tmp_path / "final_fields.npz",
+                                        u_value, bad)
         img = tmp_path / "render.ppm"
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

@@ -698,17 +698,21 @@ class TestDirichletElimination:
         pytest.param(desk_mesh, lambda mesh: [], id="no_fixed_dofs")])
     def test_operator_maps_match_reference_assembly(self, make_mesh, constrain,
                                                     monkeypatch):
-        # stiffness and link operator both pass through _assemble_isotropic
+        # stiffness and link operator both pass through _OperatorMap.assemble
         mesh = make_mesh()
-        inner = elasticity._assemble_isotropic
+        inner = elasticity._OperatorMap.assemble
         calls = []
 
-        def recorded(mesh, wmu, wlam, fixed_dofs):
-            K = inner(mesh, wmu, wlam, fixed_dofs)
+        def recorded(operator_map, wmu, wlam):
+            K = inner(operator_map, wmu, wlam)
+            # the fixed dofs the map was built for, from its Mesh.cache key
+            fixed_dofs = next(np.frombuffer(key[1], dtype=np.int64)
+                              for key, value in mesh.cache.items()
+                              if value is operator_map)
             calls.append((K, reference_operator(mesh, wmu, wlam, fixed_dofs),
                           fixed_dofs))
             return K
-        monkeypatch.setattr(elasticity, "_assemble_isotropic", recorded)
+        monkeypatch.setattr(elasticity._OperatorMap, "assemble", recorded)
         design = random_design(mesh.n_nodes, 1)
         assemble_stiffness(mesh, design, PHASES, constrain(mesh))
         assemble_link_operator(mesh, design)

@@ -241,6 +241,60 @@ class TestOneFactor:
             solve_adjoint(self.mesh, ev.state, TARGETS)
 
 
+class TestOncePerField:
+    """The density gradients and sum_j s_j^2, which the objective and both
+    gradients read, are formed once per design and per stimulus field."""
+
+    def test_one_density_product_per_gradient(self):
+        mesh = cantilever(1 / 60)                     # the desk mesh
+        n = mesh.n_nodes
+        rng = np.random.default_rng(3)
+        design = DesignField(rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n))
+        stim = StimulusField(rng.uniform(-0.9, 0.9, (1, n)))
+        D = mesh.gradient_operator()
+        products = []
+
+        class Counted:
+            T = D.T
+
+            def __matmul__(self, x):
+                products.append(np.reshape(x, (n, -1)))
+                return D @ x
+        mesh.cache["gradient"] = Counted()
+        params = RegularizationParams(2 / 60, 6e-4, 0.1, 0.3)
+        Evaluation(mesh, design, stim, PHASES, params, TARGETS).gradient
+        with_densities = [x for x in products if any(
+            np.array_equal(col, rho) for col in x.T
+            for rho in (design.rho2, design.rho3))]
+        assert len(with_densities) == 1
+        assert len(products) > 1                      # strains go through D
+
+    def test_trials_sharing_a_stimulus_square_it_once(self, monkeypatch):
+        from morphopt import fields
+        inner = fields._Derived.derived
+        formed = []
+
+        def recorded(field, mesh, key, compute):
+            def counted():
+                formed.append((id(field), key))
+                return compute()
+            return inner(field, mesh, key, counted)
+        monkeypatch.setattr(fields._Derived, "derived", recorded)
+        mesh = cantilever(1 / 10)
+        n = mesh.n_nodes
+        rng = np.random.default_rng(5)
+        stim = StimulusField(rng.uniform(-0.9, 0.9, (2, n)))
+        targets = np.array([[0.0, 1.0], [1.0, 0.0]])
+        params = RegularizationParams(0.2, 6e-4, 0.1, 0.3)
+        designs = [DesignField(rng.uniform(0.1, 0.9, n),
+                               rng.uniform(0.1, 0.9, n)) for _ in range(3)]
+        for design in designs:
+            Evaluation(mesh, design, stim, PHASES, params, targets).gradient
+        assert formed.count((id(stim), "squares")) == 1
+        for design in designs:
+            assert formed.count((id(design), "gradients")) == 1
+
+
 class TestEmptyDesignIsKKT:
     """At rho2 = rho3 = s = 0 the stimulus load a(rho3) s vanishes, so
     u = 0 and every elastic term of the gradient with it; the volume
