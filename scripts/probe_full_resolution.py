@@ -21,8 +21,11 @@ factorizations of the same operator; then the gradient of one ``sensitivity.Eval
 operator and factor is timed (adjoint solve and both gradient kernels;
 ``gradient_error`` holds the message when the adjoint solve raises
 SolverFailureError), and the shipped ``hexagon_contrast5`` mesh is built
-at the same h and timed.  Prints one JSON line with the times, the CG
-iterations, the relative residual, the peak resident memory and
+at the same h and timed.  Prints one JSON line with the times, the
+state solve's ``iterations`` (its callback calls: 1, the factor's
+certified answer), its ``relative_residual`` ||K u - f|| / ||f|| and
+``backward_error`` ||K u - f|| / (||K||_inf ||u|| + ||f||), the quantity
+that ``solve_spd`` certifies, the peak resident memory and
 ``mesh_cache_mib``: the bytes of every array held in ``Mesh.cache`` after
 the gradient step (the gradient operator and the elasticity operator
 maps), read from whatever the cache holds, and ``mesh_cache_entries_mib``
@@ -137,9 +140,12 @@ def main():
                factor_root=elasticity._operator_map(mesh, fixed).root)
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s),
                solve_spd_ms=1e3 * solve_spd_s[0],
-               cg_iterations=len(iters),
+               iterations=len(iters),
                relative_residual=float(np.linalg.norm(K @ u - f)
                                        / np.linalg.norm(f)),
+               backward_error=float(np.linalg.norm(K @ u - f) / (
+                   abs(K).sum(axis=1).max() * np.linalg.norm(u)
+                   + np.linalg.norm(f))),
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                / 1024.0)
     B = np.random.default_rng(0).normal(size=(K.shape[0], 3))

@@ -139,8 +139,10 @@ def parse_config(path=None, text=None, overrides=()):
                 cp.read_file(fh)
         else:
             cp.read_string(text)
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read configuration: {exc}") from exc
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # a configparser message may span lines; the CLI prints one
+        message = " ".join(str(exc).splitlines())
+        raise ConfigError(f"cannot read configuration: {message}") from exc
 
     data = {s: dict(cp.items(s)) for s in cp.sections()}
     for ov in overrides:

@@ -14,16 +14,16 @@ class ConfigError(MorphoptError, ValueError):
 
 
 class SolverFailureError(MorphoptError, RuntimeError):
-    """Iterative solver did not reach the requested tolerance."""
+    """A solve's answer missed its backward-error certificate; ``residual``
+    is the largest column residual norm."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class MatrixNotSPDError(MorphoptError, RuntimeError):
-    """Operator produced nonpositive curvature inside conjugate gradients."""
+    """The operator's block Cholesky factorization broke down: not SPD."""
 
 
 class NonFiniteValueError(MorphoptError, ArithmeticError):

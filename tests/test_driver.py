@@ -871,6 +871,8 @@ class TestCli:
 
     @pytest.mark.parametrize("kind,named", [
         pytest.param("missing", "missing.npz", id="missing-file"),
+        pytest.param("missing-directory", "nowhere", id="missing-directory"),
+        pytest.param("directory", "a_directory", id="directory"),
         pytest.param("nodes-only", "triangles", id="archive-without-keys")])
     def test_render_rejects_unreadable_artifacts(self, tmp_path, capsys, kind,
                                                  named):
@@ -878,6 +880,11 @@ class TestCli:
         if kind == "nodes-only":
             fields = tmp_path / "nodes_only.npz"
             np.savez(fields, nodes=np.zeros((3, 2)))
+        elif kind == "missing-directory":
+            fields = tmp_path / "nowhere" / "missing.npz"
+        elif kind == "directory":
+            fields = tmp_path / "a_directory"
+            fields.mkdir()
         img = tmp_path / "render.ppm"
         code = cli.main(["render", "--artifacts", str(fields), "--out",
                          str(img)])
@@ -893,6 +900,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "nodes,1281" in out
         assert "triangles,2400" in out
+
+    @pytest.mark.parametrize("argv,named", [
+        pytest.param(["check-gradient", "--config", "missing.cfg"],
+                     "missing.cfg", id="check-gradient-missing-config"),
+        pytest.param(["mesh-info", "--config", "notes.txt"], "notes.txt",
+                     id="mesh-info-text-file"),
+        pytest.param(["mesh-info", "--config", "fields.npz"], "decode",
+                     id="mesh-info-binary-file")])
+    def test_unreadable_config_exits_2(self, tmp_path, monkeypatch, capsys,
+                                       argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.txt").write_text("no section here\n")
+        write_render_artifacts("fields.npz")
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "cannot read configuration" in lines[0] and named in lines[0]
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
