@@ -30,7 +30,9 @@ that ``solve_spd`` certifies, the peak resident memory and
 the gradient step (the gradient operator and the elasticity operator
 maps), read from whatever the cache holds, and ``mesh_cache_entries_mib``
 the same per cache entry (an array shared by two entries counts in the
-first).
+first), and ``element_shapes`` the number of distinct triangle gradient
+sets, each with one unit-mu and one unit-lambda table in the operator map
+(null for a tree whose map keeps per-triangle matrices).
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
 comparable numbers.
@@ -179,6 +181,8 @@ def main():
     out["mesh_cache_entries_mib"] = {
         _cache_name(key): _nbytes(value, seen) / 2 ** 20
         for key, value in mesh.cache.items()}
+    tables = getattr(elasticity._operator_map(mesh, fixed), "tables", None)
+    out["element_shapes"] = None if tables is None else tables.shape[1]
     hexagon = config.load_shipped_config("hexagon_contrast5",
                                          overrides=[f"mesh.h={args.h!r}"])
     t = time.perf_counter()

@@ -81,11 +81,12 @@ def assemble_stiffness(mesh, design, phases, fixed_dofs):
 class _OperatorMap:
     """The stiffness pattern of one mesh and one set of fixed dofs.
 
-    K is linear in the per-element Lame weights:
-    ``K.data = S_mu @ wmu + S_lam @ wlam`` plus 1 on the fixed diagonal,
-    where column m of S_mu (S_lam) holds the unit-mu (unit-lambda) entries
-    of element m at their CSR slots.  Entries in a fixed row or column are
-    dropped, so the elimination is built into the pattern.  ``blocks``
+    K is linear in the per-element Lame weights: entry e of element m adds
+    ``wmu[m] tables[0, s, e] + wlam[m] tables[1, s, e]`` to CSR slot
+    ``eslot[36 m + e]``, where s = ``shape_of[m]`` names the element's
+    unit-mu and unit-lambda tables, one pair per distinct gradient set, and
+    the fixed diagonal is 1.  Entries in a fixed row or column go to a spare
+    slot past the pattern, so the elimination is built into it.  ``blocks``
     place the pattern in the breadth-first level order of the mesh's node
     graph, both dofs of a node in its level.  The levels are rooted where
     the factor's cost model is least (``linsolve.cheapest_level_structure``)
@@ -116,25 +117,24 @@ class _OperatorMap:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(row, minlength=n))]).astype(np.int32)
         self.fixed_slots = slots[36 * m:-1].copy()
+        self.eslot = slots[:36 * m].astype(np.int32)
 
-        # unit-weight element entries in the order e above
-        G = mesh.grads
-        emu = np.empty((m, 36))
-        elam = np.empty((m, 36))
+        # unit-weight entries in the order e above, one table per gradient
+        # set: rows of mesh.grads compared by their bytes, so -0.0 != 0.0
+        shapes, shape_of = np.unique(mesh.grads.reshape(m, 6).view(np.int64),
+                                     axis=0, return_inverse=True)
+        self.shape_of = shape_of.ravel().astype(np.int32)
+        G = shapes.view(np.float64).reshape(-1, 3, 2)
+        self.tables = mu, lam = np.empty((2, len(G), 36))
         for a in range(3):
             for b in range(3):
                 gg = G[:, a, 0] * G[:, b, 0] + G[:, a, 1] * G[:, b, 1]
                 for xa in range(2):
                     for yb in range(2):
                         e = (2 * a + xa) * 6 + 2 * b + yb
-                        emu[:, e] = (G[:, a, yb] * G[:, b, xa]
-                                     + (gg if xa == yb else 0.0))
-                        elam[:, e] = G[:, a, xa] * G[:, b, yb]
-        eslot = slots[:36 * m].astype(np.int32)
-        col_ptr = np.arange(0, 36 * m + 1, 36, dtype=np.int32)
-        self.S_mu, self.S_lam = (
-            sp.csc_matrix((vals.ravel(), eslot, col_ptr),
-                          shape=(len(keys), m)) for vals in (emu, elam))
+                        mu[:, e] = (G[:, a, yb] * G[:, b, xa]
+                                    + (gg if xa == yb else 0.0))
+                        lam[:, e] = G[:, a, xa] * G[:, b, yb]
 
         # the node graph and the candidate roots of its levels
         pairs = np.unique((tri[:, :, None] * nn + tri[:, None, :]).ravel())
@@ -156,7 +156,19 @@ class _OperatorMap:
             2 * node_levels)
 
     def assemble(self, wmu, wlam):
-        data = (self.S_mu @ wmu + self.S_lam @ wlam)[:-1]
+        # each element's entries, taken from its shape's table into one
+        # buffer per call (mode "clip" lets take write it unbuffered), times
+        # the weights in a mat-vec with one column per element: the sums of
+        # the per-element S_mu @ wmu + S_lam @ wlam, bit for bit
+        m, nnz = len(self.shape_of), len(self.indices)
+        entries = np.empty((m, 36))
+        col_ptr = np.arange(0, 36 * m + 1, 36, dtype=np.int32)
+        sums = []
+        for table, w in zip(self.tables, (wmu, wlam)):
+            np.take(table, self.shape_of, axis=0, out=entries, mode="clip")
+            sums.append(sp.csc_matrix((entries.ravel(), self.eslot, col_ptr),
+                                      shape=(nnz + 1, m)) @ w)
+        data = (sums[0] + sums[1])[:-1]
         data[self.fixed_slots] = 1.0
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 

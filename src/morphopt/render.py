@@ -15,8 +15,8 @@ from .fields import check_nodal
 BACKGROUND = np.array([255.0, 255.0, 255.0])
 
 # (triangle, pixel) candidate pairs rasterized at once; bounds the
-# temporaries at a few MiB
-PAIR_BUDGET = 1 << 14
+# temporaries at about a MiB, below a desk run's solve-phase peak RSS
+PAIR_BUDGET = 1 << 12
 
 # pixels of one image, 4096 x 4096: 176 MiB with its winner array
 MAX_PIXELS = 1 << 24

@@ -60,17 +60,6 @@ def write_history_csv(path, history):
     return path
 
 
-def _export_snapshot(path, mesh, ev):
-    """VTK snapshot of an Evaluation: fields, states and adjoints."""
-    scalars = {"rho2": ev.design.rho2, "rho3": ev.design.rho3}
-    vectors = {}
-    for j in range(ev.stimulus.n_cases):
-        scalars[f"s{j + 1}"] = ev.stimulus.s[j]
-        vectors[f"u{j + 1}"] = ev.state.u[j]
-        vectors[f"lambda{j + 1}"] = ev.lambdas[j]
-    write_vtk(path, mesh, scalars, vectors)
-
-
 def run(spec, out_dir=None):
     """Execute the problem and write all artifacts; returns RunArtifacts."""
     out_dir = out_dir or spec.output_dir
@@ -88,12 +77,22 @@ def run(spec, out_dir=None):
     snapshots = []
     records = []
 
+    def snapshot(iteration, ev):
+        """VTK snapshot of an Evaluation: fields, states and adjoints."""
+        scalars = {"rho2": ev.design.rho2, "rho3": ev.design.rho3}
+        vectors = {}
+        for j in range(ev.stimulus.n_cases):
+            scalars[f"s{j + 1}"] = ev.stimulus.s[j]
+            vectors[f"u{j + 1}"] = ev.state.u[j]
+            vectors[f"lambda{j + 1}"] = ev.lambdas[j]
+        snapshots.append(write_vtk(
+            os.path.join(out_dir, f"snapshot_{iteration:06d}.vtk"), mesh,
+            scalars, vectors))
+
     def on_iterate(rec, ev):
         records.append(rec)
         if rec.iteration % spec.export_every == 0:
-            path = os.path.join(out_dir, f"snapshot_{rec.iteration:06d}.vtk")
-            _export_snapshot(path, mesh, ev)
-            snapshots.append(path)
+            snapshot(rec.iteration, ev)
 
     runner = run_staggered if spec.scheme == "staggered" else run_monolithic
     try:
@@ -111,9 +110,7 @@ def run(spec, out_dir=None):
     final_ev = result.evaluation
     last_iter = history[-1].iteration
     if last_iter % spec.export_every != 0:
-        path = os.path.join(out_dir, f"snapshot_{last_iter:06d}.vtk")
-        _export_snapshot(path, mesh, final_ev)
-        snapshots.append(path)
+        snapshot(last_iter, final_ev)
 
     history_path = write_history_csv(os.path.join(out_dir, "history.csv"),
                                      history)
@@ -138,18 +135,11 @@ def run(spec, out_dir=None):
         composites.append(path)
 
     final = history[-1]
-    b = final.breakdown
-    summary = {
-        "iterations": final.iteration,
-        "status": result.status,
-        "total": b.total,
-        "tracking": b.tracking,
-        "perimeter": b.perimeter,
-        "volume_penalty": b.volume_penalty,
-        "stimulus_penalty": b.stimulus_penalty,
-        "vol_frac2": final.vol_frac2,
-        "vol_frac3": final.vol_frac3,
-    }
+    last = dict(zip(HISTORY_COLUMNS, _history_row(final)))
+    summary = {"iterations": final.iteration, "status": result.status, **{
+        key: last[key] for key in ("total", "tracking", "perimeter",
+                                   "volume_penalty", "stimulus_penalty",
+                                   "vol_frac2", "vol_frac3")}}
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:
         for key, value in summary.items():

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+# lines formatted and written at once: only that many Python floats and
+# strings live at a time (a whole section at once raised a run's peak RSS)
+LINES_PER_WRITE = 4096
+
 
 def write_vtk(path, mesh, point_scalars=None, point_vectors=None):
     """Write the mesh plus nodal data as DATASET UNSTRUCTURED_GRID.
@@ -11,31 +15,25 @@ def write_vtk(path, mesh, point_scalars=None, point_vectors=None):
     written as the repr of the Python float, the shortest text that reads
     back to the same double.
     """
-    point_scalars = point_scalars or {}
-    point_vectors = point_vectors or {}
-    n = mesh.n_nodes
-    m = mesh.n_triangles
+    n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "w") as fh:
-        def put(lines):
-            # one write per section: the Python floats and strings of a
-            # section are freed before the next section is built (holding
-            # every line until one final write raised a run's peak RSS)
-            fh.write("\n".join(lines) + "\n")
+        def put(fmt, rows):
+            for a in range(0, len(rows), LINES_PER_WRITE):
+                fh.write("\n".join(fmt.format(*row) for row in
+                                   rows[a:a + LINES_PER_WRITE].tolist()) + "\n")
 
-        put(["# vtk DataFile Version 3.0", "morphopt fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"])
-        put(f"{x!r} {y!r} 0.0"
-            for x, y in np.asarray(mesh.nodes, dtype=float).tolist())
-        put([f"CELLS {m} {4 * m}"])
-        put(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
-        put([f"CELL_TYPES {m}"] + ["5"] * m)
+        fh.write("# vtk DataFile Version 3.0\nmorphopt fields\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        put("{!r} {!r} 0.0", np.asarray(mesh.nodes, dtype=float))
+        fh.write(f"CELLS {m} {4 * m}\n")
+        put("3 {} {} {}", mesh.triangles)
+        fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
         if point_scalars or point_vectors:
-            put([f"POINT_DATA {n}"])
-        for name, arr in point_scalars.items():
-            put([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
-            put(map(repr, np.asarray(arr, dtype=float).tolist()))
-        for name, arr in point_vectors.items():
-            put([f"VECTORS {name} double"])
-            put(f"{vx!r} {vy!r} 0.0"
-                for vx, vy in np.asarray(arr, dtype=float).tolist())
+            fh.write(f"POINT_DATA {n}\n")
+        for name, arr in (point_scalars or {}).items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            put("{!r}", np.asarray(arr, dtype=float).reshape(-1, 1))
+        for name, arr in (point_vectors or {}).items():
+            fh.write(f"VECTORS {name} double\n")
+            put("{!r} {!r} 0.0", np.asarray(arr, dtype=float))
     return path

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from morphopt import cli, optimizer, render, runner, sensitivity
+from morphopt import cli, optimizer, render, runner, sensitivity, vtk_io
 from morphopt.config import (echo_config, load_shipped_config, parse_config,
                              shipped_config_names, shipped_config_text)
 from morphopt.elasticity import solve_adjoint, solve_state
@@ -25,7 +25,7 @@ from morphopt.fields import DesignField
 from morphopt.mesh import build_hexagon_mesh, build_rect_mesh
 from morphopt.render import (BACKGROUND, PPM_BLOCK_ROWS, composite_image,
                              fold_free_scale, stimulus_color, write_ppm)
-from morphopt.vtk_io import write_vtk
+from morphopt.vtk_io import LINES_PER_WRITE, write_vtk
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -411,6 +411,34 @@ class TestVtk:
         assert f"POINT_DATA {mesh.n_nodes}" in text
         assert "SCALARS rho2 double 1" in text
         assert "VECTORS u1 double" in text
+
+    @pytest.mark.parametrize("lines_per_write", [1, 7, LINES_PER_WRITE])
+    def test_chunked_writes_equal_one_join_per_section(self, tmp_path,
+                                                       lines_per_write):
+        mesh = build_rect_mesh(1.0, 1.0, 1.0 / 70.0, "left", None)
+        assert mesh.n_nodes > LINES_PER_WRITE
+        rng = np.random.default_rng(2)
+        scalars = {"rho2": rng.normal(size=mesh.n_nodes),
+                   "s1": np.r_[-0.0, 1e-300, np.zeros(mesh.n_nodes - 2)]}
+        vectors = {"u1": rng.normal(size=(mesh.n_nodes, 2))}
+        with mock.patch.object(vtk_io, "LINES_PER_WRITE", lines_per_write):
+            write_vtk(tmp_path / "m.vtk", mesh, scalars, vectors)
+        ref = ["# vtk DataFile Version 3.0", "morphopt fields", "ASCII",
+               "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double",
+               "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()),
+               f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}",
+               "\n".join(f"3 {a} {b} {c}"
+                         for a, b, c in mesh.triangles.tolist()),
+               "\n".join([f"CELL_TYPES {mesh.n_triangles}"]
+                         + ["5"] * mesh.n_triangles),
+               f"POINT_DATA {mesh.n_nodes}"]
+        for name, arr in scalars.items():
+            ref += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                    "\n".join(map(repr, arr.tolist()))]
+        for name, arr in vectors.items():
+            ref += [f"VECTORS {name} double",
+                    "\n".join(f"{x!r} {y!r} 0.0" for x, y in arr.tolist())]
+        assert (tmp_path / "m.vtk").read_text() == "\n".join(ref) + "\n"
 
 
 class TestRender:

@@ -629,6 +629,74 @@ class TestDirichletElimination:
             assert np.all(rows.data == 1.0)
 
 
+def jittered_mesh():
+    """A clamped rect mesh whose nodes are moved at random, so no two
+    triangles share a gradient set."""
+    mesh = build_rect_mesh(1.0, 0.5, 0.05, "left", None)
+    nodes = mesh.nodes + np.random.default_rng(8).uniform(
+        -0.01, 0.01, mesh.nodes.shape)
+    return Mesh(nodes, mesh.triangles, mesh.dirichlet_nodes,
+                mesh.target_elements, mesh.cell_size)
+
+
+def per_triangle_data(operator_map, mesh, wmu, wlam):
+    """K.data as per-triangle matrices form it: S_mu @ wmu + S_lam @ wlam,
+    column m of S_mu (S_lam) the unit-mu (unit-lambda) entries of triangle
+    m at their slots, then 1 on the fixed diagonal."""
+    G, m = mesh.grads, mesh.n_triangles
+    emu, elam = np.empty((m, 36)), np.empty((m, 36))
+    for a in range(3):
+        for b in range(3):
+            gg = G[:, a, 0] * G[:, b, 0] + G[:, a, 1] * G[:, b, 1]
+            for xa in range(2):
+                for yb in range(2):
+                    e = (2 * a + xa) * 6 + 2 * b + yb
+                    emu[:, e] = (G[:, a, yb] * G[:, b, xa]
+                                 + (gg if xa == yb else 0.0))
+                    elam[:, e] = G[:, a, xa] * G[:, b, yb]
+    col_ptr = np.arange(0, 36 * m + 1, 36, dtype=np.int32)
+    S_mu, S_lam = (sp.csc_matrix((vals.ravel(), operator_map.eslot, col_ptr),
+                                 shape=(len(operator_map.indices) + 1, m))
+                   for vals in (emu, elam))
+    data = (S_mu @ wmu + S_lam @ wlam)[:-1]
+    data[operator_map.fixed_slots] = 1.0
+    return data
+
+
+def float_bytes(obj):
+    """Bytes of the float arrays held by ``obj`` and its attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.dtype.kind == "f" else 0
+    if isinstance(obj, (list, tuple)):
+        return sum(float_bytes(v) for v in obj)
+    return sum(float_bytes(v) for v in getattr(obj, "__dict__", {}).values())
+
+
+class TestElementShapes:
+    @pytest.mark.parametrize("make_mesh, shapes", [
+        pytest.param(desk_mesh, 70, id="desk_mesh"),
+        pytest.param(jittered_mesh, None, id="jittered_mesh")])
+    def test_assembly_equals_per_triangle_maps(self, make_mesh, shapes):
+        mesh = make_mesh()
+        fixed = mesh.dirichlet_dofs()
+        operator_map = elasticity._operator_map(mesh, fixed)
+        assert operator_map.tables.shape[1] == (shapes or mesh.n_triangles)
+        rng = np.random.default_rng(4)
+        wmu, wlam = rng.uniform(0.01, 2.0, (2, mesh.n_triangles))
+        K = operator_map.assemble(wmu, wlam)
+        ref = per_triangle_data(operator_map, mesh, wmu, wlam)
+        assert K.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("make_mesh", [desk_mesh, hexagon_mesh])
+    def test_map_keeps_no_per_triangle_floats(self, make_mesh):
+        mesh = make_mesh()
+        operator_map = elasticity._operator_map(mesh, mesh.dirichlet_dofs())
+        shapes = operator_map.tables.shape[1]
+        # so the bound below is less than one (m, 36) float array
+        assert 2 * shapes < mesh.n_triangles
+        assert float_bytes(operator_map) <= 2 * 36 * 8 * shapes
+
+
 def assert_block_tridiagonal(K, blocks):
     n = K.shape[0]
     assert np.array_equal(np.sort(blocks.order), np.arange(n))
