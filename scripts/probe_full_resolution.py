@@ -5,7 +5,10 @@
 Builds the shipped ``cantilever_staggered`` mesh, takes the 0.3/0.3 initial
 design with a uniform stimulus of 1 (a nonzero load), and times the mesh
 build, the first stiffness assembly (which builds any per-mesh data), a
-second assembly and one ``solve_state``.  The factorization inside the
+second assembly and one ``solve_state``; ``map_build_s`` is the first
+assembly's time less the second's, the cost of the per-mesh operator map,
+and ``map_build_rss_mib`` the rise of the peak resident memory across the
+first assembly.  The factorization inside the
 solve is timed on its own (``factor_s``); ``factor_mib`` gives the bytes
 of the factor's inverse level blocks ``sinv``, ``factor_levels``,
 ``factor_max_level`` and ``factor_sum_n3`` the number, largest size and
@@ -32,7 +35,10 @@ maps), read from whatever the cache holds, and ``mesh_cache_entries_mib``
 the same per cache entry (an array shared by two entries counts in the
 first), and ``element_shapes`` the number of distinct triangle gradient
 sets, each with one unit-mu and one unit-lambda table in the operator map
-(null for a tree whose map keeps per-triangle matrices).
+(null for a tree whose map keeps per-triangle matrices).  Last,
+``snapshot_s`` times one ``vtk_io.write_vtk`` of the densities, the
+stimulus, the state and the adjoint, as a run's snapshot writes them
+(null when the gradient raised).
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
 comparable numbers.
@@ -40,8 +46,10 @@ comparable numbers.
 
 import argparse
 import json
+import os
 import resource
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -80,7 +88,7 @@ def main():
     ap.add_argument("--h", type=float, default=2e-3)
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    from morphopt import config, elasticity, sensitivity
+    from morphopt import config, elasticity, sensitivity, vtk_io
     from morphopt.errors import SolverFailureError
     from morphopt.fields import DesignField, StimulusField
 
@@ -94,12 +102,16 @@ def main():
     fixed = mesh.dirichlet_dofs()
     out = {"h": args.h, "dofs": 2 * mesh.n_nodes, "build_mesh_s": build_mesh_s}
 
+    rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
     elasticity.assemble_stiffness(mesh, design, spec.phases, fixed)
     t1 = time.perf_counter()
+    rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     K = elasticity.assemble_stiffness(mesh, design, spec.phases, fixed)
     t2 = time.perf_counter()
-    out.update(first_assembly_s=t1 - t0, assembly_s=t2 - t1, K_nnz=int(K.nnz))
+    out.update(first_assembly_s=t1 - t0, assembly_s=t2 - t1,
+               map_build_s=(t1 - t0) - (t2 - t1),
+               map_build_rss_mib=(rss1 - rss0) / 1024.0, K_nnz=int(K.nnz))
 
     iters, solve_spd_s = [], []
     solve = elasticity.solve_spd
@@ -188,6 +200,15 @@ def main():
     t = time.perf_counter()
     hexagon.build_mesh()
     out["hexagon_build_mesh_s"] = time.perf_counter() - t
+    out["snapshot_s"] = None          # no adjoint to write without a gradient
+    if out["gradient_error"] is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            t = time.perf_counter()
+            vtk_io.write_vtk(
+                os.path.join(tmp, "snapshot.vtk"), mesh,
+                {"rho2": design.rho2, "rho3": design.rho3, "s1": stim.s[0]},
+                {"u1": state.u[0], "lambda1": evaluation.lambdas[0]})
+            out["snapshot_s"] = time.perf_counter() - t
     print(json.dumps(out))
 
 

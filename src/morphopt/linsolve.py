@@ -58,6 +58,26 @@ def _dots(a, b):
     return np.ascontiguousarray((a * b).T).sum(axis=1)
 
 
+def sorted_unique(keys, return_inverse=False):
+    """The sorted distinct values of the 1-D array ``keys`` by one sort,
+    not numpy's hash-based np.unique, and with ``return_inverse`` the
+    index of each key among them.  Keys of a void dtype compare by their
+    bytes."""
+    if return_inverse:
+        order = np.argsort(keys)
+        ordered = keys[order]
+    else:
+        ordered = np.sort(keys)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    if not return_inverse:
+        return ordered[first]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _neighbours(indptr, indices, frontier):
     """All column indices of the rows in ``frontier``."""
     starts = indptr[frontier]
@@ -70,11 +90,11 @@ def _bfs_levels(indptr, indices, roots, visited):
     """Breadth-first levels from the vertex set ``roots`` (level 0) over
     the vertices not yet ``visited``; marks them in ``visited`` and returns
     the list of sorted level arrays."""
-    levels = [np.unique(np.asarray(roots, dtype=np.int64))]
+    levels = [sorted_unique(np.asarray(roots, dtype=np.int64))]
     visited[levels[0]] = True
     while True:
-        nxt = np.unique(_neighbours(indptr, indices, levels[-1]))
-        nxt = nxt[~visited[nxt]]
+        nxt = _neighbours(indptr, indices, levels[-1])
+        nxt = sorted_unique(nxt[~visited[nxt]])
         if nxt.size == 0:
             return levels
         visited[nxt] = True
@@ -99,9 +119,9 @@ def level_structure(indptr, indices, roots=None):
     visited = np.zeros(n, dtype=bool)
     order = [] if roots is None else _bfs_levels(indptr, indices, roots,
                                                  visited)
-    for start in range(n):
-        if visited[start]:
-            continue
+    start = 0
+    while not visited[start:].all():
+        start += int(np.argmin(visited[start:]))     # the first unvisited
         levels = _bfs_levels(indptr, indices, [start], visited.copy())
         while len(levels) > 1:
             last = levels[-1]
@@ -121,7 +141,7 @@ def connected_pieces(indptr, indices, vertices):
     vertex array, in the order of their least vertex."""
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    vertices = sorted_unique(np.asarray(vertices, dtype=np.int64))
     outside = np.ones(len(indptr) - 1, dtype=bool)
     outside[vertices] = False
     pieces = []

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidParameterError
+from .linsolve import sorted_unique
 
 _SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -80,8 +81,8 @@ class Mesh:
         if not (finite[0] and nodes.shape[1:] == (2,)):
             raise InvalidParameterError(
                 f"nodes must be a finite (n, 2) array, got shape {nodes.shape}")
-        if not (finite[1] and tris.shape[1:] == (3,) and np.all(
-                (tris == np.round(tris)) & (tris >= 0) & (tris < len(nodes)))):
+        if not (finite[1] and tris.shape[1:] == (3,) and _whole(tris) and (
+                not tris.size or 0 <= tris.min() <= tris.max() < len(nodes))):
             raise InvalidParameterError(
                 f"triangles must be an (m, 3) array of node indices, got "
                 f"{tris.dtype} of shape {tris.shape}")
@@ -92,36 +93,37 @@ class Mesh:
         self.triangles = np.array(tris, dtype=np.int64)
         self.cell_size = float(cell)
         for ok, (name, a) in zip(finite[3:], markers.items()):
-            if not (ok and a.ndim == 1 and np.all(a == np.round(a))):
+            if not (ok and a.ndim == 1 and _whole(a)):
                 raise InvalidParameterError(
                     f"{name} must be a 1-D array of whole indices, got "
                     f"{a.dtype} of shape {a.shape}")
-            setattr(self, name, np.unique(a.astype(np.int64)))
+            setattr(self, name, sorted_unique(a.astype(np.int64)))
         if self.target_elements.size and (
                 self.target_elements[0] < 0
                 or self.target_elements[-1] >= len(self.triangles)):
             raise InvalidParameterError("target element refers to a nonexistent triangle")
-        p = self.nodes[self.triangles]                       # (M, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # the corners as complex x + iy: one gather of 16-byte items, and
+        # complex sums and differences act on x and y apart
+        p = _corners(self.nodes, self.triangles)             # (M, 3)
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        signed = 0.5 * (d1.real * d2.imag - d1.imag * d2.real)
         if not np.all(signed > 0.0):
             raise InvalidParameterError("mesh contains a degenerate or clockwise triangle")
         self.areas = signed
         # P1 shape-function gradients: grad N_a = perp(p_{a+2} - p_{a+1}) / (2A)
-        grads = np.empty((len(self.triangles), 3, 2))
-        for a in range(3):
-            e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
-            grads[:, a, 0] = -e[:, 1]
-            grads[:, a, 1] = e[:, 0]
+        e = p.take([2, 0, 1], axis=1) - p.take([1, 2, 0], axis=1)
+        grads = np.empty((len(p), 3, 2))
+        np.negative(e.imag, out=grads[:, :, 0])
+        grads[:, :, 1] = e.real
         grads /= (2.0 * signed)[:, None, None]
         self.grads = grads
-        if not np.all(np.isin(self.dirichlet_nodes, self.boundary_nodes())):
+        d = self.dirichlet_nodes
+        if d.size and not (0 <= d[0] and d[-1] < self.n_nodes
+                           and self._on_boundary()[d].all()):
             raise InvalidParameterError("dirichlet node off the mesh boundary")
         self.area = float(np.sum(signed))
-        self._lumped_areas = np.zeros(self.n_nodes)
-        np.add.at(self._lumped_areas, self.triangles.ravel(),
-                  np.repeat(signed / 3.0, 3))
+        self._lumped_areas = np.bincount(self.triangles.ravel(), np.repeat(
+            signed / 3.0, 3), minlength=self.n_nodes)
         n = self.dirichlet_nodes
         self._dirichlet_dofs = np.sort(np.concatenate([2 * n, 2 * n + 1]))
         for arr in (self.nodes, self.triangles, self.dirichlet_nodes,
@@ -138,17 +140,27 @@ class Mesh:
         return len(self.triangles)
 
     def centroids(self):
-        return self.nodes[self.triangles].mean(axis=1)
+        return _centroids(self.nodes, self.triangles)
 
     def boundary_nodes(self):
         """Nodes lying on edges that belong to exactly one triangle."""
+        return np.flatnonzero(self._on_boundary())
+
+    def _on_boundary(self):
+        # the edge keys sorted once: a key unequal to both its neighbours
+        # belongs to exactly one triangle
         t = self.triangles
         a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
         n = self.n_nodes
-        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                 return_counts=True)
-        edges = keys[counts == 1]
-        return np.unique(np.concatenate([edges // n, edges % n]))
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        differs = np.empty(len(keys) + 1, dtype=bool)
+        differs[[0, -1]] = True
+        np.not_equal(keys[1:], keys[:-1], out=differs[1:-1])
+        edges = keys[differs[:-1] & differs[1:]]
+        mask = np.zeros(n, dtype=bool)
+        mask[edges // n] = True
+        mask[edges % n] = True
+        return mask
 
     def dirichlet_dofs(self):
         """Both displacement components of every clamped node."""
@@ -175,6 +187,22 @@ class Mesh:
                 arr.setflags(write=False)
             self.cache["gradient"] = D
         return self.cache["gradient"]
+
+
+def _whole(a):
+    """Whether every entry of the finite array ``a`` is a whole number."""
+    return a.dtype.kind in "iu" or bool(np.all(a == np.round(a)))
+
+
+def _corners(nodes, triangles):
+    """The corners of every triangle as complex numbers x + iy, (M, 3)."""
+    return np.ascontiguousarray(nodes).view(complex)[:, 0][triangles]
+
+
+def _centroids(nodes, triangles):
+    """(p0 + p1 + p2) / 3 of every triangle, (M, 2)."""
+    p = _corners(nodes, triangles)
+    return (p[:, 0] + p[:, 1] + p[:, 2]).view(float).reshape(-1, 2) / 3.0
 
 
 def _split_cells(n00, n10, n01, n11):
@@ -238,7 +266,7 @@ def build_rect_mesh(lx, ly, h, dirichlet_side="left", target_box=None):
         x0, y0, x1, y1 = target_box
         if not (0.0 <= x0 <= x1 <= lx and 0.0 <= y0 <= y1 <= ly):
             raise InvalidParameterError("target_box must sit inside the domain")
-        c = nodes[triangles].mean(axis=1)
+        c = _centroids(nodes, triangles)
         inside = (c[:, 0] >= x0) & (c[:, 0] <= x1) & (c[:, 1] >= y0) & (c[:, 1] <= y1)
         target = np.nonzero(inside)[0]
         if len(target) == 0:
@@ -308,7 +336,7 @@ def build_hexagon_mesh(edge, h, target_edge, clamp_orientation="odd"):
     # degrees), column ix = m edges 0, 2, 4
     dirichlet = (grid[:, m] if clamp_orientation == "odd" else grid[:, :, m]).ravel()
 
-    c = nodes[triangles].mean(axis=1)
+    c = _centroids(nodes, triangles)
     target = np.nonzero(points_in_hexagon(c, target_edge))[0]
     if len(target) == 0:
         raise InvalidParameterError(

@@ -17,23 +17,24 @@ def write_vtk(path, mesh, point_scalars=None, point_vectors=None):
     """
     n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "w") as fh:
-        def put(fmt, rows):
+        def put(line, rows):
+            # one %-format of the block's values, line repeated per row
             for a in range(0, len(rows), LINES_PER_WRITE):
-                fh.write("\n".join(fmt.format(*row) for row in
-                                   rows[a:a + LINES_PER_WRITE].tolist()) + "\n")
+                block = rows[a:a + LINES_PER_WRITE]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
         fh.write("# vtk DataFile Version 3.0\nmorphopt fields\nASCII\n"
                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        put("{!r} {!r} 0.0", np.asarray(mesh.nodes, dtype=float))
+        put("%r %r 0.0\n", np.asarray(mesh.nodes, dtype=float))
         fh.write(f"CELLS {m} {4 * m}\n")
-        put("3 {} {} {}", mesh.triangles)
+        put("3 %d %d %d\n", mesh.triangles)
         fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
         if point_scalars or point_vectors:
             fh.write(f"POINT_DATA {n}\n")
         for name, arr in (point_scalars or {}).items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            put("{!r}", np.asarray(arr, dtype=float).reshape(-1, 1))
+            put("%r\n", np.asarray(arr, dtype=float).reshape(-1, 1))
         for name, arr in (point_vectors or {}).items():
             fh.write(f"VECTORS {name} double\n")
-            put("{!r} {!r} 0.0", np.asarray(arr, dtype=float))
+            put("%r %r 0.0\n", np.asarray(arr, dtype=float))
     return path

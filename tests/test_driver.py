@@ -423,22 +423,43 @@ class TestVtk:
         vectors = {"u1": rng.normal(size=(mesh.n_nodes, 2))}
         with mock.patch.object(vtk_io, "LINES_PER_WRITE", lines_per_write):
             write_vtk(tmp_path / "m.vtk", mesh, scalars, vectors)
-        ref = ["# vtk DataFile Version 3.0", "morphopt fields", "ASCII",
-               "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double",
-               "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()),
-               f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}",
-               "\n".join(f"3 {a} {b} {c}"
-                         for a, b, c in mesh.triangles.tolist()),
-               "\n".join([f"CELL_TYPES {mesh.n_triangles}"]
-                         + ["5"] * mesh.n_triangles),
-               f"POINT_DATA {mesh.n_nodes}"]
-        for name, arr in scalars.items():
-            ref += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
-                    "\n".join(map(repr, arr.tolist()))]
-        for name, arr in vectors.items():
-            ref += [f"VECTORS {name} double",
-                    "\n".join(f"{x!r} {y!r} 0.0" for x, y in arr.tolist())]
-        assert (tmp_path / "m.vtk").read_text() == "\n".join(ref) + "\n"
+        assert (tmp_path / "m.vtk").read_text() == reference_vtk_text(
+            mesh, scalars, vectors)
+
+    @pytest.mark.parametrize("lines_per_write", [5, LINES_PER_WRITE])
+    def test_hexagon_sections_equal_one_join_per_section(self, tmp_path,
+                                                         lines_per_write):
+        mesh = build_hexagon_mesh(0.35, 0.01, 0.035)
+        assert mesh.n_triangles > LINES_PER_WRITE
+        rng = np.random.default_rng(3)
+        scalars = {"rho3": rng.uniform(size=mesh.n_nodes) ** 7}
+        vectors = {"u2": rng.normal(size=(mesh.n_nodes, 2)) * 1e-9,
+                   "s": np.zeros((mesh.n_nodes, 2))}
+        with mock.patch.object(vtk_io, "LINES_PER_WRITE", lines_per_write):
+            write_vtk(tmp_path / "h.vtk", mesh, scalars, vectors)
+        assert (tmp_path / "h.vtk").read_text() == reference_vtk_text(
+            mesh, scalars, vectors)
+
+
+def reference_vtk_text(mesh, scalars, vectors):
+    """The VTK file as one str.format per line and one join per section:
+    the oracle of write_vtk."""
+    ref = ["# vtk DataFile Version 3.0", "morphopt fields", "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double",
+           "\n".join(f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()),
+           f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}",
+           "\n".join(f"3 {a} {b} {c}"
+                     for a, b, c in mesh.triangles.tolist()),
+           "\n".join([f"CELL_TYPES {mesh.n_triangles}"]
+                     + ["5"] * mesh.n_triangles),
+           f"POINT_DATA {mesh.n_nodes}"]
+    for name, arr in scalars.items():
+        ref += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                "\n".join(map(repr, arr.tolist()))]
+    for name, arr in vectors.items():
+        ref += [f"VECTORS {name} double",
+                "\n".join(f"{x!r} {y!r} 0.0" for x, y in arr.tolist())]
+    return "\n".join(ref) + "\n"
 
 
 class TestRender:

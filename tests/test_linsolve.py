@@ -697,6 +697,167 @@ class TestElementShapes:
         assert float_bytes(operator_map) <= 2 * 36 * 8 * shapes
 
 
+def reference_pattern(mesh, fixed_dofs):
+    """The CSR pattern of an operator map from one np.unique over the 36
+    dof keys of every triangle, plus the fixed-diagonal keys and the key
+    n * n of every entry in a fixed row or column: (indices, indptr,
+    eslot, fixed_slots), the oracle of _OperatorMap's node-pair set-up."""
+    tri, m = mesh.triangles, mesh.n_triangles
+    n = 2 * mesh.n_nodes
+    fixed = np.zeros(n, dtype=bool)
+    fixed[fixed_dofs] = True
+    edof = (2 * tri[:, :, None] + [0, 1]).reshape(m, 6)
+    keys = n * edof[:, :, None] + edof[:, None, :]
+    on_fixed = fixed[edof]
+    keys[on_fixed[:, :, None] | on_fixed[:, None, :]] = n * n
+    keys, slots = np.unique(
+        np.concatenate([keys.ravel(), fixed_dofs * (n + 1), [n * n]]),
+        return_inverse=True)
+    row, col = np.divmod(keys[:-1], n)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(row, minlength=n))]).astype(np.int32)
+    return (col.astype(np.int32), indptr, slots[:36 * m].astype(np.int32),
+            slots[36 * m:-1].copy())
+
+
+def reference_unit_entries(mesh):
+    """The unit-mu and unit-lambda entries of every triangle, (2, m, 36),
+    in the element entry order of _OperatorMap."""
+    G, m = mesh.grads, mesh.n_triangles
+    entries = np.empty((2, m, 36))
+    for a in range(3):
+        for b in range(3):
+            gg = G[:, a, 0] * G[:, b, 0] + G[:, a, 1] * G[:, b, 1]
+            for xa in range(2):
+                for yb in range(2):
+                    e = (2 * a + xa) * 6 + 2 * b + yb
+                    entries[0, :, e] = (G[:, a, yb] * G[:, b, xa]
+                                        + (gg if xa == yb else 0.0))
+                    entries[1, :, e] = G[:, a, xa] * G[:, b, yb]
+    return entries
+
+
+class TestOperatorMapSetUp:
+    @pytest.mark.parametrize("make_mesh, constrain", [
+        pytest.param(desk_mesh, Mesh.dirichlet_dofs, id="desk_mesh"),
+        pytest.param(hexagon_mesh, Mesh.dirichlet_dofs, id="hexagon_mesh"),
+        pytest.param(jittered_mesh, Mesh.dirichlet_dofs, id="jittered_mesh"),
+        # the pins fix one of the two dofs of a node
+        pytest.param(lambda: build_rect_mesh(1.0, 1.0, 0.1, "left", None),
+                     dilation_pins, id="point_constraints"),
+        pytest.param(desk_mesh, lambda mesh: [], id="no_fixed_dofs")])
+    def test_pattern_and_entries_equal_the_36_key_construction(
+            self, make_mesh, constrain):
+        mesh = make_mesh()
+        fixed = np.unique(np.asarray(constrain(mesh), dtype=np.int64))
+        operator_map = elasticity._operator_map(mesh, fixed)
+        names = ("indices", "indptr", "eslot", "fixed_slots")
+        for name, ref in zip(names, reference_pattern(mesh, fixed)):
+            got = getattr(operator_map, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        entries = operator_map.tables[:, operator_map.shape_of]
+        assert entries.tobytes() == reference_unit_entries(mesh).tobytes()
+
+
+def reference_bfs_levels(indptr, indices, roots, visited):
+    """_bfs_levels with np.unique before the visited filter: its oracle."""
+    levels = [np.unique(np.asarray(roots, dtype=np.int64))]
+    visited[levels[0]] = True
+    while True:
+        nxt = np.unique(linsolve._neighbours(indptr, indices, levels[-1]))
+        nxt = nxt[~visited[nxt]]
+        if nxt.size == 0:
+            return levels
+        visited[nxt] = True
+        levels.append(nxt)
+
+
+def reference_level_structure(indptr, indices, roots=None):
+    """level_structure over reference_bfs_levels, one start tried per
+    vertex: its oracle."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    visited = np.zeros(n, dtype=bool)
+    order = [] if roots is None else reference_bfs_levels(
+        indptr, indices, roots, visited)
+    for start in range(n):
+        if visited[start]:
+            continue
+        levels = reference_bfs_levels(indptr, indices, [start], visited.copy())
+        while len(levels) > 1:
+            last = levels[-1]
+            candidate = last[np.argmin(degree[last])]
+            trial = reference_bfs_levels(indptr, indices, [candidate],
+                                         visited.copy())
+            if len(trial) <= len(levels):
+                break
+            levels = trial
+        visited[np.concatenate(levels)] = True
+        order += levels
+    sizes = [len(level) for level in order]
+    return np.concatenate(order), np.concatenate([[0], np.cumsum(sizes)])
+
+
+def node_graph(mesh):
+    """CSR pointers and columns of the node graph of a mesh."""
+    tri = mesh.triangles
+    A = sp.csr_matrix((np.ones(9 * mesh.n_triangles),
+                       (np.repeat(tri, 3, axis=1).ravel(),
+                        np.tile(tri, 3).ravel())),
+                      shape=(mesh.n_nodes, mesh.n_nodes))
+    A.sum_duplicates()
+    return A.indptr, A.indices
+
+
+class TestSortedLevels:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.integers(0, 120), st.integers(0, 2 ** 16))
+    def test_random_graphs_equal_the_unique_reference(self, n, edges, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, n, (2, edges))
+        A = sp.csr_matrix((np.ones(2 * edges), (np.r_[a, b], np.r_[b, a])),
+                          shape=(n, n))
+        A.sum_duplicates()
+        roots = rng.integers(0, n, rng.integers(1, 4))
+        for visited in (np.zeros(n, dtype=bool), rng.random(n) < 0.3):
+            visited[roots] = False
+            got = linsolve._bfs_levels(A.indptr, A.indices, roots,
+                                       visited.copy())
+            ref = reference_bfs_levels(A.indptr, A.indices, roots,
+                                       visited.copy())
+            assert len(got) == len(ref)
+            for level, expected in zip(got, ref):
+                assert level.dtype == expected.dtype
+                assert np.array_equal(level, expected)
+        for r in (None, roots):
+            got = level_structure(A.indptr, A.indices, r)
+            ref = reference_level_structure(A.indptr, A.indices, r)
+            for x, y in zip(got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("make_mesh", [
+        desk_mesh, lambda: hexagon_mesh("odd"), lambda: hexagon_mesh("even")],
+        ids=["desk", "hexagon-odd", "hexagon-even"])
+    def test_shipped_meshes_equal_the_unique_reference(self, make_mesh):
+        mesh = make_mesh()
+        indptr, indices = node_graph(mesh)
+        for roots in (None, mesh.dirichlet_nodes, mesh.dirichlet_nodes[:1]):
+            got = level_structure(indptr, indices, roots)
+            ref = reference_level_structure(indptr, indices, roots)
+            for x, y in zip(got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_sorted_unique_and_its_inverse(self):
+        keys = np.array([5, -1, 5, 3, 3, 9, -1, 5])
+        values, inverse = linsolve.sorted_unique(keys, return_inverse=True)
+        assert np.array_equal(values, [-1, 3, 5, 9])
+        assert np.array_equal(values[inverse], keys)
+        assert np.array_equal(linsolve.sorted_unique(keys), values)
+        assert linsolve.sorted_unique(keys[:0]).size == 0
+
+
 def assert_block_tridiagonal(K, blocks):
     n = K.shape[0]
     assert np.array_equal(np.sort(blocks.order), np.arange(n))

@@ -146,6 +146,23 @@ def test_rect_boundary_equals_reference(args):
     assert_same_arrays(mesh.boundary_nodes(), reference_boundary_nodes(mesh))
 
 
+def test_boundary_with_edges_shared_by_three_triangles():
+    # an interior triangle doubled: each of its edges is then shared by
+    # three triangles and stays interior.  The one triangle at the corner
+    # node 4 doubled: its two boundary edges are shared by two, so the
+    # corner leaves the boundary
+    mesh = build_rect_mesh(1.0, 1.0, 0.25, "left", None)
+    interior = [k for k, t in enumerate(mesh.triangles)
+                if not np.isin(t, mesh.boundary_nodes()).any()][0]
+    corner, = np.flatnonzero((mesh.triangles == 4).any(axis=1))
+    doubled = Mesh(mesh.nodes, np.concatenate(
+        [mesh.triangles, mesh.triangles[[interior, corner]]]),
+        np.array([], dtype=int), np.array([], dtype=int), mesh.cell_size)
+    ref = reference_boundary_nodes(doubled)
+    assert_same_arrays(doubled.boundary_nodes(), ref)
+    assert np.array_equal(ref, np.setdiff1d(mesh.boundary_nodes(), [4]))
+
+
 class TestRectMesh:
     def test_cell_counting_example(self):
         mesh = build_rect_mesh(1.0, 1 / 3, 1 / 3, "left",
@@ -582,6 +599,14 @@ class TestMeshValidation:
                     if i not in mesh.boundary_nodes()][0]
         with pytest.raises(InvalidParameterError):
             Mesh(mesh.nodes, mesh.triangles, np.array([interior]),
+                 np.array([], dtype=int), mesh.cell_size)
+
+    @pytest.mark.parametrize("node", [-1, 25])
+    def test_off_mesh_dirichlet_node_rejected(self, node):
+        mesh = build_rect_mesh(1.0, 1.0, 0.25, "left", None)
+        assert mesh.n_nodes == 25
+        with pytest.raises(InvalidParameterError, match="dirichlet node off"):
+            Mesh(mesh.nodes, mesh.triangles, np.array([0, node]),
                  np.array([], dtype=int), mesh.cell_size)
 
     def test_immutability(self):
