@@ -498,8 +498,8 @@ def block_tridiagonal_spd(sizes, seed):
 class TestKeptInverses:
     def test_each_block_is_its_schur_complement_inverse(self):
         # levels above 48 rows, which _lower_inverse halves, on both sides
-        # of the twist and at its neighbours; levels up to 48 rows, its base
-        # case, at both ends
+        # of the twist and at its neighbours; levels up to 48 rows, which
+        # one augmented Cholesky call inverts, at both ends
         sizes = [6, 50, 60, 4, 55, 9]
         A = block_tridiagonal_spd(sizes, seed=5)
         ptr = np.concatenate([[0], np.cumsum(sizes)])
@@ -517,6 +517,53 @@ class TestKeptInverses:
             assert np.array_equal(kept, kept.T)
             np.testing.assert_allclose(kept, ref, rtol=0,
                                        atol=1e-14 * np.abs(ref).max())
+
+
+class TestSmallLevelKernel:
+    """Levels of at most SMALL_LEVEL rows take L_i^{-1} from one Cholesky
+    call of [[S_i, I], [I, t I]]; larger ones from cholesky and
+    _lower_inverse."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, linsolve.SMALL_LEVEL), st.floats(-8.0, 8.0),
+           st.integers(0, 2 ** 16))
+    def test_inverse_factor_whitens_its_block(self, n, decades, seed):
+        S = random_spd(n, seed) * 10.0 ** decades
+        linv = linsolve._inverse_cholesky(S)
+        assert np.array_equal(linv, np.tril(linv))
+        err = np.abs(linv @ S @ linv.T - np.eye(n)).max()
+        assert err <= 4 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("level", [3, 1], ids=["small", "large"])
+    def test_indefinite_level_is_named(self, level):
+        sizes = [6, 50, 60, 4, 55, 9]
+        assert (sizes[level] <= linsolve.SMALL_LEVEL) == (level == 3)
+        A = block_tridiagonal_spd(sizes, seed=5)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = LevelBlocks(A.indptr, A.indices, np.arange(ptr[-1]), ptr)
+        row = ptr[level]
+        A[row, row] = -A[row, row]
+        with pytest.raises(MatrixNotSPDError, match=f"in level {level}:"):
+            BlockCholesky(A, blocks)
+
+    def test_levels_straddling_the_split_certify(self):
+        sizes = [47, 48, 49, 50, 48, 47]
+        A = block_tridiagonal_spd(sizes, seed=9)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = LevelBlocks(A.indptr, A.indices, np.arange(ptr[-1]), ptr)
+        b = np.random.default_rng(9).normal(size=(ptr[-1], 2))
+        x = solve_spd(A, b, factor=BlockCholesky(A, blocks))
+        assert certified(A, x, b)
+        np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
+                                   rtol=0, atol=1e-13 * np.abs(x).max())
+
+    def test_empty_row_breaks_down(self):
+        # no diagonal entry in the last row: the factor breaks down before
+        # anorm sums the rows
+        A = sp.csr_matrix(np.diag([2.0, 3.0, 0.0]))
+        assert A.indptr[-2] == A.nnz
+        with pytest.raises(MatrixNotSPDError):
+            BlockCholesky(A)
 
 
 class TestRaggedSteps:
