@@ -525,14 +525,20 @@ class TestSmallLevelKernel:
     _lower_inverse."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(st.integers(1, linsolve.SMALL_LEVEL), st.floats(-8.0, 8.0),
+    @given(st.integers(1, linsolve.SMALL_LEVEL), st.floats(-200.0, 200.0),
            st.integers(0, 2 ** 16))
     def test_inverse_factor_whitens_its_block(self, n, decades, seed):
+        # any scale whose least eigenvalue stays above 1 / AUGMENT
         S = random_spd(n, seed) * 10.0 ** decades
         linv = linsolve._inverse_cholesky(S)
         assert np.array_equal(linv, np.tril(linv))
         err = np.abs(linv @ S @ linv.T - np.eye(n)).max()
         assert err <= 4 * n * np.finfo(float).eps
+
+    def test_eigenvalue_below_one_over_t_breaks_down(self):
+        # SPD, but t I - S^{-1} is not: the call raises, not a wrong answer
+        with pytest.raises(np.linalg.LinAlgError):
+            linsolve._inverse_cholesky(np.eye(3) / (4 * linsolve.AUGMENT))
 
     @pytest.mark.parametrize("level", [3, 1], ids=["small", "large"])
     def test_indefinite_level_is_named(self, level):
