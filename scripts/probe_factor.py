@@ -14,7 +14,12 @@ and alternates which tree goes first from pair to pair.  It prints one
 JSON line per operator with:
 
 - ``base_ms`` and ``change_ms``: the median build of each tree;
+- ``base_iqr_ms``: the distance between the quartiles of the base's
+  builds, the spread a change in the median has to exceed;
 - ``change_faster``: the share of pairs in which the change was faster;
+- ``change_faster_p``: the two-sided sign-test probability of a share at
+  least that far from one half when neither tree is faster, each pair a
+  fair coin flip;
 - ``solve_rel_diff``: the largest difference between the two trees'
   certified ``solve_spd`` answers for the operator's stimulus load (a
   uniform stimulus of 1 in every load case), relative to the largest
@@ -23,6 +28,7 @@ JSON line per operator with:
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +77,13 @@ def child(src):
         else:
             x = solve_spd(K, f, factor=elasticity.factorize(mesh, K, fixed))
             print(x.tobytes().hex(), flush=True)
+
+
+def sign_test(wins, n):
+    """Two-sided probability that n fair coin flips give a count of
+    heads at least as far from n / 2 as ``wins``."""
+    k = min(wins, n - wins)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
 
 
 class Tree:
@@ -127,7 +140,10 @@ def main():
                 "operator": name, "pairs": args.pairs,
                 "base_ms": 1e3 * float(np.median(a)),
                 "change_ms": 1e3 * float(np.median(b)),
+                "base_iqr_ms": 1e3 * float(np.subtract(
+                    *np.percentile(a, [75, 25]))),
                 "change_faster": float(np.mean(b < a)),
+                "change_faster_p": sign_test(int(np.sum(b < a)), args.pairs),
                 "solve_rel_diff": float(np.max(np.abs(xb - xa))
                                         / np.max(np.abs(xa)))}))
     finally:

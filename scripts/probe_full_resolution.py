@@ -1,6 +1,7 @@
 """Cost of one state solve on the full-resolution cantilever.
 
     python3 scripts/probe_full_resolution.py [--src SRC] [--h 0.002]
+                                             [--iterates N]
 
 Builds the shipped ``cantilever_staggered`` mesh, takes the 0.3/0.3 initial
 design with a uniform stimulus of 1 (a nonzero load), and times the mesh
@@ -25,8 +26,7 @@ operator and factor is timed (adjoint solve and both gradient kernels;
 ``gradient_error`` holds the message when the adjoint solve raises
 SolverFailureError), and the shipped ``hexagon_contrast5`` mesh is built
 at the same h and timed.  Prints one JSON line with the times, the
-state solve's ``iterations`` (its callback calls: 1, the factor's
-certified answer), its ``relative_residual`` ||K u - f|| / ||f|| and
+state solve's ``relative_residual`` ||K u - f|| / ||f|| and
 ``backward_error`` ||K u - f|| / (||K||_inf ||u|| + ||f||), the quantity
 that ``solve_spd`` certifies, the peak resident memory and
 ``mesh_cache_mib``: the bytes of every array held in ``Mesh.cache`` after
@@ -39,6 +39,18 @@ sets, each with one unit-mu and one unit-lambda table in the operator map
 ``snapshot_s`` times one ``vtk_io.write_vtk`` of the densities, the
 stimulus, the state and the adjoint, as a run's snapshot writes them
 (null when the gradient raised).
+
+With ``--iterates N`` the script instead runs N outer iterates of the
+shipped config at that h through ``runner.run``, artifacts to a temporary
+directory, and prints one JSON line: ``setup_s``, the time up to the end
+of iterate 0 (the mesh, the first evaluation and its snapshot); per
+accepted iterate its ``wall_s`` from the end of the one before, snapshot
+included, and the ``factorizations`` (``BlockCholesky`` builds) and
+``sweeps`` (``BlockCholesky.solve`` calls) made in it; ``finish_s``, the
+time from the last iterate to the return of ``runner.run`` (the final
+exports); the totals, the run's status and final total objective, and
+the peak resident memory.
+
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
 comparable numbers.
@@ -82,12 +94,69 @@ def _cache_name(key):
     return f"{tag} degree {getattr(detail, 'degree', detail)}"
 
 
+def run_iterates(h, iterates):
+    """The --iterates report: ``iterates`` outer iterates of the shipped
+    cantilever_staggered at mesh size h through runner.run."""
+    from morphopt import config, linsolve, runner
+
+    counts = {"factorizations": 0, "sweeps": 0}
+    factor_init, factor_solve = (linsolve.BlockCholesky.__init__,
+                                 linsolve.BlockCholesky.solve)
+
+    def counted_init(self, *a, **kw):
+        counts["factorizations"] += 1
+        factor_init(self, *a, **kw)
+
+    def counted_solve(self, *a, **kw):
+        counts["sweeps"] += 1
+        return factor_solve(self, *a, **kw)
+    linsolve.BlockCholesky.__init__ = counted_init
+    linsolve.BlockCholesky.solve = counted_solve
+
+    marks = []
+    run_staggered = runner.run_staggered
+
+    def timed_staggered(*a, on_iterate, **kw):
+        def timed_on_iterate(rec, ev):
+            on_iterate(rec, ev)
+            marks.append((rec.iteration, time.perf_counter(), dict(counts)))
+        return run_staggered(*a, on_iterate=timed_on_iterate, **kw)
+    runner.run_staggered = timed_staggered
+
+    spec = config.load_shipped_config(
+        "cantilever_staggered", overrides=[
+            f"mesh.h={h!r}", f"optimizer.max_outer_iters={iterates}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        artifacts = runner.run(spec, out_dir=tmp)
+        t1 = time.perf_counter()
+    per_iterate = [
+        {"iteration": it, "wall_s": t - t_prev,
+         **{key: c[key] - c_prev[key] for key in counts}}
+        for (_, t_prev, c_prev), (it, t, c) in zip(marks, marks[1:])]
+    return {
+        "h": h, "iterates": len(per_iterate), "status": artifacts.status,
+        "total": artifacts.summary["total"],
+        "setup_s": marks[0][1] - t0, "per_iterate": per_iterate,
+        "iterate_s": sum(it["wall_s"] for it in per_iterate),
+        "finish_s": t1 - marks[-1][1], "run_s": t1 - t0, **counts,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0}
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--src", default="src")
     ap.add_argument("--h", type=float, default=2e-3)
+    ap.add_argument("--iterates", type=int, default=0,
+                    help="run this many outer iterates instead")
     args = ap.parse_args()
+    if args.iterates < 0:
+        ap.error("--iterates must be at least 0")
     sys.path.insert(0, args.src)
+    if args.iterates:
+        print(json.dumps(run_iterates(args.h, args.iterates)))
+        return
     from morphopt import config, elasticity, sensitivity, vtk_io
     from morphopt.errors import SolverFailureError
     from morphopt.fields import DesignField, StimulusField
@@ -113,11 +182,10 @@ def main():
                map_build_s=(t1 - t0) - (t2 - t1),
                map_build_rss_mib=(rss1 - rss0) / 1024.0, K_nnz=int(K.nnz))
 
-    iters, solve_spd_s = [], []
+    solve_spd_s = []
     solve = elasticity.solve_spd
 
     def counted(*a, **kw):
-        kw["callback"] = lambda it, r: iters.append(r)
         t = time.perf_counter()
         result = solve(*a, **kw)
         solve_spd_s.append(time.perf_counter() - t)
@@ -154,7 +222,6 @@ def main():
                factor_root=elasticity._operator_map(mesh, fixed).root)
     out.update(solve_state_s=t4 - t3, factor_s=sum(factor_s),
                solve_spd_ms=1e3 * solve_spd_s[0],
-               iterations=len(iters),
                relative_residual=float(np.linalg.norm(K @ u - f)
                                        / np.linalg.norm(f)),
                backward_error=float(np.linalg.norm(K @ u - f) / (

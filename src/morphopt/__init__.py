@@ -5,6 +5,16 @@ responsive) and per-load-case stimulus fields so that a target subregion
 of a 2D domain deforms toward prescribed displacements.
 """
 
+import os
+
+# one BLAS and OpenMP thread, unless the environment names a count: the
+# block Cholesky factor runs its own second thread, and one BLAS thread
+# fixes the order of every reduction, so a run's bytes do not depend on
+# the number of cores.  It acts only when morphopt is imported before numpy
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .elasticity import (StateSolution, assemble_stiffness,
                          assemble_stimulus_load, solve_adjoint, solve_state)
 from .errors import (ConfigError, InvalidParameterError, MatrixNotSPDError,

@@ -12,15 +12,15 @@ level.  The blocks are eliminated with dense LAPACK Cholesky, from both
 ends of the level sequence towards the twist level (Meurant, SIAM J.
 Matrix Anal. Appl. 13, 1992): the two chains are independent, and the
 lower one runs on a worker thread, since LAPACK and BLAS release the
-interpreter lock.  A level of at most SMALL_LEVEL unknowns, as every level
-of the desk mesh is, takes the inverse of its Cholesky factor from one
-Cholesky call of twice its size, whose trailing triangular solve forms it;
-a larger level takes a Cholesky call and an inverse by halving.  Only the
-inverse Schur complements S_i^{-1} are kept, in one buffer.  A sweep
-steps both chains in lockstep: level p and level N - 1 - p are
-independent in both passes, so when they are of one size their S_i^{-1}
-lie side by side as one (2, n, n) block, and one step makes one take,
-one multiply and one bincount over the sparse coupling entries
+interpreter lock.  One kernel inverts the Cholesky factor of every
+level: a level of at most SMALL_LEVEL unknowns, as every level of the desk
+mesh is, takes it from one Cholesky call of twice its size, whose trailing
+triangular solve forms it, and a larger level is halved until its parts
+are that small.  Only the inverse Schur complements S_i^{-1} are kept, in
+one buffer.  A sweep steps both chains in lockstep: level p and level
+N - 1 - p are independent in both passes, so when they are of one size
+their S_i^{-1} lie side by side as one (2, n, n) block, and one step makes
+one take, one multiply and one bincount over the sparse coupling entries
 of both levels and the k lanes, and one stacked (2, n, n) @ (2, n, k)
 product.  That halves the numpy calls of a sweep, whose cost they are at
 desk scale.  A sweep solves for k right-hand sides at once, so its
@@ -183,8 +183,9 @@ def cheapest_level_structure(indptr, indices, candidates, unknowns=1):
 
 
 # the largest level that _inverse_cholesky inverts by one augmented
-# Cholesky call and the base case of _lower_inverse's halving
-SMALL_LEVEL = 48
+# Cholesky call, which beats its halves' two calls up to about 60 rows and
+# loses from 64 (one BLAS thread, 2-vCPU VM); a larger level is halved
+SMALL_LEVEL = 60
 # t of that call, a power of two: t I - S^{-1} is SPD, so the call succeeds,
 # for every SPD S whose least eigenvalue exceeds 1 / t, about 1e-271
 AUGMENT = 2.0 ** 900
@@ -195,35 +196,28 @@ def _inverse_cholesky(S):
     np.linalg.LinAlgError when S is not SPD.  Up to SMALL_LEVEL rows it is
     read from one Cholesky call of [[S, I], [I, t I]], t = AUGMENT, whose
     factor is [[L, 0], [L^{-T}, chol(t I - S^{-1})]]: the call's triangular
-    solve forms L^{-T} in place of np.linalg.inv's LU of L (at n = 42, 34
-    microseconds against 12 + 42 for chol(S) and the inverse of its L on a
-    2-vCPU VM).  The call reads only the lower triangle, and it breaks
-    down, as for an S that is not SPD, when S has an eigenvalue below
-    1 / t."""
+    solve forms L^{-T}.  A larger S is halved (Gustavson, IBM J. Res. Dev.
+    41, 1997; Du Croz and Higham, IMA J. Numer. Anal. 12, 1992):
+    L_11^{-1} from S_11, L_21 = S_21 L_11^{-T}, L_22^{-1} from the Schur
+    complement S_22 - L_21 L_21^T, and (L^{-1})_21 = -L_22^{-1} L_21
+    L_11^{-1}.  The answer depends only on the lower triangle of S, and a
+    call breaks down, as for an S that is not SPD, when its block has an
+    eigenvalue below 1 / t."""
     n = len(S)
-    if n > SMALL_LEVEL:
-        return _lower_inverse(np.linalg.cholesky(S))
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = S
-    flat = M.reshape(-1)              # rows n + j: 1 at column j, t at n + j
-    flat[2 * n * n::2 * n + 1] = 1.0
-    flat[2 * n * n + n::2 * n + 1] = AUGMENT
-    return np.linalg.cholesky(M)[n:, :n].T
-
-
-def _lower_inverse(L):
-    """The inverse of a lower-triangular L by halving in place,
-    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]:
-    above SMALL_LEVEL rows this beats np.linalg.inv, an LU-based inverse,
-    which gives the smaller blocks as new arrays."""
-    n = len(L)
     if n <= SMALL_LEVEL:
-        return np.linalg.inv(L)
+        M = np.zeros((2 * n, 2 * n))
+        M[:n, :n] = S
+        flat = M.reshape(-1)          # rows n + j: 1 at column j, t at n + j
+        flat[2 * n * n::2 * n + 1] = 1.0
+        flat[2 * n * n + n::2 * n + 1] = AUGMENT
+        return np.linalg.cholesky(M)[n:, :n].T
     h = n // 2
-    L[:h, :h] = _lower_inverse(L[:h, :h])
-    L[h:, h:] = _lower_inverse(L[h:, h:])
-    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
-    return L
+    linv = np.zeros((n, n))
+    linv[:h, :h] = A = _inverse_cholesky(S[:h, :h])
+    W = S[h:, :h] @ A.T                            # L_21
+    linv[h:, h:] = C = _inverse_cholesky(S[h:, h:] - W @ W.T)
+    linv[h:, :h] = -C @ (W @ A)
+    return linv
 
 
 class LevelBlocks:
@@ -405,8 +399,9 @@ class BlockCholesky:
     S_m takes both updates last.  One scatter puts every D_i into the
     buffer of the S_i^{-1}, laid out by ``blocks.steps``, and one gather
     takes all coupling values.  Every level is eliminated alike: S_i is
-    formed in place, and the inverse L_i^{-1} of L_i = chol(S_i)
-    (``_inverse_cholesky``) gives ``sinv[i]`` = S_i^{-1} = L_i^{-T} L_i^{-1},
+    formed in place, and the inverse L_i^{-1} of L_i = chol(S_i), from
+    augmented Cholesky calls of at most 2 SMALL_LEVEL rows
+    (``_inverse_cholesky``), gives ``sinv[i]`` = S_i^{-1} = L_i^{-T} L_i^{-1},
     symmetric to the bit, and the Schur update W W^T, W = C_ji L_i^{-T}, of
     the next level j.
     ``solve`` sweeps forward from both ends into m, then back outwards,
@@ -469,8 +464,8 @@ class BlockCholesky:
         ``linvs`` the L_j^{-1} of the levels j of ``blocks.outer[i]``; forms
         S_i over D_i in ``sinv[i]`` and leaves S_i^{-1} = L_i^{-T} L_i^{-1}
         there.  ``_inverse_cholesky`` gives L_i^{-1}: by one Cholesky call
-        of [[S_i, I], [I, t I]] up to SMALL_LEVEL unknowns, else by
-        chol(S_i) and its inverse by halving."""
+        of [[S_i, I], [I, t I]] up to SMALL_LEVEL unknowns, else by halving
+        S_i into such calls."""
         out = self.sinv[i]
         for linv, (entries, flat) in zip(linvs, self.blocks.links[i]):
             C = np.zeros((len(out), len(linv)))
@@ -529,7 +524,7 @@ class BlockCholesky:
         return x.reshape(b.shape)
 
 
-def solve_spd(A, b, callback=None, factor=None):
+def solve_spd(A, b, factor=None):
     """x = A^{-1} b for an SPD sparse matrix A: its block Cholesky
     ``factor``'s answer (built here when omitted), certified on its true
     residual.
@@ -542,8 +537,7 @@ def solve_spd(A, b, callback=None, factor=None):
     (A + E) x_j = b_j + f for some ||E||_2 <= SOLVER_TOL ||A||_inf and
     ||f|| <= SOLVER_TOL ||b_j||.  Raises MatrixNotSPDError when the
     factorization breaks down, SolverFailureError (with the largest column
-    residual) when a column misses the test.  ``callback(0, rnorm)`` sees
-    the largest column residual norm.
+    residual) when a column misses the test.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -566,8 +560,6 @@ def solve_spd(A, b, callback=None, factor=None):
     xl = factor.solve(B)
     r = B - A @ xl
     rnorm = np.sqrt(_dots(r, r))
-    if callback is not None:
-        callback(0, float(rnorm.max()))
     scale = factor.anorm * np.sqrt(_dots(xl, xl)) + bnorm[live]
     if not np.all(rnorm <= SOLVER_TOL * scale):
         raise SolverFailureError(

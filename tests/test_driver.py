@@ -748,6 +748,28 @@ class TestCli:
         lines = (out / "history.csv").read_text().strip().splitlines()
         assert len(lines) <= 4  # header + iterations 0..2
 
+    def test_run_pins_blas_to_one_thread(self, tmp_path):
+        # a CLI run with no thread counts in its environment writes the
+        # bytes of one with one BLAS thread; on two or more CPUs, threaded
+        # BLAS reduces in another order from the first iterate on
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        free = {k: v for k, v in os.environ.items() if k not in names}
+        histories = []
+        for label, env in (("free", free), ("pinned", dict(
+                free, **{name: "1" for name in names}))):
+            out = tmp_path / label
+            proc = subprocess.run(
+                [sys.executable, "-m", "morphopt.cli", "run", "--config",
+                 "hexagon_contrast5", "--override", "mesh.h=0.01",
+                 "--override", "regularization.epsilon=0.02",
+                 "--override", "optimizer.max_outer_iters=3",
+                 "--out", str(out)],
+                env=dict(env, PYTHONPATH=str(SRC)), capture_output=True,
+                text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            histories.append((out / "history.csv").read_bytes())
+        assert histories[0] == histories[1]
+
     def test_check_gradient_subcommand(self, capsys):
         code = cli.main(["check-gradient", "--h", "0.1", "--trials", "2"])
         assert code == 0
