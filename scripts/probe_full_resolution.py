@@ -48,8 +48,10 @@ accepted iterate its ``wall_s`` from the end of the one before, snapshot
 included, and the ``factorizations`` (``BlockCholesky`` builds) and
 ``sweeps`` (``BlockCholesky.solve`` calls) made in it; ``finish_s``, the
 time from the last iterate to the return of ``runner.run`` (the final
-exports); the totals, the run's status and final total objective, and
-the peak resident memory.
+exports); the totals, the run's status and final total objective, the
+line-search ``trials`` that reached ``value_fn`` and the
+``bound_rejections`` made without it (null on a tree whose
+``BncgResult`` does not count them), and the peak resident memory.
 
 ``--src`` selects the source tree, so two versions of the library can be
 probed with the same script; run with BLAS threads pinned to 1 for
@@ -113,14 +115,15 @@ def run_iterates(h, iterates):
     linsolve.BlockCholesky.__init__ = counted_init
     linsolve.BlockCholesky.solve = counted_solve
 
-    marks = []
+    marks, results = [], []
     run_staggered = runner.run_staggered
 
     def timed_staggered(*a, on_iterate, **kw):
         def timed_on_iterate(rec, ev):
             on_iterate(rec, ev)
             marks.append((rec.iteration, time.perf_counter(), dict(counts)))
-        return run_staggered(*a, on_iterate=timed_on_iterate, **kw)
+        results.append(run_staggered(*a, on_iterate=timed_on_iterate, **kw))
+        return results[-1]
     runner.run_staggered = timed_staggered
 
     spec = config.load_shipped_config(
@@ -140,6 +143,8 @@ def run_iterates(h, iterates):
         "setup_s": marks[0][1] - t0, "per_iterate": per_iterate,
         "iterate_s": sum(it["wall_s"] for it in per_iterate),
         "finish_s": t1 - marks[-1][1], "run_s": t1 - t0, **counts,
+        **{key: getattr(results[0][3], key, None)
+           for key in ("trials", "bound_rejections")},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0}
 

@@ -178,13 +178,32 @@ def link_energy(link):
     return float(sum(np.dot(f, v) for f, v in zip(loads, vs)))
 
 
-def total(mesh, design, stimulus, state_u, targets, params, link=None):
+def state_free_terms(mesh, design, stimulus, params):
+    """(perimeter, volume_penalty, stimulus_penalty): the terms of
+    :func:`total` that need no state."""
+    return (perimeter_energy(mesh, design, params.epsilon),
+            volume_penalty(mesh, design, params.nu2, params.nu3),
+            stimulus_penalty(mesh, design, stimulus))
+
+
+def lower_bound(terms, params):
+    """total's value with a zero tracking term and no link energy, for the
+    :func:`state_free_terms` ``terms``, added in total's order.  Tracking
+    is a sum of non-negative element terms and rounded addition is
+    monotone, so with link_weight = 0 this never exceeds total's value at
+    the same fields."""
+    perim, vol, stim = terms
+    return 0.0 + params.alpha * perim + vol + stim
+
+
+def total(mesh, design, stimulus, state_u, targets, params, link=None,
+          terms=None):
     """Full objective breakdown at given fields (``link`` as in
-    :func:`link_energy`, needed when link_weight > 0)."""
+    :func:`link_energy`, needed when link_weight > 0; ``terms``: the
+    fields' :func:`state_free_terms`, computed here when omitted)."""
     track = tracking(mesh, state_u, targets)
-    perim = perimeter_energy(mesh, design, params.epsilon)
-    vol = volume_penalty(mesh, design, params.nu2, params.nu3)
-    stim = stimulus_penalty(mesh, design, stimulus)
+    perim, vol, stim = terms or state_free_terms(mesh, design, stimulus,
+                                                 params)
     value = track + params.alpha * perim + vol + stim
     energy = 0.0
     if params.link_weight:

@@ -236,13 +236,14 @@ class LevelBlocks:
     each step: level p of the upper chain and level N - 1 - p of the lower
     one together when they are of one size, else one after the other; then
     one by one the levels that the longer chain has spare, and m.  ``perm``
-    orders the unknowns step by step, the row layout of the sweep; the
-    S_i^{-1} buffer holds its blocks in the same order.  ``diagonal`` gives
-    the K.data positions of all diagonal-block entries and their flat
-    positions in that buffer, ``coupling`` the K.data positions of the
-    entries below the diagonal blocks, step by step.  Each such entry
-    couples a row of the level nearer m, the target, to a column of the
-    other, the source, and belongs to the step of its target.  ``table``
+    orders the unknowns step by step, the row layout of the sweep, and
+    ``inverse`` is its inverse; the S_i^{-1} buffer holds its blocks in the
+    same order.  ``diagonal`` gives the K.data positions of all
+    diagonal-block entries and their flat positions in that buffer,
+    ``coupling`` the K.data positions of the entries below the diagonal
+    blocks, step by step.  Each such entry couples a row of the level
+    nearer m, the target, to a column of the other, the source, and belongs
+    to the step of its target.  ``table``
     is the int32 lane table of one right-hand side: per entry its target
     row counted from its step's first row and its source row counted from
     the first row of the step's sources; the backward step into those
@@ -298,6 +299,8 @@ class LevelBlocks:
         self.perm = np.empty(n, dtype=np.int64)
         self.perm[start[level_of] + np.arange(n)
                   - self.level_ptr[level_of]] = self.order
+        self.inverse = np.empty(n, dtype=np.int64)
+        self.inverse[self.perm] = np.arange(n)
 
         squares = sizes ** 2
         offset = np.empty(last + 1, dtype=np.int64)
@@ -493,7 +496,8 @@ class BlockCholesky:
                 for (r0, levels, rows, src, e0, e), lane, stacked
                 in zip(self.blocks.plan, self.blocks.lanes(k), self._stacked)]
         steps = self._sweeps[k]
-        bp = b[self.blocks.perm].reshape(-1)     # row-major: r k + l
+        # row gathers by np.take: numpy's fancy index is 3-4 times slower
+        bp = np.take(b, self.blocks.perm, axis=0).reshape(-1)   # r k + l
         u = np.empty_like(bp)
 
         # forward from both ends into m: r = b - C u over the step's
@@ -519,9 +523,8 @@ class BlockCholesky:
                 terms = u[r0:r1].take(lanes[0]) * vals
                 v[src[0]:src[1]] = np.bincount(lanes[1], terms,
                                                minlength=src[1] - src[0])
-        x = np.empty((len(bp) // k, k))
-        x[self.blocks.perm] = u.reshape(-1, k)
-        return x.reshape(b.shape)
+        return np.take(u.reshape(-1, k), self.blocks.inverse,
+                       axis=0).reshape(b.shape)
 
 
 def solve_spd(A, b, factor=None):

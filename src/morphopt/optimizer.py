@@ -3,9 +3,10 @@
 The minimizer is projected Polak-Ribiere+ CG with Armijo backtracking;
 every trial point is projected onto the box, accepted iterates never
 increase the objective, and a failed line search returns the best iterate
-with a stalled flag instead of raising.  A NaN or infinite value or
-gradient raises NonFiniteValueError: it can never pass for a stall or a
-convergence.
+with a stalled flag instead of raising.  A trial whose state-free lower
+bound already misses the Armijo test is rejected without a state solve.
+A NaN or infinite value or gradient raises NonFiniteValueError: it can
+never pass for a stall or a convergence.
 
 run_monolithic optimizes (rho2, rho3, s_1..s_n) jointly; run_staggered
 optimizes the densities only and re-minimizes the stimulus in closed form
@@ -72,6 +73,9 @@ class BncgResult:
     iterations: int
     # the schemes' accepted sensitivity.Evaluation at x
     evaluation: object = None
+    # line-search trials that reached value_fn, and those bound_fn rejected
+    trials: int = 0
+    bound_rejections: int = 0
 
 
 def _norm(v):
@@ -87,10 +91,14 @@ def _finite(source, f, g=None):
 
 
 def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
-                  on_accept=None, post_accept=None):
+                  on_accept=None, post_accept=None, bound_fn=None):
     """Minimize over the box [lower, upper].
 
-    ``value_fn(x) -> f`` is called once per line-search trial.
+    ``value_fn(x) -> f`` is called once per line-search trial that
+    ``bound_fn(x)``, when given, does not reject: it is called first, and a
+    finite bound above the Armijo threshold rejects the trial.  It must
+    never exceed value_fn's f at the same x, so a bound changes no decision;
+    a non-finite bound rejects nothing.
     ``post_accept(x, f, g) -> (f, g) or None`` may replace an accepted
     iterate's objective and gradient (the staggered scheme's inner stimulus
     minimization); it must not increase f, and returns None exactly when it
@@ -133,6 +141,12 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
         out[(x >= upper) & (g < 0)] = 0.0
         return out
 
+    trials = rejections = 0
+
+    def done(status, k):
+        return BncgResult(x, f, status, k, trials=trials,
+                          bound_rejections=rejections)
+
     g_red = reduced(g, x)
     d = -g_red
     g_red_prev = g_red
@@ -156,15 +170,22 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
                 x_t = np.clip(x + alpha * d, lower, upper)
                 delta = float(np.dot(g, x_t - x))
                 if delta < 0.0:
-                    f_t, _ = _finite("value_fn", value_fn(x_t))
-                    if f_t <= f + ARMIJO_C * delta:
-                        accepted = True
-                        break
+                    threshold = f + ARMIJO_C * delta
+                    bound = -np.inf if bound_fn is None else bound_fn(x_t)
+                    # false for a NaN or infinite bound
+                    if threshold < bound < np.inf:
+                        rejections += 1
+                    else:
+                        trials += 1
+                        f_t, _ = _finite("value_fn", value_fn(x_t))
+                        if f_t <= threshold:
+                            accepted = True
+                            break
                 alpha *= BACKTRACK_FACTOR
             if accepted:
                 break
         if not accepted:
-            return BncgResult(x, f, "stalled", k - 1)
+            return done("stalled", k - 1)
 
         x = x_t
         f_prev = f
@@ -175,11 +196,11 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
             on_accept(k, x, f, g, alpha)
 
         if pg <= grad_target:
-            return BncgResult(x, f, "converged-grad", k)
+            return done("converged-grad", k)
         rel_drop = (f_prev - f) / max(abs(f), 1e-300)
         stall_count = stall_count + 1 if rel_drop <= cfg.obj_rtol else 0
         if stall_count >= OBJ_STALL_WINDOW:
-            return BncgResult(x, f, "converged-obj", k)
+            return done("converged-obj", k)
 
         # PR+: beta = max(0, beta_PR) falls back to steepest descent by itself
         g_red = reduced(g, x)
@@ -190,35 +211,60 @@ def bncg_minimize(value_fn, value_grad_fn, x0, lower, upper, cfg,
         g_red_prev = g_red
         alpha0 = alpha * STEP_GROWTH
 
-    return BncgResult(x, f, "maxiter", cfg.max_outer_iters)
+    return done("maxiter", cfg.max_outer_iters)
 
 
 class _Evaluations:
     """A scheme's accepted Evaluation and its latest line-search trial.
 
-    ``value`` serves the line search.  bncg_minimize asks for anything else
-    at an accepted trial right after its value, so ``keep(x)`` makes that
-    trial's Evaluation the accepted one; ``value_grad`` also forms its
-    gradient, and ``accept(ev)`` makes any Evaluation the accepted one and
-    forms its gradient.  ``record`` is the on_accept callback: it logs the
-    accepted Evaluation and hands it to ``on_iterate(record, evaluation)``.
-    ``flat_grad(Gradient)`` is the scheme's gradient vector.
+    ``bound`` and ``value`` serve the line search: ``bound(x)`` is
+    ``functional.lower_bound`` of the fields at x, whose state-free terms
+    the Evaluation of a following ``value(x)`` reuses.  bncg_minimize asks
+    for anything else at an accepted trial right after its value, so
+    ``keep(x)`` makes that trial's Evaluation the accepted one;
+    ``value_grad`` also forms its gradient, and ``accept(ev)`` makes any
+    Evaluation the accepted one and forms its gradient.  ``record`` is the
+    on_accept callback: it logs the accepted Evaluation and hands it to
+    ``on_iterate(record, evaluation)``.  ``fields(x)`` is the scheme's
+    (design, stimulus) at x and ``flat_grad(Gradient)`` its gradient
+    vector.
     """
 
-    def __init__(self, mesh, evaluate, flat_grad, on_iterate):
-        self.mesh, self.evaluate, self.flat_grad = mesh, evaluate, flat_grad
+    def __init__(self, mesh, phases, params, targets, fields, flat_grad,
+                 on_iterate):
+        self.mesh, self.phases, self.params = mesh, phases, params
+        self.targets = targets
+        self.fields, self.flat_grad = fields, flat_grad
         self.on_iterate = on_iterate
         self.history = []
         self.accepted = None
-        self.trial_x = self.trial = None
+        self.trial_x = self.trial = self.bounded = None
 
-    def value(self, x):
+    def _drop(self):
         # one factor alive at a time: the accepted point is done with its
         # solves and the previous trial was rejected or accepted
         if self.accepted is not None:
             self.accepted.release()
-        self.trial_x = self.trial = None
-        self.trial_x, self.trial = x, self.evaluate(x)
+        self.trial_x = self.trial = self.bounded = None
+
+    def bound(self, x):
+        self._drop()
+        design, stimulus = self.fields(x)
+        terms = functional.state_free_terms(self.mesh, design, stimulus,
+                                            self.params)
+        self.bounded = x, design, stimulus, terms
+        return functional.lower_bound(terms, self.params)
+
+    def value(self, x):
+        # the fields and state-free terms of the bound at x, if it came first
+        bounded = self.bounded
+        self._drop()
+        if bounded is None or bounded[0] is not x:
+            bounded = x, *self.fields(x), None
+        _, design, stimulus, terms = bounded
+        self.trial_x, self.trial = x, sensitivity.Evaluation(
+            self.mesh, design, stimulus, self.phases, self.params,
+            self.targets, terms=terms)
         return self.trial.breakdown.total
 
     def keep(self, x):
@@ -258,11 +304,13 @@ class _Evaluations:
 
     def minimize(self, x0, lower, upper, cfg, post_accept=None):
         """The scheme's (design, stimulus, history, BncgResult)."""
-        result = bncg_minimize(self.value, self.value_grad, x0, lower, upper,
-                               cfg, on_accept=self.record,
-                               post_accept=post_accept)
-        self.accepted.release()
-        self.trial_x = self.trial = None
+        # the bound needs a link energy >= 0, which nothing proves of the
+        # computed one
+        result = bncg_minimize(
+            self.value, self.value_grad, x0, lower, upper, cfg,
+            on_accept=self.record, post_accept=post_accept,
+            bound_fn=None if self.params.link_weight else self.bound)
+        self._drop()
         result.evaluation = ev = self.accepted
         return ev.design, ev.stimulus, self.history, result
 
@@ -275,14 +323,14 @@ def run_monolithic(mesh, phases, params, targets, cfg, design0=None,
     design0 = design0 or DesignField.constant(nn, INITIAL_RHO2, INITIAL_RHO3)
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
-    def evaluate(z):
-        design = DesignField(z[:nn], z[nn:2 * nn])
-        stim = StimulusField(z[2 * nn:].reshape(n_cases, nn))
-        return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets)
+    def fields(z):
+        return (DesignField(z[:nn], z[nn:2 * nn]),
+                StimulusField(z[2 * nn:].reshape(n_cases, nn)))
 
-    evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
-        [grad.g_rho2, grad.g_rho3, grad.g_s.ravel()]), on_iterate)
+    evals = _Evaluations(mesh, phases, params, targets, fields,
+                         lambda grad: np.concatenate(
+                             [grad.g_rho2, grad.g_rho3, grad.g_s.ravel()]),
+                         on_iterate)
     z0 = np.concatenate([design0.rho2, design0.rho3, stimulus0.s.ravel()])
     lower = np.concatenate([np.zeros(2 * nn), -np.ones(n_cases * nn)])
     upper = np.ones(2 * nn + n_cases * nn)
@@ -304,17 +352,16 @@ def run_staggered(mesh, phases, params, targets, cfg, design0=None,
     design0 = design0 or DesignField.constant(nn, INITIAL_RHO2, INITIAL_RHO3)
     stimulus0 = stimulus0 or StimulusField.zeros(n_cases, nn)
 
-    def evaluate(z):
+    def fields(z):
         # a copy of the caller's start field, so the samples kept on it die
         # with the evaluations that share it
-        stim = (evals.accepted.stimulus if evals.accepted
-                else StimulusField(stimulus0.s))
-        design = DesignField(z[:nn], z[nn:])
-        return sensitivity.Evaluation(mesh, design, stim, phases, params,
-                                      targets)
+        return DesignField(z[:nn], z[nn:]), (
+            evals.accepted.stimulus if evals.accepted
+            else StimulusField(stimulus0.s))
 
-    evals = _Evaluations(mesh, evaluate, lambda grad: np.concatenate(
-        [grad.g_rho2, grad.g_rho3]), on_iterate)
+    evals = _Evaluations(mesh, phases, params, targets, fields,
+                         lambda grad: np.concatenate(
+                             [grad.g_rho2, grad.g_rho3]), on_iterate)
 
     def update(ev):
         """ev at the closed-form stimulus of its adjoints, or None where

@@ -173,10 +173,12 @@ class Evaluation:
     its factor, the link solution and everything kept on the design.
     ``release`` drops the factor, the largest thing an Evaluation holds,
     and what is kept on the design; the adjoints then cannot be solved.
+    ``terms``, the fields' ``functional.state_free_terms`` when already
+    computed, are reused by the objective.
     """
 
     def __init__(self, mesh, design, stimulus, phases, params, targets,
-                 operator=None, factor=None, link=None):
+                 operator=None, factor=None, link=None, terms=None):
         self.mesh, self.design, self.stimulus = mesh, design, stimulus
         self.phases, self.params = phases, params
         self.targets = check_targets(targets, stimulus.n_cases)
@@ -187,7 +189,7 @@ class Evaluation:
         self.state = solve_state(mesh, design, phases, stimulus,
                                  operator=operator, factor=factor)
         self.breakdown = total(mesh, design, stimulus, self.state.u,
-                               self.targets, params, link)
+                               self.targets, params, link, terms)
 
     def at_stimulus(self, stimulus):
         return Evaluation(self.mesh, self.design, stimulus, self.phases,

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ def quadratic(p):
     return f, fg
 
 
+def rosenbrock(x):
+    return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+
+def rosenbrock_fg(x):
+    return rosenbrock(x), np.array([
+        -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+        200 * (x[1] - x[0] ** 2)])
+
+
+def counted_rosenbrock(calls, bound_fn=None):
+    """A 200-iterate box Rosenbrock run whose value_fn appends to calls."""
+    def value(x):
+        calls.append(x.copy())
+        return rosenbrock(x)
+    return bncg_minimize(value, rosenbrock_fg, np.array([-1.2, 1.0]),
+                         np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
+                         OptimizerConfig(grad_atol=0.0, grad_rtol=0.0,
+                                         obj_rtol=0.0, max_outer_iters=200),
+                         bound_fn=bound_fn)
+
+
 class TestBncg:
     def test_quadratic_interior_minimum_fast(self):
         p = np.array([0.3, 0.6, 0.1])
@@ -43,20 +67,48 @@ class TestBncg:
         np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-10)
 
     def test_rosenbrock_in_box(self):
-        def f(x):
-            return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-        def fg(x):
-            g = np.array([
-                -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                200 * (x[1] - x[0] ** 2)])
-            return f(x), g
-
         cfg = OptimizerConfig(grad_atol=1e-9, grad_rtol=0.0, obj_rtol=1e-18,
                               max_outer_iters=3000)
-        res = bncg_minimize(f, fg, np.array([-1.2, 1.0]),
+        res = bncg_minimize(rosenbrock, rosenbrock_fg, np.array([-1.2, 1.0]),
                             np.array([-2.0, -2.0]), np.array([2.0, 2.0]), cfg)
         assert res.value <= 1e-8
+
+    def test_bound_rejects_trials_without_value_fn(self):
+        # the objective is its own lower bound: every trial the Armijo test
+        # rejects is rejected on the bound, so value_fn sees only the
+        # accepted ones, and the run is the same to the bit
+        plain_calls, bound_calls = [], []
+        plain = counted_rosenbrock(plain_calls)
+        bounded = counted_rosenbrock(bound_calls, bound_fn=rosenbrock)
+        assert (plain.status, plain.iterations) == ("maxiter", 200)
+        assert (bounded.status, bounded.iterations) == ("maxiter", 200)
+        assert np.array_equal(plain.x, bounded.x)
+        assert plain.value == bounded.value
+        assert (plain.trials, plain.bound_rejections) == (len(plain_calls), 0)
+        assert bounded.trials == len(bound_calls) == bounded.iterations
+        assert bounded.bound_rejections > 0
+        assert plain.trials == bounded.trials + bounded.bound_rejections
+        # the accepted trials, in order
+        accepted = [x for x in plain_calls
+                    if any(np.array_equal(x, y) for y in bound_calls)]
+        assert np.array_equal(accepted, bound_calls)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_falls_through(self, bad):
+        plain_calls, bound_calls = [], []
+        plain = counted_rosenbrock(plain_calls)
+        bounded = counted_rosenbrock(bound_calls, bound_fn=lambda x: bad)
+        assert np.array_equal(plain_calls, bound_calls)
+        assert (bounded.trials, bounded.bound_rejections) == (plain.trials, 0)
+        assert np.array_equal(plain.x, bounded.x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bound_keeps_value_fn_errors(self, bad):
+        _, fg = quadratic(np.full(3, 0.7))
+        with pytest.raises(NonFiniteValueError, match="value_fn"):
+            bncg_minimize(lambda x: float("nan"), fg, np.zeros(3),
+                          np.zeros(3), np.ones(3), OptimizerConfig(),
+                          bound_fn=lambda x: bad)
 
     def test_monotone_history_and_armijo(self):
         rng = np.random.default_rng(0)
@@ -365,7 +417,7 @@ class TestSchemes:
         inner_update = optimizer.minimize_stimulus_field
 
         def observed(value_fn, value_grad_fn, x0, lower, upper, cfg,
-                     on_accept=None, post_accept=None):
+                     on_accept=None, post_accept=None, bound_fn=None):
             def counted_value_fn(x):
                 seen["trials"] += 1
                 return value_fn(x)
@@ -376,7 +428,8 @@ class TestSchemes:
                 return revised
             return inner_bncg(counted_value_fn, value_grad_fn, x0, lower,
                               upper, cfg, on_accept=on_accept,
-                              post_accept=observed_post_accept)
+                              post_accept=observed_post_accept,
+                              bound_fn=bound_fn)
 
         def counted_grad(*args, **kwargs):
             seen["grad_design"] += 1
@@ -469,6 +522,114 @@ class TestSchemes:
         lam = [rng.normal(size=(n, 2))]
         s = minimize_stimulus_field(self.mesh, design, lam, PHASES)
         assert np.max(np.abs(s.s)) == 0.0
+
+
+class TestLowerBound:
+    """The schemes' state-free lower bound rejects trials without a state
+    and changes no decision."""
+
+    @staticmethod
+    def _run(name, out, monkeypatch, bound):
+        """history.csv and summary.txt bytes, the BncgResult and the
+        number of factor builds of a 30-iterate run, with the schemes'
+        bound or without it."""
+        from morphopt import config, elasticity, optimizer, runner
+        results, builds = [], []
+        inner_bncg, inner_factor = (optimizer.bncg_minimize,
+                                    elasticity.BlockCholesky)
+
+        def searched(*args, bound_fn=None, **kwargs):
+            results.append(inner_bncg(
+                *args, bound_fn=bound_fn if bound else None, **kwargs))
+            return results[-1]
+
+        def counted(*args, **kwargs):
+            builds.append(None)
+            return inner_factor(*args, **kwargs)
+        monkeypatch.setattr(optimizer, "bncg_minimize", searched)
+        monkeypatch.setattr(elasticity, "BlockCholesky", counted)
+        spec = config.load_shipped_config(
+            name, overrides=["optimizer.max_outer_iters=30"])
+        artifacts = runner.run(spec, out_dir=str(out))
+        monkeypatch.undo()
+        files = tuple(pathlib.Path(path).read_bytes() for path in (
+            artifacts.history_path, artifacts.summary_path))
+        return files, results[0], len(builds)
+
+    @pytest.mark.parametrize("name", ["cantilever_desk_staggered",
+                                      "cantilever_desk_monolithic"])
+    def test_bound_changes_no_byte_and_saves_a_factor_per_rejection(
+            self, name, tmp_path, monkeypatch):
+        files_on, on, built_on = self._run(name, tmp_path / "on",
+                                           monkeypatch, True)
+        files_off, off, built_off = self._run(name, tmp_path / "off",
+                                              monkeypatch, False)
+        assert files_on == files_off
+        assert on.iterations == off.iterations == 30
+        assert off.bound_rejections == 0 < on.bound_rejections
+        assert off.trials == on.trials + on.bound_rejections
+        # one factor per evaluated trial and one at the start
+        assert built_on == on.trials + 1
+        assert built_off - built_on == on.bound_rejections
+
+    @pytest.mark.parametrize("name", ["cantilever_desk_staggered",
+                                      "cantilever_desk_monolithic"])
+    def test_rejected_trial_assembles_factors_and_solves_nothing(
+            self, name, monkeypatch):
+        from morphopt import config, elasticity, optimizer
+        events = []
+
+        def logged(event, fn):
+            def wrapper(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+            return wrapper
+        for event in ("assemble_stiffness", "assemble_stimulus_load",
+                      "BlockCholesky", "solve_spd"):
+            monkeypatch.setattr(elasticity, event,
+                                logged(event, getattr(elasticity, event)))
+        inner = optimizer.bncg_minimize
+
+        def searched(value_fn, *args, bound_fn=None, **kwargs):
+            return inner(logged("value", value_fn), *args,
+                         bound_fn=logged("bound", bound_fn), **kwargs)
+        monkeypatch.setattr(optimizer, "bncg_minimize", searched)
+        spec = config.load_shipped_config(
+            name, overrides=["optimizer.max_outer_iters=30"])
+        scheme = run_staggered if spec.scheme == "staggered" \
+            else run_monolithic
+        result = scheme(spec.build_mesh(), spec.phases, spec.params,
+                        spec.target_array(), spec.optimizer)[3]
+        # after each bound comes the trial's value, or the next trial's
+        # bound when the bound rejected it: nothing else in between
+        after = [events[i + 1] if i + 1 < len(events) else None
+                 for i, event in enumerate(events) if event == "bound"]
+        assert set(after) <= {"value", "bound", None}
+        assert after.count("value") == result.trials
+        assert len(after) - after.count("value") == result.bound_rejections
+        assert result.bound_rejections > 0
+
+    @pytest.mark.parametrize("scheme, trials", [(run_staggered, 16),
+                                                (run_monolithic, 17)])
+    def test_link_energy_keeps_every_trial(self, scheme, trials,
+                                           monkeypatch):
+        # nothing proves the computed link energy >= 0, so the schemes
+        # pass no bound and evaluate every trial, as without the bound
+        from morphopt import optimizer
+        bounds = []
+        inner = optimizer.bncg_minimize
+
+        def searched(*args, bound_fn=None, **kwargs):
+            bounds.append(bound_fn)
+            return inner(*args, bound_fn=bound_fn, **kwargs)
+        monkeypatch.setattr(optimizer, "bncg_minimize", searched)
+        mesh = build_rect_mesh(1.0, 1 / 3, 1 / 15, "left", BOX)
+        params = RegularizationParams(2 / 15, 6e-4, 0.1, 0.3, link_weight=0.1)
+        result = scheme(mesh, PHASES, params, np.array([[0.0, 1.0]]),
+                        OptimizerConfig(max_outer_iters=12))[3]
+        assert bounds == [None]
+        assert (result.iterations, result.trials,
+                result.bound_rejections) == (12, trials, 0)
 
 
 class TestEquivariance:

@@ -3,13 +3,15 @@ projections, the hexagon's rotation equivariance, the read-only fields and
 the evaluations that share them over generated inputs (hypothesis,
 derandomized so every run draws the same examples)."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from morphopt.config import echo_config, parse_config
+from morphopt.config import echo_config, load_shipped_config, parse_config
 from morphopt.errors import ConfigError
 from morphopt.fields import (DesignField, StimulusField, project_design,
                              project_stimulus)
@@ -184,3 +186,81 @@ def test_fields_are_read_only_copies(data):
             array[0] = 0.5
     for array, before in zip((design.rho2, design.rho3, stim.s), kept):
         np.testing.assert_array_equal(array, before)
+
+
+class _Captured(Exception):
+    pass
+
+
+def scheme_search(scheme, spec, mesh, targets, stimulus0):
+    """The bound_fn and value_fn that ``scheme`` hands its line search."""
+    from morphopt import optimizer
+    found = {}
+
+    def capture(value_fn, *args, bound_fn=None, **kwargs):
+        found.update(bound=bound_fn, value=value_fn)
+        raise _Captured
+    inner, optimizer.bncg_minimize = optimizer.bncg_minimize, capture
+    try:
+        scheme(mesh, spec.phases, spec.params, targets, spec.optimizer,
+               stimulus0=stimulus0)
+    except _Captured:
+        pass
+    finally:
+        optimizer.bncg_minimize = inner
+    return found["bound"], found["value"]
+
+
+@functools.cache
+def bound_problem(name):
+    """The spec and mesh of the desk cantilever or the h = 0.05 hexagon."""
+    spec = load_shipped_config(*{
+        "desk": ("cantilever_desk_staggered", ()),
+        "hexagon": ("hexagon_contrast5", ["mesh.h=0.05"])}[name])
+    return spec, spec.build_mesh()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       problem=st.sampled_from(["desk", "hexagon"]),
+       layout=st.sampled_from(["staggered", "monolithic"]),
+       kind=st.sampled_from(["uniform", "checkerboard", "vertices"]),
+       zero_misfit=st.booleans())
+@example(seed=1, problem="desk", layout="staggered", kind="checkerboard",
+         zero_misfit=True)
+@example(seed=2, problem="hexagon", layout="monolithic",
+         kind="checkerboard", zero_misfit=True)
+@example(seed=3, problem="desk", layout="monolithic", kind="checkerboard",
+         zero_misfit=False)
+@example(seed=4, problem="hexagon", layout="staggered", kind="uniform",
+         zero_misfit=True)
+def test_state_free_bound_never_exceeds_the_total(seed, problem, layout,
+                                                  kind, zero_misfit):
+    # the schemes' bound at a box-feasible point, against the total of
+    # the same point compared with no tolerance; the value after the bound
+    # reuses its terms and equals a fresh Evaluation's total to the bit
+    from morphopt.optimizer import run_monolithic, run_staggered
+    spec, mesh = bound_problem(problem)
+    rng = np.random.default_rng(seed)
+    n, k = mesh.n_nodes, spec.n_cases
+    rho = rng.uniform(0.0, 1.0, (2, n))
+    if kind == "checkerboard":
+        cells = np.floor(mesh.nodes / mesh.cell_size).astype(int).sum(1) % 2
+        rho = np.stack([cells, (1 - cells) * rng.integers(0, 2)])
+    elif kind == "vertices":        # pure phases, void included
+        rho = np.eye(3)[rng.integers(0, 3, n)].T[1:]
+    s = np.zeros((k, n)) if zero_misfit else rng.uniform(-1.0, 1.0, (k, n))
+    targets = np.zeros((k, 2)) if zero_misfit else spec.target_array()
+    scheme = run_staggered if layout == "staggered" else run_monolithic
+    bound_fn, value_fn = scheme_search(scheme, spec, mesh, targets,
+                                       StimulusField(s))
+    z = np.concatenate([rho[0], rho[1]] + (
+        [] if layout == "staggered" else [s.ravel()])).astype(float)
+    bound = bound_fn(z)
+    value = value_fn(z)
+    fresh = Evaluation(mesh, DesignField(rho[0], rho[1]), StimulusField(s),
+                       spec.phases, spec.params, targets).breakdown
+    assert value == fresh.total
+    assert bound <= fresh.total
+    if zero_misfit:
+        assert fresh.tracking == 0.0 and bound == fresh.total
